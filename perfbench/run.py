@@ -1,6 +1,6 @@
 """The trajfuse benchmark: time the five CLI commands end to end, or trace them per layer.
 
-    python3 perfbench/run.py --workload pinned --seed 1 --seconds 50 --trace 0
+    python3 perfbench/run.py --workload pinned --seed 1 --seconds 55 --trace 0
     python3 perfbench/selfcheck.py      # the same pipeline at 51 samples, in seconds
 
 Each run generates its workload's dumps from ``--seed`` with the
@@ -10,7 +10,8 @@ trajfuse.cli`` subprocesses (default flags apart from output paths, the
 threshold primary and the flags floor) until ``--seconds`` is used up.
 Every output of every round is checked against the numpy oracle in
 ``oracle.py``; a nonzero exit, a JSON error on stderr or a mismatch is a
-failed op.  Timings are medians over rounds.
+failed op.  End-to-end timings are medians over blocks of a few rounds
+(see ``block_median``).
 
 With ``--trace 1`` each round also replays the commands in-process,
 serially, once plain and once traced (see ``tracing.py``), and the run
@@ -47,6 +48,12 @@ SETUP_RUNS = 3
 # The member synth's threshold strategy trusts when --primary-model is not given.
 SYNTH_PRIMARY = "const_turn_rate"
 RESIDUAL_COMMANDS = ("fuse", "eval", "overlap", "synth")
+# Consecutive rounds pooled into one sample of an end-to-end metric.  On a
+# shared host single invocations fall into a fast and a slow mode up to
+# 1.5x apart, and the share of slow ones changes within seconds, so a plain
+# median over rounds jumps between the modes from run to run; the mean of a
+# few consecutive rounds lies between them.
+BLOCK = 3
 
 
 @dataclass(frozen=True)
@@ -191,6 +198,12 @@ def median(values) -> float:
     return statistics.median(values) if values else float("nan")
 
 
+def block_median(values) -> float:
+    """Median over blocks of BLOCK or more consecutive values of each block's mean."""
+    blocks = np.array_split(np.asarray(values, dtype=float), max(1, len(values) // BLOCK))
+    return float(np.median([b.mean() for b in blocks]))
+
+
 def run(name: str, wl: Workload, seed: int, seconds: float, trace: bool,
         work: str = WORK) -> tuple[dict, dict]:
     """One benchmark run in a fresh ``work`` directory.
@@ -287,7 +300,7 @@ def run(name: str, wl: Workload, seed: int, seconds: float, trace: bool,
                     beyond_replay[cmd].append(walls[cmd][-1] - plain[cmd])
         round_times.append(time.perf_counter() - began)
 
-    setup_s = median(setup)
+    setup_s = block_median(setup)
     if trace:
         metrics = {}
         for key in layers[0]:
@@ -307,9 +320,9 @@ def run(name: str, wl: Workload, seed: int, seconds: float, trace: bool,
     else:
         metrics = {
             "setup_s": setup_s,
-            **{f"{c}_s": median(walls[c]) for c in ("synth", "fuse", "eval", "overlap")},
-            "samples_per_s": median(rates),
-            "peak_rss_mb": median(peaks),
+            **{f"{c}_s": block_median(walls[c]) for c in ("synth", "fuse", "eval", "overlap")},
+            "samples_per_s": block_median(rates),
+            "peak_rss_mb": block_median(peaks),
         }
     with open(os.path.join(ROOT, "BENCHMARK.json"), encoding="utf-8") as f:
         spec = json.load(f)
@@ -333,7 +346,7 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--workload", required=True, choices=sorted(WORKLOADS))
     parser.add_argument("--seed", type=int, default=271828)
-    parser.add_argument("--seconds", type=float, default=50.0)
+    parser.add_argument("--seconds", type=float, default=55.0)
     parser.add_argument("--trace", type=int, choices=(0, 1), default=0)
     args = parser.parse_args(argv)
     if not os.path.isfile(os.path.join(SRC, "trajfuse", "cli.py")):

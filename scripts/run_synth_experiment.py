@@ -13,6 +13,7 @@ import argparse
 import time
 from dataclasses import replace
 
+from trajfuse.fusion import STRATEGIES
 from trajfuse.synth import (
     PINNED_PRIMARY,
     pinned_config,
@@ -26,7 +27,6 @@ def main() -> None:
     parser.add_argument("--samples", type=int, default=10_000)
     parser.add_argument("--seed", type=int, default=None,
                         help="override the pinned seed")
-    parser.add_argument("--threads", type=int, default=1)
     args = parser.parse_args()
 
     config = pinned_config(sample_count=args.samples)
@@ -37,9 +37,8 @@ def main() -> None:
     result = synth_experiment(
         config,
         pinned_predictors(),
-        strategies=("weighted", "simple", "threshold"),
+        strategies=STRATEGIES,
         primary_model=PINNED_PRIMARY,
-        threads=args.threads,
     )
     elapsed = time.perf_counter() - start
 
@@ -54,8 +53,7 @@ def main() -> None:
             v = row[col]
             cells.append((v if isinstance(v, str) else f"{v:.4f}").ljust(w))
         print("  ".join(cells))
-    print(f"\n{config.sample_count} samples in {elapsed:.1f}s "
-          f"(seed {config.seed}, threads {args.threads})")
+    print(f"\n{config.sample_count} samples in {elapsed:.1f}s (seed {config.seed})")
 
 
 if __name__ == "__main__":

@@ -4,11 +4,14 @@ Exit codes: 0 success, 1 for validation/parse errors (including bad
 flags), 2 for I/O errors.  Errors are emitted as one JSON object on
 stderr so wrappers can consume them.  Every command is deterministic:
 rerunning with identical inputs, seeds, and flags writes byte-identical
-files at any ``--threads`` setting.
+files.  ``--threads`` is checked but has no effect: the work runs serially.
+``synth`` writes a generated dataset and then scores it the same way
+``eval`` and ``overlap`` score a loaded one.
 
 Configuration precedence is flags > --config JSON file > built-in
-defaults.  The TRAJFUSE_OUT_DIR environment variable supplies the
-directory for default output paths when --out is not given.
+defaults; config values are checked like flags.  The TRAJFUSE_OUT_DIR
+environment variable supplies the directory for default output paths
+when --out is not given.
 """
 
 from __future__ import annotations
@@ -19,20 +22,12 @@ import json
 import math
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
-from typing import Callable, Sequence
+from dataclasses import dataclass, replace
+from typing import Sequence
 
-from .core import ModelOutput, Sample, Trajectory, select_most_likely
+from .core import ModelOutput, Sample, Trajectory
 from .errors import InvalidInput, TrajfuseError
-from .fusion import (
-    DEFAULT_TAU,
-    FusedPrediction,
-    flag_low_confidence,
-    fuse_simple,
-    fuse_threshold,
-    fuse_weighted,
-)
+from .fusion import DEFAULT_TAU, STRATEGIES, flag_low_confidence, fuse_sample
 from .io import (
     DatasetManifest,
     GroundTruthRecord,
@@ -49,8 +44,8 @@ from .io import (
 from .metrics import (
     DEFAULT_K_LIST,
     DEFAULT_OVERLAP_K,
-    build_ledger,
-    ensemble_method_id,
+    ErrorLedger,
+    fuse_and_score,
     overlap_report,
     summary_table,
     top_k_error,
@@ -58,10 +53,9 @@ from .metrics import (
 from .synth import (
     PINNED_PRIMARY,
     PINNED_SEED,
-    ScenarioConfig,
+    generate_samples,
     pinned_config,
     pinned_predictors,
-    synth_experiment,
 )
 
 __all__ = ["main"]
@@ -100,7 +94,6 @@ class RunConfig:
     fmt: str = "csv"
     out: str = ""
     seed: int = PINNED_SEED
-    threads: int = 1
     sort_by_ade: bool = False
     samples: int = 10_000
     horizon: int = 12
@@ -140,10 +133,7 @@ def _default_out(filename: str) -> str:
 
 
 def _resolve_strategies(raw: str, tau_given: bool, primary: str | None) -> tuple[str, ...]:
-    if raw == "all":
-        strategies: tuple[str, ...] = ("weighted", "simple", "threshold")
-    else:
-        strategies = (raw,)
+    strategies = STRATEGIES if raw == "all" else (raw,)
     if "threshold" in strategies:
         if primary is None:
             raise InvalidInput("--strategy threshold requires --primary-model")
@@ -158,11 +148,8 @@ def _resolve_strategies(raw: str, tau_given: bool, primary: str | None) -> tuple
 def _make_run_config(args: argparse.Namespace) -> RunConfig:
     command = args.command
     fmt = getattr(args, "format", "csv")
-    threads = getattr(args, "threads", 1)
-    if threads is None:
-        threads = os.cpu_count() or 1
-    if threads < 1:
-        raise InvalidInput(f"--threads must be >= 1, got {threads}")
+    if args.threads is not None and args.threads < 1:
+        raise InvalidInput(f"--threads must be >= 1, got {args.threads}")
 
     if command == "flags":
         floor = args.confidence_floor
@@ -174,7 +161,6 @@ def _make_run_config(args: argparse.Namespace) -> RunConfig:
             confidence_floor=floor,
             fmt=fmt,
             out=args.out or _default_out(f"flags.{fmt}"),
-            threads=threads,
         )
 
     if command == "synth":
@@ -192,11 +178,10 @@ def _make_run_config(args: argparse.Namespace) -> RunConfig:
             fmt=fmt,
             out=args.out or _default_out("synth_out"),
             seed=args.seed,
-            threads=threads,
             samples=args.samples,
             horizon=args.horizon,
             dt=args.dt,
-            mix=_parse_mix(args.mix) if isinstance(args.mix, str) else tuple(args.mix),
+            mix=_parse_mix(args.mix),
         )
 
     # fuse / eval / overlap share the dataset-input surface.
@@ -204,7 +189,6 @@ def _make_run_config(args: argparse.Namespace) -> RunConfig:
         command=command,
         manifest=args.manifest,
         predictions=tuple(args.predictions),
-        threads=threads,
     )
     if command == "overlap":
         k = args.overlap_k
@@ -221,26 +205,16 @@ def _make_run_config(args: argparse.Namespace) -> RunConfig:
     # overlap has no --tau flag, so this check comes after its branch.
     if args.tau is not None and not math.isfinite(args.tau):
         raise InvalidInput(f"--tau must be finite, got {args.tau}")
+    common.update(
+        strategies=_resolve_strategies(args.strategy, args.tau is not None, args.primary_model),
+        tau=args.tau if args.tau is not None else DEFAULT_TAU,
+        primary_model=args.primary_model,
+    )
     if command == "fuse":
-        strategies = _resolve_strategies(args.strategy, args.tau is not None,
-                                         args.primary_model)
-        if len(strategies) != 1:
-            raise InvalidInput("fuse takes a single --strategy, not 'all'")
-        return RunConfig(
-            strategies=strategies,
-            tau=args.tau if args.tau is not None else DEFAULT_TAU,
-            primary_model=args.primary_model,
-            out=args.out or _default_out("fused.ndjson"),
-            **common,
-        )
+        return RunConfig(out=args.out or _default_out("fused.ndjson"), **common)
     if command == "eval":
-        strategies = _resolve_strategies(args.strategy, args.tau is not None,
-                                         args.primary_model)
         return RunConfig(
             ground_truth=args.ground_truth,
-            strategies=strategies,
-            tau=args.tau if args.tau is not None else DEFAULT_TAU,
-            primary_model=args.primary_model,
             k_list=_parse_k_list(args.k_list),
             sort_by_ade=args.sort_by_ade,
             fmt=fmt,
@@ -248,14 +222,6 @@ def _make_run_config(args: argparse.Namespace) -> RunConfig:
             **common,
         )
     raise InvalidInput(f"unknown command '{command}'")
-
-
-def _parallel_map(fn: Callable, items: Sequence, threads: int) -> list:
-    """Ordered map, optionally via a thread pool; results match serial order."""
-    if threads <= 1 or len(items) <= 1:
-        return [fn(item) for item in items]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(fn, items))
 
 
 def _load_samples(
@@ -266,8 +232,8 @@ def _load_samples(
     """Group prediction dumps (and optional ground truth) into Samples.
 
     Samples are ordered by sample_id; each sample's outputs follow the
-    manifest's model order.  With ground truth given, every predicted
-    sample must have a matching record.
+    manifest's model order.  A dataset that is not whole is refused,
+    never scored as if it were.
     """
     by_sample: dict[str, dict[str, ModelOutput]] = {}
     for path in prediction_paths:
@@ -279,29 +245,28 @@ def _load_samples(
                     f"'{output.sample_id}' across prediction files"
                 )
             per_model[output.model_id] = output
+    for sample_id, per_model in by_sample.items():
+        if len(per_model) != len(manifest.model_ids):
+            missing = ", ".join(m for m in manifest.model_ids if m not in per_model)
+            raise InvalidInput(f"sample '{sample_id}' has {len(per_model)} of "
+                               f"{len(manifest.model_ids)} manifest models (missing {missing})")
+    if len(by_sample) != manifest.sample_count:
+        raise InvalidInput(f"predictions cover {len(by_sample)} samples, "
+                           f"manifest declares {manifest.sample_count}")
     gt_by_sample: dict[str, Trajectory] = {}
     if ground_truth_path is not None:
         for rec in load_ground_truth(ground_truth_path, manifest):
             gt_by_sample[rec.sample_id] = rec.trajectory
-    samples = []
-    for sample_id in sorted(by_sample):
-        gt = None
-        if ground_truth_path is not None:
-            gt = gt_by_sample.get(sample_id)
-            if gt is None:
-                raise InvalidInput(f"no ground truth for predicted sample '{sample_id}'")
-        per_model = by_sample[sample_id]
-        outputs = tuple(per_model[mid] for mid in manifest.model_ids if mid in per_model)
-        samples.append(Sample(sample_id=sample_id, ground_truth=gt, outputs=outputs))
-    return samples
-
-
-def _fuse_fn(strategy: str, primary: str | None, tau: float) -> Callable[[Sample], FusedPrediction]:
-    if strategy == "weighted":
-        return fuse_weighted
-    if strategy == "simple":
-        return fuse_simple
-    return lambda sample: fuse_threshold(sample, primary, tau)
+        unlabeled = len(by_sample.keys() - gt_by_sample.keys())
+        if unlabeled or len(gt_by_sample) != len(by_sample):
+            raise InvalidInput(f"ground truth has {len(gt_by_sample)} samples for "
+                               f"{len(by_sample)} predicted; {unlabeled} predicted "
+                               "samples have no ground truth")
+    return [
+        Sample(sample_id=sample_id, ground_truth=gt_by_sample.get(sample_id),
+               outputs=tuple(by_sample[sample_id][mid] for mid in manifest.model_ids))
+        for sample_id in sorted(by_sample)
+    ]
 
 
 def _note(path: str) -> None:
@@ -312,34 +277,25 @@ def cmd_fuse(cfg: RunConfig) -> int:
     manifest = load_manifest(cfg.manifest)
     samples = _load_samples(manifest, cfg.predictions, None)
     strategy = cfg.strategies[0]
-    fused = _parallel_map(_fuse_fn(strategy, cfg.primary_model, cfg.tau),
-                          samples, cfg.threads)
+    fused = [fuse_sample(sample, cfg.strategies, cfg.primary_model, cfg.tau)[1][strategy]
+             for sample in samples]
     write_fused(cfg.out, fused)
     _note(cfg.out)
     return 0
 
 
-def _evaluated_methods(
-    samples: Sequence[Sample],
-    manifest: DatasetManifest,
-    cfg: RunConfig,
-) -> dict[str, dict[str, Trajectory]]:
-    methods: dict[str, dict[str, Trajectory]] = {}
-    for model_id in manifest.model_ids:
-        per_sample = {}
-        for sample in samples:
-            for output in sample.outputs:
-                if output.model_id == model_id:
-                    per_sample[sample.sample_id] = select_most_likely(output).trajectory
-        if per_sample:
-            methods[model_id] = per_sample
-    for strategy in cfg.strategies:
-        fused = _parallel_map(_fuse_fn(strategy, cfg.primary_model, cfg.tau),
-                              samples, cfg.threads)
-        methods[ensemble_method_id(strategy)] = {
-            f.sample_id: f.trajectory for f in fused
-        }
-    return methods
+def _write_summary(cfg: RunConfig, ledger: ErrorLedger, path: str) -> None:
+    rows = summary_table(ledger, cfg.k_list, sort_by_ade=cfg.sort_by_ade)
+    write_report(path, rows, cfg.fmt, k_list=cfg.k_list)
+
+
+def _write_overlap(cfg: RunConfig, ledger: ErrorLedger, model_ids: Sequence[str],
+                   path: str) -> None:
+    sets = {
+        model_id: top_k_error(ledger, model_id, "ade", cfg.overlap_k).sample_ids
+        for model_id in model_ids
+    }
+    write_report(path, overlap_report(sets), cfg.fmt)
 
 
 def cmd_eval(cfg: RunConfig) -> int:
@@ -347,10 +303,8 @@ def cmd_eval(cfg: RunConfig) -> int:
     samples = _load_samples(manifest, cfg.predictions, cfg.ground_truth)
     if not samples:
         raise InvalidInput("no samples to evaluate")
-    methods = _evaluated_methods(samples, manifest, cfg)
-    ledger = build_ledger(samples, methods)
-    rows = summary_table(ledger, cfg.k_list, sort_by_ade=cfg.sort_by_ade)
-    write_report(cfg.out, rows, cfg.fmt, k_list=cfg.k_list)
+    ledger, _ = fuse_and_score(samples, cfg.strategies, cfg.primary_model, cfg.tau)
+    _write_summary(cfg, ledger, cfg.out)
     _note(cfg.out)
     return 0
 
@@ -362,64 +316,16 @@ def cmd_overlap(cfg: RunConfig) -> int:
     samples = _load_samples(manifest, cfg.predictions, cfg.ground_truth)
     if not samples:
         raise InvalidInput("no samples to analyze")
-    methods: dict[str, dict[str, Trajectory]] = {}
-    for model_id in manifest.model_ids:
-        per_sample = {}
-        for sample in samples:
-            for output in sample.outputs:
-                if output.model_id == model_id:
-                    per_sample[sample.sample_id] = select_most_likely(output).trajectory
-        if per_sample:
-            methods[model_id] = per_sample
-    if len(methods) < 2:
-        raise InvalidInput("overlap needs predictions from at least 2 models")
-    ledger = build_ledger(samples, methods)
-    sets = {
-        model_id: top_k_error(ledger, model_id, "ade", cfg.overlap_k).sample_ids
-        for model_id in methods
-    }
-    write_report(cfg.out, overlap_report(sets), cfg.fmt)
+    ledger, _ = fuse_and_score(samples)
+    _write_overlap(cfg, ledger, manifest.model_ids, cfg.out)
     _note(cfg.out)
     return 0
 
 
 def cmd_synth(cfg: RunConfig) -> int:
-    base = pinned_config()
-    config = ScenarioConfig(
-        sample_count=cfg.samples,
-        horizon=cfg.horizon,
-        dt=cfg.dt,
-        mix=cfg.mix,
-        speed_range=base.speed_range,
-        turn_rate_range=base.turn_rate_range,
-        noise_sigma=base.noise_sigma,
-        seed=cfg.seed,
-    )
+    config = replace(pinned_config(), sample_count=cfg.samples, horizon=cfg.horizon,
+                     dt=cfg.dt, mix=cfg.mix, seed=cfg.seed)
     predictors = pinned_predictors()
-    primary = cfg.primary_model
-
-    os.makedirs(cfg.out, exist_ok=True)
-    gt_records: list[GroundTruthRecord] = []
-    outputs: list[ModelOutput] = []
-    fused_by_strategy: dict[str, list[FusedPrediction]] = {s: [] for s in cfg.strategies}
-
-    def hook(scenario, sample, fused):
-        gt_records.append(GroundTruthRecord(scenario.sample_id, scenario.ground_truth))
-        outputs.extend(sample.outputs)
-        for strategy, pred in fused.items():
-            fused_by_strategy[strategy].append(pred)
-
-    result = synth_experiment(
-        config,
-        predictors,
-        strategies=cfg.strategies,
-        primary_model=primary,
-        tau=cfg.tau,
-        k_list=cfg.k_list,
-        sample_hook=hook,
-        threads=cfg.threads,
-    )
-
     manifest = DatasetManifest(
         dataset_name="synth",
         horizon=config.horizon,
@@ -427,6 +333,16 @@ def cmd_synth(cfg: RunConfig) -> int:
         model_ids=tuple(p.name for p in predictors),
         sample_count=config.sample_count,
     )
+    if "threshold" in cfg.strategies and cfg.primary_model not in manifest.model_ids:
+        raise InvalidInput(f"--primary-model '{cfg.primary_model}' is not a synth predictor")
+    samples = [sample for _, sample in generate_samples(config, predictors)]
+    ledger, fused = fuse_and_score(samples, cfg.strategies, cfg.primary_model, cfg.tau)
+
+    os.makedirs(cfg.out, exist_ok=True)
+    for strategy in cfg.strategies:
+        fused_path = os.path.join(cfg.out, f"fused_{strategy}.ndjson")
+        write_fused(fused_path, fused[strategy])
+        _note(fused_path)
     paths = {
         "manifest": os.path.join(cfg.out, "manifest.json"),
         "predictions": os.path.join(cfg.out, "predictions.ndjson"),
@@ -435,20 +351,14 @@ def cmd_synth(cfg: RunConfig) -> int:
         "overlap": os.path.join(cfg.out, f"overlap.{cfg.fmt}"),
     }
     write_manifest(paths["manifest"], manifest)
-    write_predictions(paths["predictions"], outputs)
-    write_ground_truth(paths["ground_truth"], gt_records)
-    for strategy in cfg.strategies:
-        fused_path = os.path.join(cfg.out, f"fused_{strategy}.ndjson")
-        write_fused(fused_path, fused_by_strategy[strategy])
-        _note(fused_path)
-    write_report(paths["summary"], result.summary, cfg.fmt, k_list=cfg.k_list)
-    sets = {
-        name: top_k_error(result.ledger, name, "ade", cfg.overlap_k).sample_ids
-        for name in result.predictor_names
-    }
-    write_report(paths["overlap"], overlap_report(sets), cfg.fmt)
-    for key in ("manifest", "predictions", "ground_truth", "summary", "overlap"):
-        _note(paths[key])
+    write_predictions(paths["predictions"],
+                      (output for sample in samples for output in sample.outputs))
+    write_ground_truth(paths["ground_truth"],
+                       (GroundTruthRecord(s.sample_id, s.ground_truth) for s in samples))
+    _write_summary(cfg, ledger, paths["summary"])
+    _write_overlap(cfg, ledger, manifest.model_ids, paths["overlap"])
+    for path in paths.values():
+        _note(path)
     return 0
 
 
@@ -493,7 +403,7 @@ def _add_common(parser: argparse.ArgumentParser, *, out_help: str) -> None:
     parser.add_argument("--config", help="JSON file of flag defaults (flags still win)")
     parser.add_argument("--out", help=out_help)
     parser.add_argument("--threads", type=int, default=None,
-                        help="worker threads (default: all cores; 1 = serial reference)")
+                        help="accepted for compatibility; has no effect (work runs serially)")
 
 
 def _add_dataset_inputs(parser: argparse.ArgumentParser) -> None:
@@ -503,7 +413,7 @@ def _add_dataset_inputs(parser: argparse.ArgumentParser) -> None:
 
 
 def _add_strategy(parser: argparse.ArgumentParser, *, allow_all: bool) -> None:
-    choices = ["weighted", "simple", "threshold"] + (["all"] if allow_all else [])
+    choices = [*STRATEGIES, "all"] if allow_all else list(STRATEGIES)
     parser.add_argument("--strategy", choices=choices, default="weighted",
                         help="fusion strategy (default: weighted)")
     parser.add_argument("--tau", type=float, default=None,
@@ -512,7 +422,7 @@ def _add_strategy(parser: argparse.ArgumentParser, *, allow_all: bool) -> None:
                         help="model trusted by the threshold strategy")
 
 
-def build_parser() -> tuple[_Parser, dict[str, _Parser], dict[str, set[str]]]:
+def build_parser() -> tuple[_Parser, dict[str, dict[str, argparse.Action]]]:
     parser = _Parser(
         prog="trajfuse",
         description="Fuse multimodal trajectory predictions and evaluate the long tail.",
@@ -554,8 +464,7 @@ def build_parser() -> tuple[_Parser, dict[str, _Parser], dict[str, set[str]]]:
     p.add_argument("--mix", default="0.45,0.35,0.20",
                    help="straight,constant_turn,lane_change proportions")
     p.add_argument("--seed", type=int, default=PINNED_SEED)
-    p.add_argument("--strategy", choices=["weighted", "simple", "threshold", "all"],
-                   default="all")
+    p.add_argument("--strategy", choices=[*STRATEGIES, "all"], default="all")
     p.add_argument("--tau", type=float, default=None)
     p.add_argument("--primary-model", default=None,
                    help=f"threshold strategy's trusted model (default {PINNED_PRIMARY})")
@@ -572,18 +481,37 @@ def build_parser() -> tuple[_Parser, dict[str, _Parser], dict[str, set[str]]]:
     _add_common(p, out_help="report path (default: flags.<format>)")
     subparsers["flags"] = p
 
-    config_keys = {
+    config_actions = {
         name: {
-            action.dest
+            action.dest: action
             for action in sp._actions
             if action.dest not in ("help", "config")
         }
         for name, sp in subparsers.items()
     }
-    return parser, subparsers, config_keys
+    return parser, config_actions
 
 
-def _apply_config_file(config_path: str, subparser: _Parser, allowed: set[str]) -> None:
+def _config_tokens(action: argparse.Action, value: object) -> list[str] | None:
+    """The flag tokens for one config value; None when no flag could spell it.
+
+    A value must be what the flag itself would parse: a string, a number
+    where the flag takes one, a boolean for a switch, and a list of
+    strings for a multi-valued flag.
+    """
+    flag = action.option_strings[-1]
+    if action.nargs == 0:
+        return ([flag] if value else []) if isinstance(value, bool) else None
+    if action.nargs == "+":
+        ok = isinstance(value, list) and all(isinstance(v, str) for v in value)
+        return [flag, *value] if ok else None
+    number = isinstance(value, (int, float)) and not isinstance(value, bool)
+    if isinstance(value, str) or (number and action.type in (int, float)):
+        return [f"{flag}={value}"]
+    return None
+
+
+def _config_argv(config_path: str, actions: dict[str, argparse.Action]) -> list[str]:
     with open(config_path, "r", encoding="utf-8") as f:
         try:
             overrides = json.load(f)
@@ -591,26 +519,34 @@ def _apply_config_file(config_path: str, subparser: _Parser, allowed: set[str]) 
             raise InvalidInput(f"config file {config_path}: {e}") from None
     if not isinstance(overrides, dict):
         raise InvalidInput(f"config file {config_path} must hold a JSON object")
-    unknown = set(overrides) - allowed
+    unknown = set(overrides) - set(actions)
     if unknown:
         raise InvalidInput(
             f"config file {config_path}: unknown key(s) {', '.join(sorted(unknown))}"
         )
-    subparser.set_defaults(**overrides)
+    argv: list[str] = []
+    for key, value in overrides.items():
+        tokens = _config_tokens(actions[key], value)
+        if tokens is None:
+            raise InvalidInput(
+                f"config file {config_path}: '{key}' cannot be {json.dumps(value)}"
+            )
+        argv += tokens
+    return argv
 
 
 def main(argv: Sequence[str] | None = None) -> int:
     if argv is None:
         argv = sys.argv[1:]
-    parser, subparsers, config_keys = build_parser()
+    parser, config_actions = build_parser()
     try:
         args = parser.parse_args(argv)
-        if getattr(args, "config", None):
-            # Re-parse with the config file as the new defaults layer:
-            # explicit flags keep priority because they override defaults.
-            _apply_config_file(args.config, subparsers[args.command],
-                               config_keys[args.command])
-            args = parser.parse_args(argv)
+        if args.config:
+            # Re-parse with the config values spelled as flags right after
+            # the command: explicit flags come later on the line, so they win.
+            at = list(argv).index(args.command) + 1
+            extra = _config_argv(args.config, config_actions[args.command])
+            args = parser.parse_args([*argv[:at], *extra, *argv[at:]])
         cfg = _make_run_config(args)
         return _COMMANDS[cfg.command](cfg)
     except _UsageError as e:

@@ -8,7 +8,8 @@ strategy is the same pipeline with uniform weights; the threshold
 strategy passes a trusted primary model through verbatim when its own
 confidence clears a bar and defers to the weighted strategy otherwise.
 
-Everything here is pure and stateless; samples can be fused in parallel.
+Everything here is pure and stateless.  ``fuse_sample`` is the one
+strategy dispatch.
 """
 
 from __future__ import annotations
@@ -42,6 +43,7 @@ __all__ = [
     "fuse_weighted",
     "fuse_simple",
     "fuse_threshold",
+    "fuse_sample",
     "flag_low_confidence",
 ]
 
@@ -298,13 +300,17 @@ def ensemble_confidence(cov: CovarianceSummary) -> float:
     return 1.0 / (1.0 + cov.det)
 
 
-def _fuse(sample: Sample, weights: Weights, strategy: str,
+def _fuse(sample_id: str, weights: Weights, strategy: str,
           members: Sequence[MostLikely], notes: tuple[str, ...] = ()) -> FusedPrediction:
-    trajectories = [m.trajectory for m in members]
-    fused = weighted_average(trajectories, weights)
-    cov = ensemble_covariance(trajectories, weights, fused)
+    # Sum over members in model_id order so the result cannot depend on the
+    # order the members arrive in; the reported weights keep that order.
+    order = sorted(range(len(members)), key=lambda i: members[i].model_id)
+    canonical = Weights(tuple(weights.entries[i] for i in order))
+    trajectories = [members[i].trajectory for i in order]
+    fused = weighted_average(trajectories, canonical)
+    cov = ensemble_covariance(trajectories, canonical, fused)
     return FusedPrediction(
-        sample_id=sample.sample_id,
+        sample_id=sample_id,
         trajectory=fused,
         weights=weights,
         covariance=cov,
@@ -314,10 +320,56 @@ def _fuse(sample: Sample, weights: Weights, strategy: str,
     )
 
 
-def _most_likely_members(sample: Sample) -> list[MostLikely]:
+def fuse_sample(
+    sample: Sample,
+    strategies: Sequence[str],
+    primary_model_id: str | None = None,
+    tau: float = DEFAULT_TAU,
+) -> tuple[list[MostLikely], dict[str, FusedPrediction]]:
+    """Fuse one sample under each requested strategy.
+
+    Each member's most-likely mode is selected once and the weighted
+    fusion runs at most once; "threshold" starts from that result.
+    Returns the members in sample order and the fused prediction per
+    strategy, in the order requested.
+    """
+    for strategy in strategies:
+        if strategy not in STRATEGIES:
+            raise InvalidInput(f"unknown strategy '{strategy}'")
+    if "threshold" in strategies and not (math.isfinite(tau) and tau >= 0):
+        raise InvalidInput(f"tau must be finite and >= 0, got {tau}")
     if len(sample.outputs) < 1:
         raise InvalidInput(f"sample '{sample.sample_id}' has no model outputs to fuse")
-    return [select_most_likely(out) for out in sample.outputs]
+    members = [select_most_likely(out) for out in sample.outputs]
+    model_ids = tuple(m.model_id for m in members)
+    fused: dict[str, FusedPrediction] = {}
+    if "weighted" in strategies or "threshold" in strategies:
+        notes: tuple[str, ...] = ()
+        try:
+            weights = normalize_confidences([m.confidence for m in members], model_ids)
+        except ZeroConfidence:
+            warnings.warn(
+                f"sample '{sample.sample_id}': all member confidences are zero; "
+                "using uniform weights",
+                ZeroConfidenceWarning,
+                stacklevel=3,
+            )
+            weights = uniform_weights(model_ids)
+            notes = ("all member confidences were zero; fell back to uniform weights",)
+        fused["weighted"] = _fuse(sample.sample_id, weights, "weighted", members, notes)
+    if "simple" in strategies:
+        fused["simple"] = _fuse(sample.sample_id, uniform_weights(model_ids), "simple", members)
+    if "threshold" in strategies:
+        primary = next((m for m in members if m.model_id == primary_model_id), None)
+        if primary is None:
+            raise InvalidInput(
+                f"sample '{sample.sample_id}' has no output for model '{primary_model_id}'"
+            )
+        fused["threshold"] = fused["weighted"]
+        if primary.confidence >= tau:
+            fused["threshold"] = replace(fused["weighted"], trajectory=primary.trajectory,
+                                         strategy="threshold")
+    return members, {strategy: fused[strategy] for strategy in strategies}
 
 
 def fuse_weighted(sample: Sample) -> FusedPrediction:
@@ -328,27 +380,12 @@ def fuse_weighted(sample: Sample) -> FusedPrediction:
     back to uniform, a note is recorded on the prediction, and a
     ZeroConfidenceWarning is emitted; the sample is never dropped.
     """
-    members = _most_likely_members(sample)
-    model_ids = tuple(m.model_id for m in members)
-    notes: tuple[str, ...] = ()
-    try:
-        weights = normalize_confidences([m.confidence for m in members], model_ids)
-    except ZeroConfidence:
-        warnings.warn(
-            f"sample '{sample.sample_id}': all member confidences are zero; using uniform weights",
-            ZeroConfidenceWarning,
-            stacklevel=2,
-        )
-        weights = uniform_weights(model_ids)
-        notes = ("all member confidences were zero; fell back to uniform weights",)
-    return _fuse(sample, weights, "weighted", members, notes)
+    return fuse_sample(sample, ("weighted",))[1]["weighted"]
 
 
 def fuse_simple(sample: Sample) -> FusedPrediction:
     """Plain average of the members' most-likely modes (uniform weights)."""
-    members = _most_likely_members(sample)
-    weights = uniform_weights(tuple(m.model_id for m in members))
-    return _fuse(sample, weights, "simple", members)
+    return fuse_sample(sample, ("simple",))[1]["simple"]
 
 
 def fuse_threshold(sample: Sample, primary_model_id: str, tau: float = DEFAULT_TAU) -> FusedPrediction:
@@ -361,13 +398,7 @@ def fuse_threshold(sample: Sample, primary_model_id: str, tau: float = DEFAULT_T
     ensemble, so the reported uncertainty reflects all members even when
     the trajectory does not.
     """
-    if not (math.isfinite(tau) and tau >= 0):
-        raise InvalidInput(f"tau must be finite and >= 0, got {tau}")
-    base = fuse_weighted(sample)
-    primary = select_most_likely(sample.output_for(primary_model_id))
-    if primary.confidence >= tau:
-        return replace(base, trajectory=primary.trajectory, strategy="threshold")
-    return base
+    return fuse_sample(sample, ("threshold",), primary_model_id, tau)[1]["threshold"]
 
 
 def flag_low_confidence(fused: FusedPrediction, floor: float) -> bool:

@@ -20,7 +20,7 @@ from typing import Iterable, Iterator, Mapping, Sequence
 from .core import Mode, ModelOutput, Trajectory
 from .errors import HorizonMismatch, InvalidInput, NumericalError, ParseError
 from .fusion import STRATEGIES, CovarianceSummary, FusedPrediction, Weights
-from .metrics import DEFAULT_K_LIST, OverlapReport
+from .metrics import DEFAULT_K_LIST, OverlapReport, _k_label
 
 __all__ = [
     "FORMAT_VERSION",
@@ -421,9 +421,8 @@ def write_fused(path: str, fused: Iterable[FusedPrediction]) -> None:
 def _report_header(k_list: Sequence[float]) -> list[str]:
     header = ["method"]
     for k in k_list:
-        label = str(int(k)) if float(k).is_integer() else str(k)
-        header.append(f"top{label}_ade")
-        header.append(f"top{label}_fde")
+        header.append(f"top{_k_label(k)}_ade")
+        header.append(f"top{_k_label(k)}_fde")
     header.extend(["overall_ade", "overall_fde"])
     return header
 

@@ -12,10 +12,11 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from .core import Sample, Trajectory, ade, fde
 from .errors import InvalidInput
+from .fusion import DEFAULT_TAU, FusedPrediction, fuse_sample
 
 __all__ = [
     "METRICS",
@@ -26,6 +27,7 @@ __all__ = [
     "OverlapReport",
     "ensemble_method_id",
     "build_ledger",
+    "fuse_and_score",
     "top_k_error",
     "overlap_report",
     "cross_evaluate",
@@ -215,6 +217,40 @@ def build_ledger(
             stacklevel=2,
         )
     return ledger
+
+
+def fuse_and_score(
+    samples: Iterable[Sample],
+    strategies: Sequence[str] = (),
+    primary_model_id: str | None = None,
+    tau: float = DEFAULT_TAU,
+    sample_hook: Callable[[Sample, dict[str, FusedPrediction]], None] | None = None,
+) -> tuple[ErrorLedger, dict[str, list[FusedPrediction]]]:
+    """Fuse every sample under each strategy and score members and ensembles.
+
+    The ledger gets one row per (member, sample) for the member's
+    most-likely mode and one ``ensemble_<strategy>`` row per (strategy,
+    sample); the fused predictions come back per strategy in sample
+    order.  Samples are consumed one at a time, and ``sample_hook`` sees
+    each sample with its fused predictions right after it is scored.
+    """
+    ledger = ErrorLedger()
+    fused: dict[str, list[FusedPrediction]] = {strategy: [] for strategy in strategies}
+    for sample in samples:
+        gt = sample.ground_truth
+        if gt is None:
+            raise InvalidInput(f"sample '{sample.sample_id}' has no ground truth to score against")
+        members, by_strategy = fuse_sample(sample, strategies, primary_model_id, tau)
+        for member in members:
+            ledger.add(member.model_id, sample.sample_id,
+                       ade(member.trajectory, gt), fde(member.trajectory, gt))
+        for strategy, pred in by_strategy.items():
+            ledger.add(ensemble_method_id(strategy), sample.sample_id,
+                       ade(pred.trajectory, gt), fde(pred.trajectory, gt))
+            fused[strategy].append(pred)
+        if sample_hook is not None:
+            sample_hook(sample, by_strategy)
+    return ledger, fused
 
 
 def _top_k_count(n: int, k_percent: float) -> int:

@@ -13,29 +13,25 @@ members on an absolute scale; fusion therefore has signal to exploit.
 
 All randomness flows through numpy's seeded PCG64 generator with
 per-sample derived seeds, so any subset of samples can be regenerated
-independently and runs are reproducible across platforms and thread
-counts.
+independently and runs are reproducible across platforms.
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
-from .core import Mode, ModelOutput, Sample, Trajectory, Waypoint, ade, fde, select_most_likely
+from .core import Mode, ModelOutput, Sample, Trajectory, Waypoint, ade
 from .errors import InvalidInput
-from .fusion import (
-    DEFAULT_TAU,
-    FusedPrediction,
-    fuse_simple,
-    fuse_threshold,
-    fuse_weighted,
-)
-from .metrics import DEFAULT_K_LIST, ErrorLedger, ensemble_method_id, summary_table
+from .fusion import DEFAULT_TAU, STRATEGIES, FusedPrediction
+from .metrics import DEFAULT_K_LIST, ErrorLedger, fuse_and_score, summary_table
+
+# Unused here; perfbench/tracing.py rebinds these names on this module.
+from .core import fde, select_most_likely  # noqa: F401
+from .fusion import fuse_simple, fuse_threshold, fuse_weighted  # noqa: F401
 
 __all__ = [
     "MANEUVERS",
@@ -50,6 +46,7 @@ __all__ = [
     "scenario_at",
     "generate_scenarios",
     "run_predictor",
+    "generate_samples",
     "synth_experiment",
     "pinned_config",
     "pinned_predictors",
@@ -344,6 +341,24 @@ class ExperimentResult:
     summary: list[dict[str, object]]
 
 
+def generate_samples(
+    config: ScenarioConfig,
+    predictors: Sequence[PredictorSpec],
+) -> Iterator[tuple[Scenario, Sample]]:
+    """Yield each scenario with the predictor bank's outputs for it, in sample order.
+
+    Predictor j draws from the derived seed (config.seed, index, 1 + j).
+    """
+    for index in range(config.sample_count):
+        scenario = scenario_at(config, index)
+        outputs = tuple(
+            run_predictor(spec, scenario, (config.seed, index, 1 + j))
+            for j, spec in enumerate(predictors)
+        )
+        yield scenario, Sample(sample_id=scenario.sample_id,
+                               ground_truth=scenario.ground_truth, outputs=outputs)
+
+
 SampleHook = Callable[[Scenario, Sample, dict[str, FusedPrediction]], None]
 
 
@@ -365,9 +380,8 @@ def synth_experiment(
     as it streams past, in sample order, so callers can dump files
     without this function retaining the whole dataset in memory.
 
-    Samples are independent given their derived seeds, so with
-    ``threads`` > 1 they are processed by a thread pool; results are
-    merged in sample order and identical to a serial run.
+    ``threads`` is validated but has no effect: the work is pure Python
+    and runs serially.
     """
     if len(predictors) < 2:
         raise InvalidInput(f"need >= 2 predictors, got {len(predictors)}")
@@ -375,7 +389,7 @@ def synth_experiment(
     if len(set(names)) != len(names):
         raise InvalidInput("predictor names must be distinct")
     for strategy in strategies:
-        if strategy not in ("weighted", "simple", "threshold"):
+        if strategy not in STRATEGIES:
             raise InvalidInput(f"unknown strategy '{strategy}'")
     if "threshold" in strategies:
         if primary_model is None:
@@ -385,47 +399,21 @@ def synth_experiment(
     if threads < 1:
         raise InvalidInput(f"threads must be >= 1, got {threads}")
 
-    def process(index: int) -> tuple[Scenario, Sample, dict[str, FusedPrediction]]:
-        scenario = scenario_at(config, index)
-        outputs = tuple(
-            run_predictor(spec, scenario, (config.seed, index, 1 + j))
-            for j, spec in enumerate(predictors)
-        )
-        sample = Sample(sample_id=scenario.sample_id,
-                        ground_truth=scenario.ground_truth, outputs=outputs)
-        fused_by_strategy: dict[str, FusedPrediction] = {}
-        for strategy in strategies:
-            if strategy == "weighted":
-                fused_by_strategy[strategy] = fuse_weighted(sample)
-            elif strategy == "simple":
-                fused_by_strategy[strategy] = fuse_simple(sample)
-            else:
-                fused_by_strategy[strategy] = fuse_threshold(sample, primary_model, tau)
-        return scenario, sample, fused_by_strategy
+    # Holds at most one entry: fuse_and_score scores a sample, and calls
+    # the hook, before it draws the next.
+    scenarios: dict[str, Scenario] = {}
 
-    if threads == 1:
-        results = map(process, range(config.sample_count))
-    else:
-        pool = ThreadPoolExecutor(max_workers=threads)
-        results = pool.map(process, range(config.sample_count))
-
-    ledger = ErrorLedger()
-    try:
-        for scenario, sample, fused_by_strategy in results:
-            gt = scenario.ground_truth
-            for out in sample.outputs:
-                best = select_most_likely(out)
-                ledger.add(out.model_id, sample.sample_id,
-                           ade(best.trajectory, gt), fde(best.trajectory, gt))
-            for strategy in strategies:
-                fused = fused_by_strategy[strategy]
-                ledger.add(ensemble_method_id(strategy), sample.sample_id,
-                           ade(fused.trajectory, gt), fde(fused.trajectory, gt))
+    def samples() -> Iterator[Sample]:
+        for scenario, sample in generate_samples(config, predictors):
             if sample_hook is not None:
-                sample_hook(scenario, sample, fused_by_strategy)
-    finally:
-        if threads > 1:
-            pool.shutdown(wait=False, cancel_futures=True)
+                scenarios[sample.sample_id] = scenario
+            yield sample
+
+    def hook(sample: Sample, fused: dict[str, FusedPrediction]) -> None:
+        sample_hook(scenarios.pop(sample.sample_id), sample, fused)
+
+    ledger, _ = fuse_and_score(samples(), strategies, primary_model, tau,
+                               None if sample_hook is None else hook)
     return ExperimentResult(
         config=config,
         predictor_names=tuple(names),

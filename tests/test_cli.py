@@ -243,6 +243,17 @@ class TestEval:
         assert main(argv) == 1
         assert "no ground truth" in stderr_payload(capsys)["message"]
 
+    def test_extra_ground_truth_record(self, dataset, tmp_path, capsys):
+        extended = tmp_path / "gt.ndjson"
+        text = (dataset / "ground_truth.ndjson").read_text()
+        last = json.loads(text.splitlines()[-1])
+        last["sample_id"] = "s999999"
+        extended.write_text(text + json.dumps(last) + "\n")
+        argv = eval_argv(dataset, str(tmp_path / "s.csv"))
+        argv[argv.index("--ground-truth") + 1] = str(extended)
+        assert main(argv) == 1
+        assert "ground truth has 31 samples for 30 predicted" in stderr_payload(capsys)["message"]
+
     def test_threads_flag_does_not_change_output(self, dataset, tmp_path):
         a = tmp_path / "a.csv"
         b = tmp_path / "b.csv"
@@ -289,6 +300,31 @@ class TestOverlap:
         argv[argv.index("--manifest") + 1] = str(lone)
         assert main(argv) == 1
         assert "at least 2" in stderr_payload(capsys)["message"]
+
+
+class TestIncompleteDumps:
+    """A dump missing records is refused, never scored as if it were whole."""
+
+    @pytest.mark.parametrize("command", ["fuse", "eval", "overlap"])
+    @pytest.mark.parametrize("damage, message", [
+        ("sample", "predictions cover 29 samples, manifest declares 30"),
+        ("record", "sample 's000000' has 2 of 3 manifest models (missing const_velocity)"),
+    ], ids=["whole_sample", "one_record"])
+    def test_refused(self, dataset, tmp_path, capsys, command, damage, message):
+        # Records are sorted by (sample_id, model_id): the first three are
+        # s000000 from const_turn_rate, const_velocity and noisy_oracle.
+        lines = (dataset / "predictions.ndjson").read_text().splitlines(keepends=True)
+        cut = tmp_path / "predictions.ndjson"
+        cut.write_text("".join(lines[3:] if damage == "sample" else lines[:1] + lines[2:]))
+        out = tmp_path / "out"
+        argv = [command, "--manifest", str(dataset / "manifest.json"),
+                "--predictions", str(cut), "--out", str(out)]
+        if command != "fuse":
+            argv += ["--ground-truth", str(dataset / "ground_truth.ndjson")]
+        assert main(argv) == 1
+        payload = stderr_payload(capsys)
+        assert payload == {"error": "InvalidInput", "message": message}
+        assert not out.exists()
 
 
 class TestFlags:
@@ -367,6 +403,29 @@ class TestConfigFile:
         assert main(eval_argv(dataset, str(tmp_path / "s.csv"),
                               "--config", str(config))) == 1
         assert stderr_payload(capsys)["error"] == "InvalidInput"
+
+    @pytest.mark.parametrize("command, config, named", [
+        ("eval", {"k_list": 5}, "k_list"),
+        ("synth", {"mix": 3}, "mix"),
+        ("flags", {"format": "xml"}, "xml"),
+        ("eval", {"strategy": "bogus"}, "bogus"),
+    ], ids=["k_list", "mix", "format", "strategy"])
+    def test_config_values_checked_like_flags(self, dataset, tmp_path, capsys,
+                                              command, config, named):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(config))
+        out = str(tmp_path / "out")
+        argv = {
+            "eval": eval_argv(dataset, out),
+            "synth": ["synth", "--samples", "5", "--out", out],
+            "flags": ["flags", "--fused", str(dataset / "fused_weighted.ndjson"),
+                      "--out", out],
+        }[command]
+        assert main(argv + ["--config", str(path)]) == 1
+        payload = stderr_payload(capsys)
+        assert payload["error"] in ("InvalidInput", "UsageError")
+        assert named in payload["message"]
+        assert not os.path.exists(out)
 
     def test_synth_samples_from_config(self, tmp_path):
         config = tmp_path / "config.json"

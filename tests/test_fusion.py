@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from trajfuse.core import Mode, ModelOutput, Sample, Trajectory, ade, select_most_likely
@@ -363,6 +363,10 @@ class TestFuseWeighted:
 
     @given(sample=fusion_samples())
     @settings(max_examples=150)
+    # Summed in the given order, this sample's fused confidence moves by
+    # 1.4e-9 when the members are reversed.
+    @example(sample=one_mode_sample(("m0", traj((0, 0)), 9.0), ("m1", traj((0, 0)), 0.5),
+                                    ("m2", traj((855, 14)), 2.0)))
     def test_member_order_is_irrelevant(self, sample):
         flipped = Sample(sample.sample_id, None, tuple(reversed(sample.outputs)))
         a = fuse_weighted(sample)

@@ -2,7 +2,11 @@
 
 Exit codes: 0 success, 1 for validation/parse errors (including bad
 flags), 2 for I/O errors.  Errors are emitted as one JSON object on
-stderr so wrappers can consume them.  Every command is deterministic:
+stderr so wrappers can consume them.  Each flag is checked where it is
+declared (its argparse type or choices), numeric bounds and cross-flag
+rules once in ``_resolve``, all before any input is read or output
+written; the commands then take the parsed namespace as it is.  Outputs
+replace their destinations atomically.  Every command is deterministic:
 rerunning with identical inputs, seeds, and flags writes byte-identical
 files.  ``--threads`` is checked but has no effect: the work runs serially.
 ``synth`` writes a generated dataset and then scores it the same way
@@ -17,12 +21,11 @@ when --out is not given.
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import math
 import os
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import replace
 from typing import Sequence
 
 from .core import ModelOutput, Sample, Trajectory
@@ -35,6 +38,7 @@ from .io import (
     load_ground_truth,
     load_manifest,
     load_predictions,
+    write_flags,
     write_fused,
     write_ground_truth,
     write_manifest,
@@ -76,31 +80,6 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    """Validated, normalized settings for one command invocation."""
-
-    command: str
-    manifest: str | None = None
-    predictions: tuple[str, ...] = ()
-    ground_truth: str | None = None
-    fused: str | None = None
-    strategies: tuple[str, ...] = ("weighted",)
-    tau: float = DEFAULT_TAU
-    primary_model: str | None = None
-    k_list: tuple[float, ...] = tuple(float(k) for k in DEFAULT_K_LIST)
-    overlap_k: float = DEFAULT_OVERLAP_K
-    confidence_floor: float = 0.5
-    fmt: str = "csv"
-    out: str = ""
-    seed: int = PINNED_SEED
-    sort_by_ade: bool = False
-    samples: int = 10_000
-    horizon: int = 12
-    dt: float = 0.5
-    mix: tuple[float, float, float] = (0.45, 0.35, 0.20)
-
-
 def _parse_k_list(raw: str) -> tuple[float, ...]:
     parts = [p.strip() for p in raw.split(",") if p.strip()]
     if not parts:
@@ -128,100 +107,48 @@ def _parse_mix(raw: str) -> tuple[float, float, float]:
     return (a, b, c)
 
 
-def _default_out(filename: str) -> str:
-    return os.path.join(os.environ.get(OUT_DIR_ENV, "."), filename)
+# Bounds on the numeric flags, checked on every command that has the flag.
+# The flags keep type=int/float so that --config accepts JSON numbers for them.
+_BOUNDS = {
+    "threads": (lambda v: v >= 1, ">= 1"),
+    "tau": (lambda v: math.isfinite(v) and v >= 0, "finite and >= 0"),
+    "overlap_k": (lambda v: math.isfinite(v) and 0 < v <= 100, "in (0, 100]"),
+    "confidence_floor": (math.isfinite, "finite"),
+}
 
 
-def _resolve_strategies(raw: str, tau_given: bool, primary: str | None) -> tuple[str, ...]:
-    strategies = STRATEGIES if raw == "all" else (raw,)
-    if "threshold" in strategies:
-        if primary is None:
-            raise InvalidInput("--strategy threshold requires --primary-model")
-    else:
-        if tau_given:
-            raise InvalidInput("--tau only applies with --strategy threshold")
-        if primary is not None:
-            raise InvalidInput("--primary-model only applies with --strategy threshold")
-    return strategies
+def _resolve(args: argparse.Namespace) -> None:
+    """Check flag bounds and cross-flag rules, and fill in derived defaults.
+
+    Runs before any input is read or output written.  Sets
+    ``args.strategies`` on the commands that fuse, and ``args.out``.
+    """
+    for dest, (ok, rule) in _BOUNDS.items():
+        value = getattr(args, dest, None)
+        if value is not None and not ok(value):
+            raise InvalidInput(f"--{dest.replace('_', '-')} must be {rule}, got {value}")
+    if hasattr(args, "strategy"):
+        args.strategies = STRATEGIES if args.strategy == "all" else (args.strategy,)
+        if "threshold" not in args.strategies:
+            if args.tau is not None:
+                raise InvalidInput("--tau only applies with --strategy threshold")
+            if args.primary_model is not None:
+                raise InvalidInput("--primary-model only applies with --strategy threshold")
+        elif args.primary_model is None:
+            if args.command != "synth":
+                raise InvalidInput("--strategy threshold requires --primary-model")
+            args.primary_model = PINNED_PRIMARY
+        if args.tau is None:
+            args.tau = DEFAULT_TAU
+    if not args.out:
+        name = args.default_out.replace("<format>", getattr(args, "format", ""))
+        args.out = os.path.join(os.environ.get(OUT_DIR_ENV, "."), name)
 
 
-def _make_run_config(args: argparse.Namespace) -> RunConfig:
-    command = args.command
-    fmt = getattr(args, "format", "csv")
-    if args.threads is not None and args.threads < 1:
-        raise InvalidInput(f"--threads must be >= 1, got {args.threads}")
-
-    if command == "flags":
-        floor = args.confidence_floor
-        if not math.isfinite(floor):
-            raise InvalidInput(f"--confidence-floor must be finite, got {floor}")
-        return RunConfig(
-            command=command,
-            fused=args.fused,
-            confidence_floor=floor,
-            fmt=fmt,
-            out=args.out or _default_out(f"flags.{fmt}"),
-        )
-
-    if command == "synth":
-        primary = args.primary_model
-        if primary is None and args.strategy in ("threshold", "all"):
-            primary = PINNED_PRIMARY
-        strategies = _resolve_strategies(args.strategy, args.tau is not None, primary)
-        return RunConfig(
-            command=command,
-            strategies=strategies,
-            tau=args.tau if args.tau is not None else DEFAULT_TAU,
-            primary_model=primary,
-            k_list=_parse_k_list(args.k_list),
-            overlap_k=args.overlap_k,
-            fmt=fmt,
-            out=args.out or _default_out("synth_out"),
-            seed=args.seed,
-            samples=args.samples,
-            horizon=args.horizon,
-            dt=args.dt,
-            mix=_parse_mix(args.mix),
-        )
-
-    # fuse / eval / overlap share the dataset-input surface.
-    common = dict(
-        command=command,
-        manifest=args.manifest,
-        predictions=tuple(args.predictions),
-    )
-    if command == "overlap":
-        k = args.overlap_k
-        if not (math.isfinite(k) and 0 < k <= 100):
-            raise InvalidInput(f"--overlap-k must be in (0, 100], got {k}")
-        return RunConfig(
-            ground_truth=args.ground_truth,
-            overlap_k=k,
-            fmt=fmt,
-            out=args.out or _default_out(f"overlap.{fmt}"),
-            **common,
-        )
-
-    # overlap has no --tau flag, so this check comes after its branch.
-    if args.tau is not None and not math.isfinite(args.tau):
-        raise InvalidInput(f"--tau must be finite, got {args.tau}")
-    common.update(
-        strategies=_resolve_strategies(args.strategy, args.tau is not None, args.primary_model),
-        tau=args.tau if args.tau is not None else DEFAULT_TAU,
-        primary_model=args.primary_model,
-    )
-    if command == "fuse":
-        return RunConfig(out=args.out or _default_out("fused.ndjson"), **common)
-    if command == "eval":
-        return RunConfig(
-            ground_truth=args.ground_truth,
-            k_list=_parse_k_list(args.k_list),
-            sort_by_ade=args.sort_by_ade,
-            fmt=fmt,
-            out=args.out or _default_out(f"summary.{fmt}"),
-            **common,
-        )
-    raise InvalidInput(f"unknown command '{command}'")
+def _check_primary(args: argparse.Namespace, manifest: DatasetManifest) -> None:
+    if args.primary_model is not None and args.primary_model not in manifest.model_ids:
+        raise InvalidInput(f"--primary-model '{args.primary_model}' is not a manifest model "
+                           f"({', '.join(manifest.model_ids)})")
 
 
 def _load_samples(
@@ -273,58 +200,60 @@ def _note(path: str) -> None:
     print(f"wrote {path}")
 
 
-def cmd_fuse(cfg: RunConfig) -> int:
-    manifest = load_manifest(cfg.manifest)
-    samples = _load_samples(manifest, cfg.predictions, None)
-    strategy = cfg.strategies[0]
-    fused = [fuse_sample(sample, cfg.strategies, cfg.primary_model, cfg.tau)[1][strategy]
+def cmd_fuse(args: argparse.Namespace) -> int:
+    manifest = load_manifest(args.manifest)
+    _check_primary(args, manifest)
+    samples = _load_samples(manifest, args.predictions, None)
+    strategy = args.strategies[0]
+    fused = [fuse_sample(sample, args.strategies, args.primary_model, args.tau)[1][strategy]
              for sample in samples]
-    write_fused(cfg.out, fused)
-    _note(cfg.out)
+    write_fused(args.out, fused)
+    _note(args.out)
     return 0
 
 
-def _write_summary(cfg: RunConfig, ledger: ErrorLedger, path: str) -> None:
-    rows = summary_table(ledger, cfg.k_list, sort_by_ade=cfg.sort_by_ade)
-    write_report(path, rows, cfg.fmt, k_list=cfg.k_list)
+def _write_summary(args: argparse.Namespace, ledger: ErrorLedger, path: str) -> None:
+    rows = summary_table(ledger, args.k_list, sort_by_ade=args.sort_by_ade)
+    write_report(path, rows, args.format, k_list=args.k_list)
 
 
-def _write_overlap(cfg: RunConfig, ledger: ErrorLedger, model_ids: Sequence[str],
+def _write_overlap(args: argparse.Namespace, ledger: ErrorLedger, model_ids: Sequence[str],
                    path: str) -> None:
     sets = {
-        model_id: top_k_error(ledger, model_id, "ade", cfg.overlap_k).sample_ids
+        model_id: top_k_error(ledger, model_id, "ade", args.overlap_k).sample_ids
         for model_id in model_ids
     }
-    write_report(path, overlap_report(sets), cfg.fmt)
+    write_report(path, overlap_report(sets), args.format)
 
 
-def cmd_eval(cfg: RunConfig) -> int:
-    manifest = load_manifest(cfg.manifest)
-    samples = _load_samples(manifest, cfg.predictions, cfg.ground_truth)
+def cmd_eval(args: argparse.Namespace) -> int:
+    manifest = load_manifest(args.manifest)
+    _check_primary(args, manifest)
+    samples = _load_samples(manifest, args.predictions, args.ground_truth)
     if not samples:
         raise InvalidInput("no samples to evaluate")
-    ledger, _ = fuse_and_score(samples, cfg.strategies, cfg.primary_model, cfg.tau)
-    _write_summary(cfg, ledger, cfg.out)
-    _note(cfg.out)
+    ledger, _ = fuse_and_score(samples, args.strategies, args.primary_model, args.tau)
+    _write_summary(args, ledger, args.out)
+    _note(args.out)
     return 0
 
 
-def cmd_overlap(cfg: RunConfig) -> int:
-    manifest = load_manifest(cfg.manifest)
+def cmd_overlap(args: argparse.Namespace) -> int:
+    manifest = load_manifest(args.manifest)
     if len(manifest.model_ids) < 2:
         raise InvalidInput("overlap needs at least 2 models in the manifest")
-    samples = _load_samples(manifest, cfg.predictions, cfg.ground_truth)
+    samples = _load_samples(manifest, args.predictions, args.ground_truth)
     if not samples:
         raise InvalidInput("no samples to analyze")
     ledger, _ = fuse_and_score(samples)
-    _write_overlap(cfg, ledger, manifest.model_ids, cfg.out)
-    _note(cfg.out)
+    _write_overlap(args, ledger, manifest.model_ids, args.out)
+    _note(args.out)
     return 0
 
 
-def cmd_synth(cfg: RunConfig) -> int:
-    config = replace(pinned_config(), sample_count=cfg.samples, horizon=cfg.horizon,
-                     dt=cfg.dt, mix=cfg.mix, seed=cfg.seed)
+def cmd_synth(args: argparse.Namespace) -> int:
+    config = replace(pinned_config(), sample_count=args.samples, horizon=args.horizon,
+                     dt=args.dt, mix=args.mix, seed=args.seed)
     predictors = pinned_predictors()
     manifest = DatasetManifest(
         dataset_name="synth",
@@ -333,60 +262,42 @@ def cmd_synth(cfg: RunConfig) -> int:
         model_ids=tuple(p.name for p in predictors),
         sample_count=config.sample_count,
     )
-    if "threshold" in cfg.strategies and cfg.primary_model not in manifest.model_ids:
-        raise InvalidInput(f"--primary-model '{cfg.primary_model}' is not a synth predictor")
+    _check_primary(args, manifest)
     samples = [sample for _, sample in generate_samples(config, predictors)]
-    ledger, fused = fuse_and_score(samples, cfg.strategies, cfg.primary_model, cfg.tau)
+    ledger, fused = fuse_and_score(samples, args.strategies, args.primary_model, args.tau)
 
-    os.makedirs(cfg.out, exist_ok=True)
-    for strategy in cfg.strategies:
-        fused_path = os.path.join(cfg.out, f"fused_{strategy}.ndjson")
+    os.makedirs(args.out, exist_ok=True)
+    for strategy in args.strategies:
+        fused_path = os.path.join(args.out, f"fused_{strategy}.ndjson")
         write_fused(fused_path, fused[strategy])
         _note(fused_path)
     paths = {
-        "manifest": os.path.join(cfg.out, "manifest.json"),
-        "predictions": os.path.join(cfg.out, "predictions.ndjson"),
-        "ground_truth": os.path.join(cfg.out, "ground_truth.ndjson"),
-        "summary": os.path.join(cfg.out, f"summary.{cfg.fmt}"),
-        "overlap": os.path.join(cfg.out, f"overlap.{cfg.fmt}"),
+        "manifest": os.path.join(args.out, "manifest.json"),
+        "predictions": os.path.join(args.out, "predictions.ndjson"),
+        "ground_truth": os.path.join(args.out, "ground_truth.ndjson"),
+        "summary": os.path.join(args.out, f"summary.{args.format}"),
+        "overlap": os.path.join(args.out, f"overlap.{args.format}"),
     }
     write_manifest(paths["manifest"], manifest)
     write_predictions(paths["predictions"],
                       (output for sample in samples for output in sample.outputs))
     write_ground_truth(paths["ground_truth"],
                        (GroundTruthRecord(s.sample_id, s.ground_truth) for s in samples))
-    _write_summary(cfg, ledger, paths["summary"])
-    _write_overlap(cfg, ledger, manifest.model_ids, paths["overlap"])
+    _write_summary(args, ledger, paths["summary"])
+    _write_overlap(args, ledger, manifest.model_ids, paths["overlap"])
     for path in paths.values():
         _note(path)
     return 0
 
 
-def cmd_flags(cfg: RunConfig) -> int:
+def cmd_flags(args: argparse.Namespace) -> int:
     flagged = [
         (pred.sample_id, pred.confidence)
-        for pred in load_fused(cfg.fused)
-        if flag_low_confidence(pred, cfg.confidence_floor)
+        for pred in load_fused(args.fused)
+        if flag_low_confidence(pred, args.confidence_floor)
     ]
-    flagged.sort(key=lambda item: item[0])
-    if cfg.fmt == "json":
-        payload = {
-            "confidence_floor": cfg.confidence_floor,
-            "count": len(flagged),
-            "flagged": [
-                {"sample_id": sid, "confidence": conf} for sid, conf in flagged
-            ],
-        }
-        with open(cfg.out, "w", encoding="utf-8", newline="\n") as f:
-            f.write(json.dumps(payload, indent=2, sort_keys=True))
-            f.write("\n")
-    else:
-        with open(cfg.out, "w", encoding="utf-8", newline="") as f:
-            writer = csv.writer(f)
-            writer.writerow(["sample_id", "confidence"])
-            for sid, conf in flagged:
-                writer.writerow([sid, repr(conf)])
-    _note(cfg.out)
+    write_flags(args.out, flagged, args.confidence_floor, args.format)
+    _note(args.out)
     return 0
 
 
@@ -398,28 +309,52 @@ _COMMANDS = {
     "flags": cmd_flags,
 }
 
+# Flags that several commands take, each declared once.
+_SHARED_FLAGS = {
+    "--k-list": dict(type=_parse_k_list, default=_DEFAULT_K_STR,
+                     help=f"comma-separated Top-K%% columns (default {_DEFAULT_K_STR})"),
+    "--overlap-k": dict(type=float, default=DEFAULT_OVERLAP_K,
+                        help="difficulty-set size in percent, in (0, 100] "
+                             f"(default {DEFAULT_OVERLAP_K:g})"),
+    "--format": dict(choices=["csv", "json"], default="csv"),
+}
 
-def _add_common(parser: argparse.ArgumentParser, *, out_help: str) -> None:
+
+def _add_common(parser: argparse.ArgumentParser, out_help: str, default_out: str,
+                *shared: str) -> None:
+    """--config, --out and --threads, plus the named ``_SHARED_FLAGS``.
+
+    ``default_out`` names the output under $TRAJFUSE_OUT_DIR (or the
+    current directory) when --out is not given; ``<format>`` stands for
+    the --format value.
+    """
+    for flag in shared:
+        parser.add_argument(flag, **_SHARED_FLAGS[flag])
     parser.add_argument("--config", help="JSON file of flag defaults (flags still win)")
-    parser.add_argument("--out", help=out_help)
+    parser.add_argument("--out", help=f"{out_help} (default: {default_out})")
     parser.add_argument("--threads", type=int, default=None,
                         help="accepted for compatibility; has no effect (work runs serially)")
+    parser.set_defaults(default_out=default_out)
 
 
-def _add_dataset_inputs(parser: argparse.ArgumentParser) -> None:
+def _add_dataset_inputs(parser: argparse.ArgumentParser, *, ground_truth: bool) -> None:
     parser.add_argument("--manifest", required=True, help="dataset manifest JSON")
     parser.add_argument("--predictions", required=True, nargs="+",
                         help="prediction dump(s), NDJSON")
+    if ground_truth:
+        parser.add_argument("--ground-truth", required=True, help="ground-truth NDJSON")
 
 
 def _add_strategy(parser: argparse.ArgumentParser, *, allow_all: bool) -> None:
     choices = [*STRATEGIES, "all"] if allow_all else list(STRATEGIES)
     parser.add_argument("--strategy", choices=choices, default="weighted",
-                        help="fusion strategy (default: weighted)")
+                        help="fusion strategy (default: %(default)s)")
     parser.add_argument("--tau", type=float, default=None,
-                        help=f"threshold strategy confidence bar (default {DEFAULT_TAU})")
+                        help=f"threshold strategy confidence bar, finite and >= 0 "
+                             f"(default {DEFAULT_TAU})")
     parser.add_argument("--primary-model", default=None,
-                        help="model trusted by the threshold strategy")
+                        help="model trusted by the threshold strategy "
+                             f"(synth defaults to {PINNED_PRIMARY})")
 
 
 def build_parser() -> tuple[_Parser, dict[str, dict[str, argparse.Action]]]:
@@ -428,58 +363,38 @@ def build_parser() -> tuple[_Parser, dict[str, dict[str, argparse.Action]]]:
         description="Fuse multimodal trajectory predictions and evaluate the long tail.",
     )
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
-    subparsers: dict[str, _Parser] = {}
 
     p = sub.add_parser("fuse", help="fuse prediction dumps into one trajectory per sample")
-    _add_dataset_inputs(p)
+    _add_dataset_inputs(p, ground_truth=False)
     _add_strategy(p, allow_all=False)
-    _add_common(p, out_help="output NDJSON path (default: fused.ndjson)")
-    subparsers["fuse"] = p
+    _add_common(p, "output NDJSON path", "fused.ndjson")
 
     p = sub.add_parser("eval", help="score members and fused strategies, write summary table")
-    _add_dataset_inputs(p)
-    p.add_argument("--ground-truth", required=True, help="ground-truth NDJSON")
+    _add_dataset_inputs(p, ground_truth=True)
     _add_strategy(p, allow_all=True)
-    p.add_argument("--k-list", default=_DEFAULT_K_STR,
-                   help=f"comma-separated Top-K%% columns (default {_DEFAULT_K_STR})")
     p.add_argument("--sort-by-ade", action="store_true",
                    help="rank Top-K sets by ADE only; FDE column averages over that set")
-    p.add_argument("--format", choices=["csv", "json"], default="csv")
-    _add_common(p, out_help="report path (default: summary.<format>)")
-    subparsers["eval"] = p
+    _add_common(p, "report path", "summary.<format>", "--k-list", "--format")
 
     p = sub.add_parser("overlap", help="Venn analysis of the models' hardest-sample sets")
-    _add_dataset_inputs(p)
-    p.add_argument("--ground-truth", required=True, help="ground-truth NDJSON")
-    p.add_argument("--overlap-k", type=float, default=DEFAULT_OVERLAP_K,
-                   help=f"difficulty-set size in percent (default {DEFAULT_OVERLAP_K:g})")
-    p.add_argument("--format", choices=["csv", "json"], default="csv")
-    _add_common(p, out_help="report path (default: overlap.<format>)")
-    subparsers["overlap"] = p
+    _add_dataset_inputs(p, ground_truth=True)
+    _add_common(p, "report path", "overlap.<format>", "--overlap-k", "--format")
 
     p = sub.add_parser("synth", help="run the synthetic end-to-end experiment")
     p.add_argument("--samples", type=int, default=10_000)
     p.add_argument("--horizon", type=int, default=12)
     p.add_argument("--dt", type=float, default=0.5)
-    p.add_argument("--mix", default="0.45,0.35,0.20",
+    p.add_argument("--mix", type=_parse_mix, default="0.45,0.35,0.20",
                    help="straight,constant_turn,lane_change proportions")
     p.add_argument("--seed", type=int, default=PINNED_SEED)
-    p.add_argument("--strategy", choices=[*STRATEGIES, "all"], default="all")
-    p.add_argument("--tau", type=float, default=None)
-    p.add_argument("--primary-model", default=None,
-                   help=f"threshold strategy's trusted model (default {PINNED_PRIMARY})")
-    p.add_argument("--k-list", default=_DEFAULT_K_STR)
-    p.add_argument("--overlap-k", type=float, default=DEFAULT_OVERLAP_K)
-    p.add_argument("--format", choices=["csv", "json"], default="csv")
-    _add_common(p, out_help="output directory (default: synth_out)")
-    subparsers["synth"] = p
+    _add_strategy(p, allow_all=True)
+    p.set_defaults(strategy="all", sort_by_ade=False)
+    _add_common(p, "output directory", "synth_out", "--k-list", "--overlap-k", "--format")
 
     p = sub.add_parser("flags", help="list samples whose fused confidence is below a floor")
     p.add_argument("--fused", required=True, help="fused NDJSON from the fuse command")
     p.add_argument("--confidence-floor", type=float, default=0.5)
-    p.add_argument("--format", choices=["csv", "json"], default="csv")
-    _add_common(p, out_help="report path (default: flags.<format>)")
-    subparsers["flags"] = p
+    _add_common(p, "report path", "flags.<format>", "--format")
 
     config_actions = {
         name: {
@@ -487,7 +402,7 @@ def build_parser() -> tuple[_Parser, dict[str, dict[str, argparse.Action]]]:
             for action in sp._actions
             if action.dest not in ("help", "config")
         }
-        for name, sp in subparsers.items()
+        for name, sp in sub.choices.items()
     }
     return parser, config_actions
 
@@ -547,8 +462,8 @@ def main(argv: Sequence[str] | None = None) -> int:
             at = list(argv).index(args.command) + 1
             extra = _config_argv(args.config, config_actions[args.command])
             args = parser.parse_args([*argv[:at], *extra, *argv[at:]])
-        cfg = _make_run_config(args)
-        return _COMMANDS[cfg.command](cfg)
+        _resolve(args)
+        return _COMMANDS[args.command](args)
     except _UsageError as e:
         _emit_error("UsageError", str(e))
         return 1

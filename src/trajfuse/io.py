@@ -7,6 +7,9 @@ validate strictly: NaN/Inf tokens, unknown keys, duplicate records, and
 values that disagree with the manifest are all ParseErrors with file and
 line context.  Writers sort records (sample_id, then model_id) and emit
 full-precision floats so identical inputs produce byte-identical files.
+Every writer replaces its destination atomically: it writes a temporary
+file in the same directory and renames it over the destination, so a
+failed write leaves the previous file (or none) and no partial one.
 """
 
 from __future__ import annotations
@@ -14,8 +17,10 @@ from __future__ import annotations
 import csv
 import json
 import math
+import os
+from contextlib import contextmanager, suppress
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence, TextIO
 
 from .core import Mode, ModelOutput, Trajectory
 from .errors import HorizonMismatch, InvalidInput, NumericalError, ParseError
@@ -35,6 +40,7 @@ __all__ = [
     "load_fused",
     "write_fused",
     "write_report",
+    "write_flags",
 ]
 
 FORMAT_VERSION = 1
@@ -156,6 +162,24 @@ def _lines(path: str) -> Iterator[tuple[int, str]]:
             yield i, stripped
 
 
+@contextmanager
+def _replacing(path: str, newline: str) -> Iterator[TextIO]:
+    """Open a temporary file beside ``path``; on success it replaces ``path``.
+
+    The temporary file gets the mode plain ``open(path, "w")`` would give
+    (unlike ``mkstemp``'s 0600), and is removed if the write fails.
+    """
+    tmp = f"{path}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "w", encoding="utf-8", newline=newline) as f:
+            yield f
+        os.replace(tmp, path)
+    except BaseException:
+        with suppress(FileNotFoundError):
+            os.remove(tmp)
+        raise
+
+
 def load_manifest(path: str) -> DatasetManifest:
     """Read and validate a dataset manifest JSON file."""
     with open(path, "r", encoding="utf-8") as f:
@@ -200,9 +224,7 @@ def write_manifest(path: str, manifest: DatasetManifest) -> None:
         "model_ids": list(manifest.model_ids),
         "sample_count": manifest.sample_count,
     }
-    with open(path, "w", encoding="utf-8", newline="\n") as f:
-        f.write(json.dumps(payload, indent=2, sort_keys=True))
-        f.write("\n")
+    _write_json(path, payload)
 
 
 def load_predictions(path: str, manifest: DatasetManifest) -> Iterator[ModelOutput]:
@@ -279,7 +301,7 @@ def write_predictions(path: str, outputs: Iterable[ModelOutput]) -> None:
         }
         records.append((key, json.dumps(payload, sort_keys=True)))
     records.sort(key=lambda item: item[0])
-    with open(path, "w", encoding="utf-8", newline="\n") as f:
+    with _replacing(path, newline="\n") as f:
         for _, line in records:
             f.write(line)
             f.write("\n")
@@ -318,7 +340,7 @@ def write_ground_truth(path: str, records: Iterable[GroundTruthRecord]) -> None:
         }
         lines.append((rec.sample_id, json.dumps(payload, sort_keys=True)))
     lines.sort(key=lambda item: item[0])
-    with open(path, "w", encoding="utf-8", newline="\n") as f:
+    with _replacing(path, newline="\n") as f:
         for _, line in lines:
             f.write(line)
             f.write("\n")
@@ -412,7 +434,7 @@ def write_fused(path: str, fused: Iterable[FusedPrediction]) -> None:
         }
         lines.append((pred.sample_id, json.dumps(payload, sort_keys=True)))
     lines.sort(key=lambda item: item[0])
-    with open(path, "w", encoding="utf-8", newline="\n") as f:
+    with _replacing(path, newline="\n") as f:
         for _, line in lines:
             f.write(line)
             f.write("\n")
@@ -440,14 +462,12 @@ def write_report(
     for downstream tooling.  An empty summary yields a header-only CSV.
     ``k_list`` only matters for that empty-summary header.
     """
-    if fmt not in ("csv", "json"):
-        raise InvalidInput(f"format must be 'csv' or 'json', got '{fmt}'")
-
+    _check_format(fmt)
     if isinstance(report, OverlapReport):
         if fmt == "json":
             _write_json(path, report.as_dict())
             return
-        with open(path, "w", encoding="utf-8", newline="") as f:
+        with _replacing(path, newline="") as f:
             writer = csv.writer(f)
             writer.writerow(["kind", "models", "count", "pct_of_each"])
             writer.writerow(["union", "|".join(report.model_ids), report.union_size, ""])
@@ -472,7 +492,7 @@ def write_report(
         _write_json(path, rows)
         return
     header = list(rows[0].keys()) if rows else _report_header(k_list)
-    with open(path, "w", encoding="utf-8", newline="") as f:
+    with _replacing(path, newline="") as f:
         writer = csv.writer(f)
         writer.writerow(header)
         for row in rows:
@@ -484,7 +504,39 @@ def write_report(
             ])
 
 
+def write_flags(
+    path: str,
+    flagged: Iterable[tuple[str, float]],
+    confidence_floor: float,
+    fmt: str = "csv",
+) -> None:
+    """Write low-confidence (sample_id, confidence) pairs sorted by sample_id.
+
+    CSV keeps each confidence's full-precision repr; JSON also records
+    the floor and the count.
+    """
+    _check_format(fmt)
+    flagged = sorted(flagged)
+    if fmt == "json":
+        _write_json(path, {
+            "confidence_floor": confidence_floor,
+            "count": len(flagged),
+            "flagged": [{"sample_id": sid, "confidence": conf} for sid, conf in flagged],
+        })
+        return
+    with _replacing(path, newline="") as f:
+        writer = csv.writer(f)
+        writer.writerow(["sample_id", "confidence"])
+        for sid, conf in flagged:
+            writer.writerow([sid, repr(conf)])
+
+
+def _check_format(fmt: str) -> None:
+    if fmt not in ("csv", "json"):
+        raise InvalidInput(f"format must be 'csv' or 'json', got '{fmt}'")
+
+
 def _write_json(path: str, payload: object) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as f:
+    with _replacing(path, newline="\n") as f:
         f.write(json.dumps(payload, indent=2, sort_keys=True))
         f.write("\n")

@@ -392,8 +392,8 @@ def summary_table(
             by_ade = top_k_error(ledger, method_id, "ade", k)
             row[f"top{label}_ade"] = by_ade.mean_error
             if sort_by_ade:
-                _, fde_mean = cross_evaluate(ledger, method_id, method_id, k, metric="ade")
-                row[f"top{label}_fde"] = fde_mean
+                fdes = [ledger.row(method_id, sid)[1] for sid in by_ade.sample_ids]
+                row[f"top{label}_fde"] = math.fsum(fdes) / len(fdes)
             else:
                 row[f"top{label}_fde"] = top_k_error(ledger, method_id, "fde", k).mean_error
         row["overall_ade"] = _overall(ledger, method_id, "ade")

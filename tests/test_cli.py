@@ -327,6 +327,45 @@ class TestIncompleteDumps:
         assert not out.exists()
 
 
+# A bad flag value must be refused before any input is opened or output
+# written: every input path below is missing, except the manifest that
+# --primary-model is checked against.
+_MISSING_DUMP = ("--manifest", "{missing}", "--predictions", "{missing}")
+_MISSING_INPUTS = {
+    "fuse": _MISSING_DUMP,
+    "eval": (*_MISSING_DUMP, "--ground-truth", "{missing}"),
+    "overlap": (*_MISSING_DUMP, "--ground-truth", "{missing}"),
+    "synth": ("--samples", "5"),
+    "flags": ("--fused", "{missing}"),
+}
+_THRESHOLD = ("--strategy", "threshold", "--primary-model", "const_velocity", "--tau", "-1")
+
+
+class TestBadFlagsRefusedFirst:
+    @pytest.mark.parametrize("argv, named", [
+        (("synth", "--overlap-k", "0"), "--overlap-k"),
+        (("synth", "--overlap-k", "nan"), "--overlap-k"),
+        (("synth", "--strategy", "threshold", "--tau", "-1"), "--tau"),
+        (("fuse", *_THRESHOLD), "--tau"),
+        (("eval", *_THRESHOLD), "--tau"),
+        (("eval", "--manifest", "{manifest}", "--strategy", "threshold",
+          "--primary-model", "nobody"), "--primary-model"),
+        (("flags", "--confidence-floor", "nan"), "--confidence-floor"),
+        *(((command, "--threads", "0"), "--threads") for command in _MISSING_INPUTS),
+    ], ids=["synth-overlap-k-0", "synth-overlap-k-nan", "synth-tau", "fuse-tau", "eval-tau",
+            "eval-primary", "flags-floor-nan", *(f"{c}-threads" for c in _MISSING_INPUTS)])
+    def test_refused(self, dataset, tmp_path, capsys, argv, named):
+        # A --manifest in argv comes after the missing one, so it wins.
+        paths = {"missing": tmp_path / "missing.ndjson", "manifest": dataset / "manifest.json"}
+        out = tmp_path / "out"
+        argv = [argv[0], *_MISSING_INPUTS[argv[0]], *argv[1:], "--out", str(out)]
+        assert main([arg.format(**paths) for arg in argv]) == 1
+        payload = stderr_payload(capsys)
+        assert payload["error"] == "InvalidInput"
+        assert named in payload["message"]
+        assert not out.exists()
+
+
 class TestFlags:
     def test_floor_above_one_flags_everything(self, dataset, tmp_path):
         out = tmp_path / "flags.json"

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import stat
 
 import pytest
 
@@ -498,3 +499,24 @@ class TestWriteReport:
         payload = json.load(open(path, encoding="utf-8"))
         assert payload["union_size"] == 5
         assert payload["common_all"]["count"] == 1
+
+
+class TestAtomicWrites:
+    def test_failed_write_keeps_previous_file(self, tmp_path):
+        path = tmp_path / "report.csv"
+        write_report(str(path), TestWriteReport().rows(), fmt="csv")
+        before = path.read_bytes()
+        # The second row's columns differ, so the writer raises after it has
+        # written the header and the first row.
+        rows = [{"method": "a", "overall_ade": 1.0}, {"method": "b", "top1_ade": 1.0}]
+        with pytest.raises(InvalidInput, match="inconsistent"):
+            write_report(str(path), rows, fmt="csv")
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["report.csv"]
+
+    def test_new_file_gets_plain_open_mode(self, tmp_path):
+        plain = tmp_path / "plain.json"
+        plain.write_text("{}\n")
+        written = tmp_path / "manifest.json"
+        write_manifest(str(written), MANIFEST)
+        assert stat.S_IMODE(written.stat().st_mode) == stat.S_IMODE(plain.stat().st_mode)

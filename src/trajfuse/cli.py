@@ -28,16 +28,14 @@ import sys
 from dataclasses import replace
 from typing import Sequence
 
-from .core import ModelOutput, Sample, Trajectory
 from .errors import InvalidInput, TrajfuseError
 from .fusion import DEFAULT_TAU, STRATEGIES, flag_low_confidence, fuse_sample
 from .io import (
     DatasetManifest,
     GroundTruthRecord,
     load_fused,
-    load_ground_truth,
     load_manifest,
-    load_predictions,
+    load_samples,
     write_flags,
     write_fused,
     write_ground_truth,
@@ -151,51 +149,6 @@ def _check_primary(args: argparse.Namespace, manifest: DatasetManifest) -> None:
                            f"({', '.join(manifest.model_ids)})")
 
 
-def _load_samples(
-    manifest: DatasetManifest,
-    prediction_paths: Sequence[str],
-    ground_truth_path: str | None,
-) -> list[Sample]:
-    """Group prediction dumps (and optional ground truth) into Samples.
-
-    Samples are ordered by sample_id; each sample's outputs follow the
-    manifest's model order.  A dataset that is not whole is refused,
-    never scored as if it were.
-    """
-    by_sample: dict[str, dict[str, ModelOutput]] = {}
-    for path in prediction_paths:
-        for output in load_predictions(path, manifest):
-            per_model = by_sample.setdefault(output.sample_id, {})
-            if output.model_id in per_model:
-                raise InvalidInput(
-                    f"model '{output.model_id}' appears twice for sample "
-                    f"'{output.sample_id}' across prediction files"
-                )
-            per_model[output.model_id] = output
-    for sample_id, per_model in by_sample.items():
-        if len(per_model) != len(manifest.model_ids):
-            missing = ", ".join(m for m in manifest.model_ids if m not in per_model)
-            raise InvalidInput(f"sample '{sample_id}' has {len(per_model)} of "
-                               f"{len(manifest.model_ids)} manifest models (missing {missing})")
-    if len(by_sample) != manifest.sample_count:
-        raise InvalidInput(f"predictions cover {len(by_sample)} samples, "
-                           f"manifest declares {manifest.sample_count}")
-    gt_by_sample: dict[str, Trajectory] = {}
-    if ground_truth_path is not None:
-        for rec in load_ground_truth(ground_truth_path, manifest):
-            gt_by_sample[rec.sample_id] = rec.trajectory
-        unlabeled = len(by_sample.keys() - gt_by_sample.keys())
-        if unlabeled or len(gt_by_sample) != len(by_sample):
-            raise InvalidInput(f"ground truth has {len(gt_by_sample)} samples for "
-                               f"{len(by_sample)} predicted; {unlabeled} predicted "
-                               "samples have no ground truth")
-    return [
-        Sample(sample_id=sample_id, ground_truth=gt_by_sample.get(sample_id),
-               outputs=tuple(by_sample[sample_id][mid] for mid in manifest.model_ids))
-        for sample_id in sorted(by_sample)
-    ]
-
-
 def _note(path: str) -> None:
     print(f"wrote {path}")
 
@@ -203,7 +156,7 @@ def _note(path: str) -> None:
 def cmd_fuse(args: argparse.Namespace) -> int:
     manifest = load_manifest(args.manifest)
     _check_primary(args, manifest)
-    samples = _load_samples(manifest, args.predictions, None)
+    samples = load_samples(manifest, args.predictions, None)
     strategy = args.strategies[0]
     fused = [fuse_sample(sample, args.strategies, args.primary_model, args.tau)[1][strategy]
              for sample in samples]
@@ -229,7 +182,7 @@ def _write_overlap(args: argparse.Namespace, ledger: ErrorLedger, model_ids: Seq
 def cmd_eval(args: argparse.Namespace) -> int:
     manifest = load_manifest(args.manifest)
     _check_primary(args, manifest)
-    samples = _load_samples(manifest, args.predictions, args.ground_truth)
+    samples = load_samples(manifest, args.predictions, args.ground_truth)
     if not samples:
         raise InvalidInput("no samples to evaluate")
     ledger, _ = fuse_and_score(samples, args.strategies, args.primary_model, args.tau)
@@ -242,7 +195,7 @@ def cmd_overlap(args: argparse.Namespace) -> int:
     manifest = load_manifest(args.manifest)
     if len(manifest.model_ids) < 2:
         raise InvalidInput("overlap needs at least 2 models in the manifest")
-    samples = _load_samples(manifest, args.predictions, args.ground_truth)
+    samples = load_samples(manifest, args.predictions, args.ground_truth)
     if not samples:
         raise InvalidInput("no samples to analyze")
     ledger, _ = fuse_and_score(samples)
@@ -430,7 +383,7 @@ def _config_argv(config_path: str, actions: dict[str, argparse.Action]) -> list[
     with open(config_path, "r", encoding="utf-8") as f:
         try:
             overrides = json.load(f)
-        except ValueError as e:
+        except (ValueError, RecursionError) as e:
             raise InvalidInput(f"config file {config_path}: {e}") from None
     if not isinstance(overrides, dict):
         raise InvalidInput(f"config file {config_path} must hold a JSON object")

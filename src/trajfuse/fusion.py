@@ -121,6 +121,8 @@ class CovarianceSummary:
                 f"covariance is not positive semidefinite (min eigenvalue {half_trace - radius!r})"
             )
         raw_det = self.xx * self.yy - self.xy * self.xy
+        if not math.isfinite(raw_det):
+            raise NumericalError(f"covariance determinant overflows ({raw_det!r})")
         if raw_det < -_PSD_TOL * scale * scale:
             raise NumericalError(f"covariance determinant {raw_det!r} below tolerance")
         object.__setattr__(self, "det", max(raw_det, 0.0))

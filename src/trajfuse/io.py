@@ -2,14 +2,23 @@
 
 A dataset on disk is a JSON manifest (who/how long/how many) plus
 newline-delimited JSON records for predictions, ground truth, and fused
-outputs, one object per line.  Readers are streaming generators that
-validate strictly: NaN/Inf tokens, unknown keys, duplicate records, and
-values that disagree with the manifest are all ParseErrors with file and
-line context.  Writers sort records (sample_id, then model_id) and emit
-full-precision floats so identical inputs produce byte-identical files.
-Every writer replaces its destination atomically: it writes a temporary
-file in the same directory and renames it over the destination, so a
-failed write leaves the previous file (or none) and no partial one.
+outputs, one object per line.  The records come from models this package
+does not control, so reading is strict and goes through one path: one
+reader (``_records``) decodes every NDJSON line as UTF-8 JSON and checks
+its exact field set, its key strings and duplicate keys, and one check
+(``_number``) admits every number read from a file, refusing booleans,
+integers beyond float range and non-finite values; shapes are checked
+before any element is read.  Any malformed input, non-UTF-8 bytes and
+over-deep nesting included, is a ParseError (or a HorizonMismatch) with
+file and line context, never another exception.  ``load_samples`` holds
+the whole-dataset rules: a dataset that is not whole is refused.
+
+One writer (``_write_records``) sorts records (sample_id, then model_id)
+and emits full-precision floats, so identical inputs produce
+byte-identical files.  Every writer replaces its destination atomically:
+it writes a temporary file in the same directory, fsyncs it and renames
+it over the destination, so a failed write leaves the previous file (or
+none) and no partial one.
 """
 
 from __future__ import annotations
@@ -18,11 +27,12 @@ import csv
 import json
 import math
 import os
+import reprlib
 from contextlib import contextmanager, suppress
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Iterable, Iterator, Mapping, Sequence, TextIO
 
-from .core import Mode, ModelOutput, Trajectory
+from .core import Mode, ModelOutput, Sample, Trajectory, Waypoint
 from .errors import HorizonMismatch, InvalidInput, NumericalError, ParseError
 from .fusion import STRATEGIES, CovarianceSummary, FusedPrediction, Weights
 from .metrics import DEFAULT_K_LIST, OverlapReport, _k_label
@@ -37,6 +47,7 @@ __all__ = [
     "write_predictions",
     "load_ground_truth",
     "write_ground_truth",
+    "load_samples",
     "load_fused",
     "write_fused",
     "write_report",
@@ -86,10 +97,11 @@ def _reject_constant(token: str):
     raise ValueError(f"non-finite JSON token '{token}'")
 
 
-def _parse_line(raw: str, path: str, line: int) -> dict:
+def _decode(raw: bytes, path: str, line: int | None) -> dict:
+    """Decode UTF-8 bytes holding one JSON object; any failure is a ParseError."""
     try:
-        obj = json.loads(raw, parse_constant=_reject_constant)
-    except ValueError as e:
+        obj = json.loads(raw.decode("utf-8"), parse_constant=_reject_constant)
+    except (ValueError, RecursionError) as e:  # UnicodeDecodeError is a ValueError
         raise ParseError(str(e), path=path, line=line) from None
     if not isinstance(obj, dict):
         raise ParseError("expected a JSON object", path=path, line=line)
@@ -107,59 +119,107 @@ def _check_keys(obj: Mapping, required: tuple[str, ...], path: str, line: int | 
         )
 
 
-def _get_str(obj: Mapping, key: str, path: str, line: int | None) -> str:
-    v = obj[key]
+def _string(v: object, path: str, line: int | None, field: str) -> str:
     if not isinstance(v, str) or not v:
-        raise ParseError(f"expected a nonempty string, got {v!r}", path=path, line=line, field=key)
+        raise ParseError(f"expected a nonempty string, got {v!r}", path=path, line=line,
+                         field=field)
     return v
 
 
-def _get_number(obj: Mapping, key: str, path: str, line: int | None) -> float:
-    v = obj[key]
-    if isinstance(v, bool) or not isinstance(v, (int, float)):
-        raise ParseError(f"expected a number, got {v!r}", path=path, line=line, field=key)
-    v = float(v)
-    if not math.isfinite(v):
-        raise ParseError(f"expected a finite number, got {v!r}", path=path, line=line, field=key)
-    return v
-
-
-def _get_int(obj: Mapping, key: str, path: str, line: int | None) -> int:
-    v = obj[key]
+def _integer(v: object, path: str, line: int | None, field: str) -> int:
     if isinstance(v, bool) or not isinstance(v, int):
-        raise ParseError(f"expected an integer, got {v!r}", path=path, line=line, field=key)
+        raise ParseError(f"expected an integer, got {v!r}", path=path, line=line, field=field)
     return v
 
 
-def _get_points(obj: Mapping, key: str, path: str, line: int | None) -> list[tuple[float, float]]:
-    v = obj[key]
-    if not isinstance(v, list) or len(v) < 1:
-        raise ParseError("expected a nonempty list of [x, y] pairs", path=path, line=line, field=key)
+def _number(v: object, path: str, line: int | None, field: str, what: str = "a number") -> float:
+    """The one check for a number read from a file: a JSON number that fits a finite float.
+
+    Refuses booleans, non-numbers, integers beyond float range, and
+    non-finite values (``1e999`` decodes to infinity).
+    """
+    if type(v) is int:  # bool is a subclass of int, not int itself
+        with suppress(OverflowError):
+            v = float(v)
+    if type(v) is float and math.isfinite(v):
+        return v
+    raise ParseError(f"expected {what} that fits a finite float, got {reprlib.repr(v)}",
+                     path=path, line=line, field=field)
+
+
+def _points(v: object, path: str, line: int) -> tuple[Waypoint, ...]:
+    if not isinstance(v, list) or not v:
+        raise ParseError("expected a nonempty list of [x, y] pairs", path=path, line=line,
+                         field="points")
     points = []
     for pair in v:
         if not isinstance(pair, list) or len(pair) != 2:
-            raise ParseError(f"expected an [x, y] pair, got {pair!r}", path=path, line=line, field=key)
-        x, y = pair
-        for coord in (x, y):
-            if isinstance(coord, bool) or not isinstance(coord, (int, float)):
-                raise ParseError(
-                    f"expected a numeric coordinate, got {coord!r}", path=path, line=line, field=key
-                )
-            if not math.isfinite(float(coord)):
-                raise ParseError(
-                    f"non-finite coordinate {coord!r}", path=path, line=line, field=key
-                )
-        points.append((float(x), float(y)))
-    return points
+            raise ParseError(f"expected an [x, y] pair, got {pair!r}", path=path, line=line,
+                             field="points")
+        points.append(Waypoint(_number(pair[0], path, line, "points", "a numeric coordinate"),
+                               _number(pair[1], path, line, "points", "a numeric coordinate")))
+    return tuple(points)
 
 
-def _lines(path: str) -> Iterator[tuple[int, str]]:
-    with open(path, "r", encoding="utf-8") as f:
-        for i, raw in enumerate(f, start=1):
-            stripped = raw.rstrip("\n")
-            if not stripped.strip():
-                raise ParseError("blank line", path=path, line=i)
-            yield i, stripped
+def _trajectory(v: object, manifest: DatasetManifest, what: str, path: str,
+                line: int) -> Trajectory:
+    """The ``points`` of a record whose horizon and dt come from the manifest."""
+    points = _points(v, path, line)
+    if len(points) != manifest.horizon:
+        raise HorizonMismatch(
+            f"{path}:{line}: {what} has {len(points)} points, manifest horizon is "
+            f"{manifest.horizon}"
+        )
+    return Trajectory(points, dt=manifest.dt)
+
+
+def _describe(key: tuple[str, ...]) -> str:
+    """A record key, (sample_id,) or (sample_id, model_id), as text."""
+    return ", ".join(f"{name} '{value}'" for name, value in zip(("sample", "model"), key))
+
+
+def _records(path: str, fields: tuple[str, ...], what: str,
+             *key_fields: str) -> Iterator[tuple[int, dict, tuple[str, ...]]]:
+    """Yield ``(line, record, key)`` for every line of an NDJSON file.
+
+    The one NDJSON reader: each line must be one JSON object with exactly
+    ``fields``; its key is the tuple of its ``key_fields`` values, each a
+    nonempty string, and no key may repeat (``what`` names the record in
+    that error).
+    """
+    seen: set[tuple[str, ...]] = set()
+    with open(path, "rb") as f:
+        for line, raw in enumerate(f, start=1):
+            if raw.isspace():
+                raise ParseError("blank line", path=path, line=line)
+            obj = _decode(raw, path, line)
+            _check_keys(obj, fields, path, line)
+            key = tuple(_string(obj[k], path, line, k) for k in key_fields)
+            if key in seen:
+                raise ParseError(f"duplicate {what} for {_describe(key)}", path=path, line=line)
+            seen.add(key)
+            yield line, obj, key
+
+
+def _write_records(path: str, keyed_payloads: Iterable[tuple[tuple[str, ...], dict]],
+                   what: str) -> None:
+    """The one NDJSON writer: one JSON object per line, sorted by key.
+
+    A repeated key is an InvalidInput (``what`` names the record).
+    """
+    lines: dict[tuple[str, ...], str] = {}
+    for key, payload in keyed_payloads:
+        if key in lines:
+            raise InvalidInput(f"duplicate {what} for {_describe(key)}")
+        lines[key] = json.dumps(payload, sort_keys=True)
+    with _replacing(path, newline="\n") as f:
+        for key in sorted(lines):
+            f.write(lines[key])
+            f.write("\n")
+
+
+def _xy(trajectory: Trajectory) -> list[list[float]]:
+    return [[float(p.x), float(p.y)] for p in trajectory.points]
 
 
 @contextmanager
@@ -167,12 +227,15 @@ def _replacing(path: str, newline: str) -> Iterator[TextIO]:
     """Open a temporary file beside ``path``; on success it replaces ``path``.
 
     The temporary file gets the mode plain ``open(path, "w")`` would give
-    (unlike ``mkstemp``'s 0600), and is removed if the write fails.
+    (unlike ``mkstemp``'s 0600), is flushed to disk before the rename, and
+    is removed if the write fails.
     """
     tmp = f"{path}.{os.getpid()}.tmp"
     try:
         with open(tmp, "w", encoding="utf-8", newline=newline) as f:
             yield f
+            f.flush()
+            os.fsync(f.fileno())
         os.replace(tmp, path)
     except BaseException:
         with suppress(FileNotFoundError):
@@ -180,51 +243,33 @@ def _replacing(path: str, newline: str) -> Iterator[TextIO]:
         raise
 
 
+_MANIFEST_FIELDS = ("format_version", "dataset_name", "horizon", "dt", "model_ids",
+                    "sample_count")
+
+
 def load_manifest(path: str) -> DatasetManifest:
     """Read and validate a dataset manifest JSON file."""
-    with open(path, "r", encoding="utf-8") as f:
-        try:
-            obj = json.load(f, parse_constant=_reject_constant)
-        except ValueError as e:
-            raise ParseError(str(e), path=path) from None
-    if not isinstance(obj, dict):
-        raise ParseError("manifest must be a JSON object", path=path)
-    fields = ("format_version", "dataset_name", "horizon", "dt", "model_ids", "sample_count")
-    _check_keys(obj, fields, path, None)
-    version = _get_int(obj, "format_version", path, None)
-    if version != FORMAT_VERSION:
-        raise ParseError(
-            f"unsupported format_version {version} (this reader handles {FORMAT_VERSION})",
-            path=path, field="format_version",
-        )
+    with open(path, "rb") as f:
+        obj = _decode(f.read(), path, None)
+    _check_keys(obj, _MANIFEST_FIELDS, path, None)
     model_ids = obj["model_ids"]
     if not isinstance(model_ids, list) or not all(isinstance(m, str) and m for m in model_ids):
         raise ParseError("model_ids must be a list of nonempty strings", path=path, field="model_ids")
-    horizon = _get_int(obj, "horizon", path, None)
-    dt = _get_number(obj, "dt", path, None)
-    sample_count = _get_int(obj, "sample_count", path, None)
     try:
         return DatasetManifest(
-            dataset_name=_get_str(obj, "dataset_name", path, None),
-            horizon=horizon,
-            dt=dt,
+            dataset_name=_string(obj["dataset_name"], path, None, "dataset_name"),
+            horizon=_integer(obj["horizon"], path, None, "horizon"),
+            dt=_number(obj["dt"], path, None, "dt"),
             model_ids=tuple(model_ids),
-            sample_count=sample_count,
+            sample_count=_integer(obj["sample_count"], path, None, "sample_count"),
+            format_version=_integer(obj["format_version"], path, None, "format_version"),
         )
     except InvalidInput as e:
         raise ParseError(str(e), path=path) from None
 
 
 def write_manifest(path: str, manifest: DatasetManifest) -> None:
-    payload = {
-        "format_version": manifest.format_version,
-        "dataset_name": manifest.dataset_name,
-        "horizon": manifest.horizon,
-        "dt": manifest.dt,
-        "model_ids": list(manifest.model_ids),
-        "sample_count": manifest.sample_count,
-    }
-    _write_json(path, payload)
+    _write_json(path, asdict(manifest))
 
 
 def load_predictions(path: str, manifest: DatasetManifest) -> Iterator[ModelOutput]:
@@ -236,114 +281,98 @@ def load_predictions(path: str, manifest: DatasetManifest) -> Iterator[ModelOutp
     a HorizonMismatch.
     """
     known = set(manifest.model_ids)
-    seen: set[tuple[str, str]] = set()
-    for line_no, raw in _lines(path):
-        obj = _parse_line(raw, path, line_no)
-        _check_keys(obj, ("sample_id", "model_id", "modes"), path, line_no)
-        sample_id = _get_str(obj, "sample_id", path, line_no)
-        model_id = _get_str(obj, "model_id", path, line_no)
+    for line, obj, (sample_id, model_id) in _records(
+            path, ("sample_id", "model_id", "modes"), "record", "sample_id", "model_id"):
         if model_id not in known:
-            raise ParseError(
-                f"model_id '{model_id}' not listed in manifest", path=path, line=line_no,
-                field="model_id",
-            )
-        key = (sample_id, model_id)
-        if key in seen:
-            raise ParseError(
-                f"duplicate record for sample '{sample_id}', model '{model_id}'",
-                path=path, line=line_no,
-            )
-        seen.add(key)
+            raise ParseError(f"model_id '{model_id}' not listed in manifest", path=path,
+                             line=line, field="model_id")
         raw_modes = obj["modes"]
         if not isinstance(raw_modes, list) or len(raw_modes) < 1:
-            raise ParseError("modes must be a nonempty list", path=path, line=line_no, field="modes")
+            raise ParseError("modes must be a nonempty list", path=path, line=line, field="modes")
         modes = []
         for raw_mode in raw_modes:
             if not isinstance(raw_mode, dict):
-                raise ParseError("mode must be a JSON object", path=path, line=line_no, field="modes")
-            _check_keys(raw_mode, ("confidence", "points"), path, line_no)
-            confidence = _get_number(raw_mode, "confidence", path, line_no)
-            points = _get_points(raw_mode, "points", path, line_no)
-            if len(points) != manifest.horizon:
-                raise HorizonMismatch(
-                    f"{path}:{line_no}: mode has {len(points)} points, manifest horizon is "
-                    f"{manifest.horizon}"
-                )
+                raise ParseError("mode must be a JSON object", path=path, line=line, field="modes")
+            _check_keys(raw_mode, ("confidence", "points"), path, line)
+            confidence = _number(raw_mode["confidence"], path, line, "confidence")
+            trajectory = _trajectory(raw_mode["points"], manifest, "mode", path, line)
             try:
-                modes.append(Mode(Trajectory.from_xy(points, dt=manifest.dt), confidence))
+                modes.append(Mode(trajectory, confidence))
             except InvalidInput as e:
-                raise ParseError(str(e), path=path, line=line_no) from None
-        try:
-            yield ModelOutput(model_id=model_id, sample_id=sample_id, modes=tuple(modes))
-        except InvalidInput as e:
-            raise ParseError(str(e), path=path, line=line_no) from None
+                raise ParseError(str(e), path=path, line=line) from None
+        yield ModelOutput(model_id=model_id, sample_id=sample_id, modes=tuple(modes))
 
 
 def write_predictions(path: str, outputs: Iterable[ModelOutput]) -> None:
     """Dump ModelOutputs as NDJSON sorted by (sample_id, model_id)."""
-    records: list[tuple[tuple[str, str], str]] = []
-    seen: set[tuple[str, str]] = set()
-    for out in outputs:
-        key = (out.sample_id, out.model_id)
-        if key in seen:
-            raise InvalidInput(f"duplicate output for sample '{out.sample_id}', model '{out.model_id}'")
-        seen.add(key)
-        payload = {
-            "sample_id": out.sample_id,
-            "model_id": out.model_id,
-            "modes": [
-                {
-                    "confidence": float(mode.confidence),
-                    "points": [[float(p.x), float(p.y)] for p in mode.trajectory.points],
-                }
-                for mode in out.modes
-            ],
-        }
-        records.append((key, json.dumps(payload, sort_keys=True)))
-    records.sort(key=lambda item: item[0])
-    with _replacing(path, newline="\n") as f:
-        for _, line in records:
-            f.write(line)
-            f.write("\n")
+    _write_records(path, (((out.sample_id, out.model_id), {
+        "sample_id": out.sample_id,
+        "model_id": out.model_id,
+        "modes": [{"confidence": float(mode.confidence), "points": _xy(mode.trajectory)}
+                  for mode in out.modes],
+    }) for out in outputs), "output")
 
 
 def load_ground_truth(path: str, manifest: DatasetManifest) -> Iterator[GroundTruthRecord]:
     """Stream ground-truth records, enforcing the manifest horizon."""
-    seen: set[str] = set()
-    for line_no, raw in _lines(path):
-        obj = _parse_line(raw, path, line_no)
-        _check_keys(obj, ("sample_id", "points"), path, line_no)
-        sample_id = _get_str(obj, "sample_id", path, line_no)
-        if sample_id in seen:
-            raise ParseError(f"duplicate ground truth for sample '{sample_id}'",
-                             path=path, line=line_no)
-        seen.add(sample_id)
-        points = _get_points(obj, "points", path, line_no)
-        if len(points) != manifest.horizon:
-            raise HorizonMismatch(
-                f"{path}:{line_no}: ground truth has {len(points)} points, manifest horizon is "
-                f"{manifest.horizon}"
-            )
-        yield GroundTruthRecord(sample_id, Trajectory.from_xy(points, dt=manifest.dt))
+    for line, obj, (sample_id,) in _records(path, ("sample_id", "points"), "ground truth",
+                                            "sample_id"):
+        yield GroundTruthRecord(
+            sample_id, _trajectory(obj["points"], manifest, "ground truth", path, line))
 
 
 def write_ground_truth(path: str, records: Iterable[GroundTruthRecord]) -> None:
-    lines: list[tuple[str, str]] = []
-    seen: set[str] = set()
-    for rec in records:
-        if rec.sample_id in seen:
-            raise InvalidInput(f"duplicate ground truth for sample '{rec.sample_id}'")
-        seen.add(rec.sample_id)
-        payload = {
-            "sample_id": rec.sample_id,
-            "points": [[float(p.x), float(p.y)] for p in rec.trajectory.points],
-        }
-        lines.append((rec.sample_id, json.dumps(payload, sort_keys=True)))
-    lines.sort(key=lambda item: item[0])
-    with _replacing(path, newline="\n") as f:
-        for _, line in lines:
-            f.write(line)
-            f.write("\n")
+    _write_records(path, (((rec.sample_id,), {
+        "sample_id": rec.sample_id,
+        "points": _xy(rec.trajectory),
+    }) for rec in records), "ground truth")
+
+
+def load_samples(
+    manifest: DatasetManifest,
+    prediction_paths: Sequence[str],
+    ground_truth_path: str | None,
+) -> list[Sample]:
+    """Group prediction dumps (and optional ground truth) into Samples.
+
+    Samples are ordered by sample_id; each sample's outputs follow the
+    manifest's model order.  A dataset that is not whole is refused,
+    never scored as if it were: every sample needs a record from every
+    manifest model, the sample count must equal ``sample_count``, and
+    ground truth must cover exactly the predicted samples.
+    """
+    by_sample: dict[str, dict[str, ModelOutput]] = {}
+    for path in prediction_paths:
+        for output in load_predictions(path, manifest):
+            per_model = by_sample.setdefault(output.sample_id, {})
+            if output.model_id in per_model:
+                raise InvalidInput(
+                    f"model '{output.model_id}' appears twice for sample "
+                    f"'{output.sample_id}' across prediction files"
+                )
+            per_model[output.model_id] = output
+    for sample_id, per_model in by_sample.items():
+        if len(per_model) != len(manifest.model_ids):
+            missing = ", ".join(m for m in manifest.model_ids if m not in per_model)
+            raise InvalidInput(f"sample '{sample_id}' has {len(per_model)} of "
+                               f"{len(manifest.model_ids)} manifest models (missing {missing})")
+    if len(by_sample) != manifest.sample_count:
+        raise InvalidInput(f"predictions cover {len(by_sample)} samples, "
+                           f"manifest declares {manifest.sample_count}")
+    gt_by_sample: dict[str, Trajectory] = {}
+    if ground_truth_path is not None:
+        for rec in load_ground_truth(ground_truth_path, manifest):
+            gt_by_sample[rec.sample_id] = rec.trajectory
+        unlabeled = len(by_sample.keys() - gt_by_sample.keys())
+        if unlabeled or len(gt_by_sample) != len(by_sample):
+            raise InvalidInput(f"ground truth has {len(gt_by_sample)} samples for "
+                               f"{len(by_sample)} predicted; {unlabeled} predicted "
+                               "samples have no ground truth")
+    return [
+        Sample(sample_id=sample_id, ground_truth=gt_by_sample.get(sample_id),
+               outputs=tuple(by_sample[sample_id][mid] for mid in manifest.model_ids))
+        for sample_id in sorted(by_sample)
+    ]
 
 
 _FUSED_FIELDS = (
@@ -354,90 +383,70 @@ _FUSED_FIELDS = (
 
 def load_fused(path: str) -> Iterator[FusedPrediction]:
     """Stream fused predictions written by write_fused."""
-    seen: set[str] = set()
-    for line_no, raw in _lines(path):
-        obj = _parse_line(raw, path, line_no)
-        _check_keys(obj, _FUSED_FIELDS, path, line_no)
-        sample_id = _get_str(obj, "sample_id", path, line_no)
-        if sample_id in seen:
-            raise ParseError(f"duplicate fused record for sample '{sample_id}'",
-                             path=path, line=line_no)
-        seen.add(sample_id)
-        strategy = _get_str(obj, "strategy", path, line_no)
+    for line, obj, (sample_id,) in _records(path, _FUSED_FIELDS, "fused record", "sample_id"):
+        strategy = _string(obj["strategy"], path, line, "strategy")
         if strategy not in STRATEGIES:
-            raise ParseError(f"unknown strategy '{strategy}'", path=path, line=line_no,
+            raise ParseError(f"unknown strategy '{strategy}'", path=path, line=line,
                              field="strategy")
-        dt = _get_number(obj, "dt", path, line_no)
-        points = _get_points(obj, "points", path, line_no)
+        dt = _number(obj["dt"], path, line, "dt")
+        points = _points(obj["points"], path, line)
         raw_weights = obj["weights"]
         if not isinstance(raw_weights, list):
             raise ParseError("weights must be a list of [model_id, weight] pairs",
-                             path=path, line=line_no, field="weights")
+                             path=path, line=line, field="weights")
         entries = []
         for pair in raw_weights:
-            if (not isinstance(pair, list) or len(pair) != 2
-                    or not isinstance(pair[0], str)
-                    or isinstance(pair[1], bool)
-                    or not isinstance(pair[1], (int, float))):
-                raise ParseError(f"bad weight entry {pair!r}", path=path, line=line_no,
+            if not isinstance(pair, list) or len(pair) != 2 or not isinstance(pair[0], str):
+                raise ParseError(f"bad weight entry {pair!r}", path=path, line=line,
                                  field="weights")
-            entries.append((pair[0], float(pair[1])))
+            entries.append((pair[0], _number(pair[1], path, line, "weights",
+                                             "a numeric weight entry")))
         raw_cov = obj["covariance"]
-        if not isinstance(raw_cov, list):
-            raise ParseError("covariance must be a 2x2 matrix", path=path, line=line_no,
+        if not (isinstance(raw_cov, list) and len(raw_cov) == 2
+                and all(isinstance(row, list) and len(row) == 2 for row in raw_cov)):
+            raise ParseError("covariance must be a 2x2 matrix", path=path, line=line,
                              field="covariance")
+        matrix = [[_number(v, path, line, "covariance") for v in row] for row in raw_cov]
         raw_notes = obj["notes"]
         if not isinstance(raw_notes, list) or not all(isinstance(n, str) for n in raw_notes):
-            raise ParseError("notes must be a list of strings", path=path, line=line_no,
+            raise ParseError("notes must be a list of strings", path=path, line=line,
                              field="notes")
-        determinant = _get_number(obj, "determinant", path, line_no)
-        confidence = _get_number(obj, "confidence", path, line_no)
+        determinant = _number(obj["determinant"], path, line, "determinant")
+        confidence = _number(obj["confidence"], path, line, "confidence")
         try:
-            cov = CovarianceSummary.from_matrix(raw_cov)
+            cov = CovarianceSummary.from_matrix(matrix)
             if abs(cov.det - determinant) > 1e-9:
                 raise InvalidInput(
                     f"stored determinant {determinant!r} disagrees with matrix ({cov.det!r})"
                 )
             fused = FusedPrediction(
                 sample_id=sample_id,
-                trajectory=Trajectory.from_xy(points, dt=dt),
+                trajectory=Trajectory(points, dt=dt),
                 weights=Weights(tuple(entries)),
                 covariance=cov,
                 confidence=confidence,
                 strategy=strategy,
                 notes=tuple(raw_notes),
             )
-        except (InvalidInput, HorizonMismatch, NumericalError) as e:
-            raise ParseError(str(e), path=path, line=line_no) from None
+        except (InvalidInput, NumericalError) as e:
+            raise ParseError(str(e), path=path, line=line) from None
         yield fused
 
 
 def write_fused(path: str, fused: Iterable[FusedPrediction]) -> None:
     """Dump fused predictions as NDJSON sorted by sample_id, full precision."""
-    lines: list[tuple[str, str]] = []
-    seen: set[str] = set()
-    for pred in fused:
-        if pred.sample_id in seen:
-            raise InvalidInput(f"duplicate fused prediction for sample '{pred.sample_id}'")
-        seen.add(pred.sample_id)
-        cov = pred.covariance
-        payload = {
-            "sample_id": pred.sample_id,
-            "strategy": pred.strategy,
-            "dt": pred.trajectory.dt,
-            "points": [[float(p.x), float(p.y)] for p in pred.trajectory.points],
-            "weights": [[mid, w] for mid, w in pred.weights.entries],
-            "covariance": [[cov.xx, cov.xy], [cov.xy, cov.yy]],
-            "determinant": cov.det,
-            "confidence": pred.confidence,
-            "notes": list(pred.notes),
-        }
-        lines.append((pred.sample_id, json.dumps(payload, sort_keys=True)))
-    lines.sort(key=lambda item: item[0])
-    with _replacing(path, newline="\n") as f:
-        for _, line in lines:
-            f.write(line)
-            f.write("\n")
+    _write_records(path, (((pred.sample_id,), {
+        "sample_id": pred.sample_id,
+        "strategy": pred.strategy,
+        "dt": pred.trajectory.dt,
+        "points": _xy(pred.trajectory),
+        "weights": [[mid, w] for mid, w in pred.weights.entries],
+        "covariance": [[pred.covariance.xx, pred.covariance.xy],
+                       [pred.covariance.xy, pred.covariance.yy]],
+        "determinant": pred.covariance.det,
+        "confidence": pred.confidence,
+        "notes": list(pred.notes),
+    }) for pred in fused), "fused prediction")
 
 
 def _report_header(k_list: Sequence[float]) -> list[str]:

@@ -327,6 +327,76 @@ class TestIncompleteDumps:
         assert not out.exists()
 
 
+_HUGE = 10 ** 400  # a JSON integer no float can hold
+_DEEP = b"[" * 200_000  # nested past the decoder's recursion limit
+
+
+def _first_record(*edits):
+    """Damage: set each (key path, value) of ``edits`` in a file's first record."""
+    def damage(data: bytes) -> bytes:
+        first, rest = data.split(b"\n", 1)
+        record = json.loads(first)
+        for keys, value in edits:
+            target = record
+            for key in keys[:-1]:
+                target = target[key]
+            target[keys[-1]] = value
+        return json.dumps(record).encode() + b"\n" + rest
+    return damage
+
+
+class TestMalformedFilesRefused:
+    """Every malformed input file exits 1 with the JSON error, never a traceback."""
+
+    @pytest.mark.parametrize("target, damage, error", [
+        ("predictions", _first_record((("modes", 0, "points", 0, 0), _HUGE)), "ParseError"),
+        ("predictions", _first_record((("modes", 0, "confidence"), _HUGE)), "ParseError"),
+        ("fused", _first_record((("weights", 0, 1), _HUGE)), "ParseError"),
+        ("manifest", lambda data: data.replace(b'"dt": 0.5', b'"dt": %d' % _HUGE),
+         "ParseError"),
+        ("predictions", lambda data: data.replace(b'"s0', b'"\xffs0', 1), "ParseError"),
+        ("fused", lambda data: data.replace(b'"s0', b'"\xffs0', 1), "ParseError"),
+        ("predictions", lambda data: _DEEP + b"\n" + data, "ParseError"),
+        ("manifest", lambda data: _DEEP, "ParseError"),
+        ("config", lambda data: _DEEP, "InvalidInput"),
+        ("fused", _first_record((("covariance",), [["a", 0], [0, 1]])), "ParseError"),
+        ("fused", _first_record((("covariance",), [[1, "x"], [0, 1]])), "ParseError"),
+        ("fused", _first_record((("covariance",), [1, 2])), "ParseError"),
+        ("fused", _first_record((("covariance",), [[None, 0], [0, 1]])), "ParseError"),
+        ("fused", _first_record((("covariance",), [[True, 0], [0, True]]),
+                                (("determinant",), 1.0), (("confidence",), 0.5)), "ParseError"),
+        # xx*yy and xy*xy both overflow, so the determinant would be NaN,
+        # and NaN passes every tolerance comparison.
+        ("fused", _first_record((("covariance",), [[1e308, 1e307], [1e307, 1e308]]),
+                                (("determinant",), 0.5), (("confidence",), 0.5)), "ParseError"),
+    ], ids=[
+        "coordinate_1e400", "confidence_1e400", "weight_1e400", "manifest_dt_1e400",
+        "prediction_0xff", "fused_0xff", "prediction_deep", "manifest_deep", "config_deep",
+        "covariance_text_entry", "covariance_text_off_diagonal", "covariance_flat",
+        "covariance_null", "covariance_bool", "covariance_determinant_overflow",
+    ])
+    def test_refused(self, dataset, tmp_path, capsys, target, damage, error):
+        sources = {"predictions": "predictions.ndjson", "manifest": "manifest.json",
+                   "fused": "fused_weighted.ndjson", "config": None}
+        paths = {name: str(dataset / source) for name, source in sources.items() if source}
+        paths[target] = str(tmp_path / f"damaged_{target}")
+        original = (dataset / sources[target]).read_bytes() if sources[target] else b""
+        Path(paths[target]).write_bytes(damage(original))
+        out = tmp_path / "out"
+        if target == "fused":
+            argv = ["flags", "--fused", paths["fused"], "--out", str(out)]
+        elif target == "config":
+            argv = eval_argv(dataset, str(out), "--config", paths["config"])
+        else:
+            argv = ["fuse", "--manifest", paths["manifest"],
+                    "--predictions", paths["predictions"], "--out", str(out)]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert json.loads(err)["error"] == error
+        assert not out.exists()
+
+
 # A bad flag value must be refused before any input is opened or output
 # written: every input path below is missing, except the manifest that
 # --primary-model is checked against.

@@ -2,13 +2,22 @@
 
 from __future__ import annotations
 
+import copy
 import json
 import stat
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from trajfuse.core import Mode, ModelOutput, Sample, Trajectory
-from trajfuse.errors import HorizonMismatch, InvalidInput, ParseError, ZeroConfidenceWarning
+from trajfuse.errors import (
+    HorizonMismatch,
+    InvalidInput,
+    ParseError,
+    TrajfuseError,
+    ZeroConfidenceWarning,
+)
 from trajfuse.fusion import fuse_threshold, fuse_weighted
 from trajfuse.io import (
     FORMAT_VERSION,
@@ -520,3 +529,72 @@ class TestAtomicWrites:
         written = tmp_path / "manifest.json"
         write_manifest(str(written), MANIFEST)
         assert stat.S_IMODE(written.stat().st_mode) == stat.S_IMODE(plain.stat().st_mode)
+
+
+# Any JSON value: nulls, booleans, integers (some far beyond float range),
+# floats (NaN and infinities too, which json.dumps spells as bare tokens),
+# text, and nested lists and objects.
+_SCALARS = (st.none() | st.booleans() | st.integers() | st.integers(min_value=2 ** 1100)
+            | st.integers(max_value=-2 ** 1100) | st.floats() | st.text())
+_ANY_JSON = _SCALARS | st.recursive(
+    _SCALARS,
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(), inner, max_size=3),
+    max_leaves=6,
+)
+
+
+_FUSED_RECORD = {
+    "sample_id": "s0", "strategy": "weighted", "dt": 1.0,
+    "points": [[2.5, 1.5], [3.5, 1.5]], "weights": [["cv", 0.25], ["ctr", 0.75]],
+    "covariance": [[0.75, 0.0], [0.0, 0.75]], "determinant": 0.5625,
+    "confidence": 0.64, "notes": [],
+}
+
+
+# Per record kind: a valid record (each loads as it is), the places one
+# value can be replaced, and how the record is loaded.
+_KINDS = {
+    "prediction": (
+        {"sample_id": "s0", "model_id": "cv",
+         "modes": [{"confidence": 1.0, "points": [[0.0, 0.0], [1.0, 0.0]]}]},
+        [("sample_id",), ("model_id",), ("modes",), ("modes", 0), ("modes", 0, "confidence"),
+         ("modes", 0, "points"), ("modes", 0, "points", 1), ("modes", 0, "points", 1, 0)],
+        lambda path: list(load_predictions(path, MANIFEST)),
+    ),
+    "ground_truth": (
+        {"sample_id": "s0", "points": [[0.0, 0.0], [1.0, 0.0]]},
+        [("sample_id",), ("points",), ("points", 0), ("points", 0, 1)],
+        lambda path: list(load_ground_truth(path, MANIFEST)),
+    ),
+    "fused": (
+        _FUSED_RECORD,
+        [(key,) for key in _FUSED_RECORD]
+        + [("points", 0, 0), ("weights", 0), ("weights", 1, 1), ("covariance", 0),
+           ("covariance", 0, 0), ("covariance", 1, 0)],
+        lambda path: list(load_fused(path)),
+    ),
+    "manifest": (
+        TestManifest().base_payload(),
+        [(key,) for key in TestManifest().base_payload()] + [("model_ids", 0)],
+        load_manifest,
+    ),
+}
+
+
+class TestAnyValueInAnyField:
+    @pytest.mark.parametrize("kind", sorted(_KINDS))
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_loads_or_raises_a_trajfuse_error(self, tmp_path_factory, kind, data):
+        record, places, load = _KINDS[kind]
+        keys = data.draw(st.sampled_from(places), label="field")
+        target = record = copy.deepcopy(record)
+        for key in keys[:-1]:
+            target = target[key]
+        target[keys[-1]] = data.draw(_ANY_JSON, label="value")
+        path = tmp_path_factory.getbasetemp() / f"any_value_{kind}"
+        path.write_text(json.dumps(record) + "\n", encoding="utf-8")
+        try:
+            load(str(path))
+        except TrajfuseError:
+            pass

@@ -112,6 +112,7 @@ _BOUNDS = {
     "tau": (lambda v: math.isfinite(v) and v >= 0, "finite and >= 0"),
     "overlap_k": (lambda v: math.isfinite(v) and 0 < v <= 100, "in (0, 100]"),
     "confidence_floor": (math.isfinite, "finite"),
+    "horizon": (lambda v: 1 <= v <= 1000, "in [1, 1000]"),
 }
 
 

@@ -1,14 +1,16 @@
 """Domain types, trajectory geometry, and per-sample displacement errors.
 
-All types are immutable value objects; every operation here is a pure
-function, so everything in this module is safe to use from concurrent
-workers without locking.
+All types are immutable value objects and every operation here is a
+pure function.  A trajectory stores its waypoints as a tuple of
+``(x, y)`` float pairs; ``Waypoint`` objects are built only for callers
+that ask for ``Trajectory.points``.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from itertools import chain
 from typing import Iterable, Sequence
 
 from .errors import HorizonMismatch, InvalidInput
@@ -38,30 +40,52 @@ class Waypoint:
             raise InvalidInput(f"waypoint coordinates must be finite, got ({self.x}, {self.y})")
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, init=False)
 class Trajectory:
     """An ordered sequence of future waypoints at a fixed timestep.
 
-    ``dt`` is metadata (seconds between consecutive waypoints); the
-    displacement metrics below do not depend on it.
+    ``coords`` holds the waypoints as ``(x, y)`` float pairs; ``points``
+    is a view that builds ``Waypoint`` objects on demand.  ``dt`` is
+    metadata (seconds between consecutive waypoints); the displacement
+    metrics below do not depend on it.
     """
 
-    points: tuple[Waypoint, ...]
-    dt: float = 1.0
+    coords: tuple[tuple[float, float], ...]
+    dt: float
 
-    def __post_init__(self):
-        if len(self.points) < 1:
+    def __init__(self, points: Iterable[Waypoint], dt: float = 1.0):
+        self._store(tuple((float(p.x), float(p.y)) for p in points), dt)
+
+    @classmethod
+    def _of(cls, coords: tuple[tuple[float, float], ...], dt: float) -> "Trajectory":
+        """Trusted constructor: ``coords`` must already be finite float pairs.
+
+        Only the horizon and ``dt`` are checked, so callers that have
+        checked finiteness themselves skip one ``Waypoint`` per pair.
+        """
+        self = cls.__new__(cls)
+        self._store(coords, dt)
+        return self
+
+    def _store(self, coords: tuple[tuple[float, float], ...], dt: float) -> None:
+        if len(coords) < 1:
             raise InvalidInput("trajectory must have at least one waypoint")
-        if not (math.isfinite(self.dt) and self.dt > 0):
-            raise InvalidInput(f"dt must be a positive finite number, got {self.dt}")
+        if not (math.isfinite(dt) and dt > 0):
+            raise InvalidInput(f"dt must be a positive finite number, got {dt}")
+        object.__setattr__(self, "coords", coords)
+        object.__setattr__(self, "dt", dt)
+
+    @property
+    def points(self) -> tuple[Waypoint, ...]:
+        return tuple(Waypoint(x, y) for x, y in self.coords)
 
     @property
     def horizon(self) -> int:
-        return len(self.points)
+        return len(self.coords)
 
     def xy(self) -> tuple[tuple[float, float], ...]:
         """Waypoints as plain (x, y) tuples."""
-        return tuple((p.x, p.y) for p in self.points)
+        return self.coords
 
     @classmethod
     def from_xy(cls, pairs: Iterable[Sequence[float]], dt: float = 1.0) -> "Trajectory":
@@ -69,7 +93,16 @@ class Trajectory:
         return cls(tuple(Waypoint(float(x), float(y)) for x, y in pairs), dt=dt)
 
     def translated(self, dx: float, dy: float) -> "Trajectory":
-        return Trajectory(tuple(Waypoint(p.x + dx, p.y + dy) for p in self.points), dt=self.dt)
+        return Trajectory._of(_finite(tuple((x + dx, y + dy) for x, y in self.coords)),
+                              self.dt)
+
+
+def _finite(coords: tuple[tuple[float, float], ...]) -> tuple[tuple[float, float], ...]:
+    """``coords`` unchanged once every pair passes ``Waypoint``'s finiteness check."""
+    if not all(map(math.isfinite, chain.from_iterable(coords))):
+        for x, y in coords:
+            Waypoint(x, y)  # raises for the first pair that is not finite
+    return coords
 
 
 @dataclass(frozen=True, slots=True)
@@ -185,7 +218,7 @@ def ade(pred: Trajectory, gt: Trajectory) -> float:
     """Average Euclidean distance between corresponding waypoints, in meters."""
     _check_horizons(pred, gt)
     total = math.fsum(
-        math.hypot(p.x - g.x, p.y - g.y) for p, g in zip(pred.points, gt.points)
+        math.hypot(px - gx, py - gy) for (px, py), (gx, gy) in zip(pred.coords, gt.coords)
     )
     return total / pred.horizon
 
@@ -193,5 +226,5 @@ def ade(pred: Trajectory, gt: Trajectory) -> float:
 def fde(pred: Trajectory, gt: Trajectory) -> float:
     """Euclidean distance at the final waypoint, in meters."""
     _check_horizons(pred, gt)
-    p, g = pred.points[-1], gt.points[-1]
-    return math.hypot(p.x - g.x, p.y - g.y)
+    (px, py), (gx, gy) = pred.coords[-1], gt.coords[-1]
+    return math.hypot(px - gx, py - gy)

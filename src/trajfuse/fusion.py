@@ -19,7 +19,7 @@ import warnings
 from dataclasses import dataclass, field, replace
 from typing import Sequence
 
-from .core import MostLikely, Sample, Trajectory, Waypoint, select_most_likely
+from .core import MostLikely, Sample, Trajectory, _finite, select_most_likely
 from .errors import (
     HorizonMismatch,
     InvalidInput,
@@ -229,16 +229,15 @@ def weighted_average(trajectories: Sequence[Trajectory], weights: Weights) -> Tr
         raise InvalidInput("need at least one trajectory")
     _check_aligned(trajectories, weights)
     values = weights.values
-    points = []
-    for t in range(trajectories[0].horizon):
+    coords = []
+    for step in zip(*(traj.coords for traj in trajectories)):
         x = 0.0
         y = 0.0
-        for traj, w in zip(trajectories, values):
-            p = traj.points[t]
-            x += w * p.x
-            y += w * p.y
-        points.append(Waypoint(x, y))
-    return Trajectory(tuple(points), dt=trajectories[0].dt)
+        for (px, py), w in zip(step, values):
+            x += w * px
+            y += w * py
+        coords.append((x, y))
+    return Trajectory._of(_finite(tuple(coords)), trajectories[0].dt)
 
 
 def aggregate_covariance_over_horizon(
@@ -280,15 +279,13 @@ def ensemble_covariance(
         )
     values = weights.values
     per_step = []
-    for t in range(fused.horizon):
-        fp = fused.points[t]
+    for (fx, fy), *step in zip(fused.coords, *(traj.coords for traj in trajectories)):
         xx = 0.0
         xy = 0.0
         yy = 0.0
-        for traj, w in zip(trajectories, values):
-            p = traj.points[t]
-            dx = p.x - fp.x
-            dy = p.y - fp.y
+        for (px, py), w in zip(step, values):
+            dx = px - fx
+            dy = py - fy
             xx += w * dx * dx
             xy += w * dx * dy
             yy += w * dy * dy

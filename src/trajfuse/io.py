@@ -16,9 +16,9 @@ the whole-dataset rules: a dataset that is not whole is refused.
 One writer (``_write_records``) sorts records (sample_id, then model_id)
 and emits full-precision floats, so identical inputs produce
 byte-identical files.  Every writer replaces its destination atomically:
-it writes a temporary file in the same directory, fsyncs it and renames
-it over the destination, so a failed write leaves the previous file (or
-none) and no partial one.
+it writes a temporary file in the same directory, fsyncs it, renames it
+over the destination and fsyncs the directory, so a failed write leaves
+the previous file (or none) and no partial one.
 """
 
 from __future__ import annotations
@@ -30,9 +30,10 @@ import os
 import reprlib
 from contextlib import contextmanager, suppress
 from dataclasses import asdict, dataclass
+from itertools import chain
 from typing import Iterable, Iterator, Mapping, Sequence, TextIO
 
-from .core import Mode, ModelOutput, Sample, Trajectory, Waypoint
+from .core import Mode, ModelOutput, Sample, Trajectory
 from .errors import HorizonMismatch, InvalidInput, NumericalError, ParseError
 from .fusion import STRATEGIES, CovarianceSummary, FusedPrediction, Weights
 from .metrics import DEFAULT_K_LIST, OverlapReport, _k_label
@@ -97,10 +98,14 @@ def _reject_constant(token: str):
     raise ValueError(f"non-finite JSON token '{token}'")
 
 
+# One decoder for every line: json.loads with parse_constant builds a new one per call.
+_DECODER = json.JSONDecoder(parse_constant=_reject_constant)
+
+
 def _decode(raw: bytes, path: str, line: int | None) -> dict:
     """Decode UTF-8 bytes holding one JSON object; any failure is a ParseError."""
     try:
-        obj = json.loads(raw.decode("utf-8"), parse_constant=_reject_constant)
+        obj = _DECODER.decode(raw.decode("utf-8"))
     except (ValueError, RecursionError) as e:  # UnicodeDecodeError is a ValueError
         raise ParseError(str(e), path=path, line=line) from None
     if not isinstance(obj, dict):
@@ -147,17 +152,26 @@ def _number(v: object, path: str, line: int | None, field: str, what: str = "a n
                      path=path, line=line, field=field)
 
 
-def _points(v: object, path: str, line: int) -> tuple[Waypoint, ...]:
+def _points(v: object, path: str, line: int) -> tuple[tuple[float, float], ...]:
+    """A record's ``points`` as a tuple of finite ``(x, y)`` float pairs."""
     if not isinstance(v, list) or not v:
         raise ParseError("expected a nonempty list of [x, y] pairs", path=path, line=line,
                          field="points")
+    # Fast path, in C loops: every pair two finite floats.  A dict or string
+    # "pair" becomes a tuple of strings here and so falls through as well.
+    with suppress(TypeError):  # a pair that is a number, a bool or null
+        coords = tuple(map(tuple, v))
+        if set(map(len, coords)) == {2}:
+            flat = tuple(chain.from_iterable(coords))
+            if set(map(type, flat)) == {float} and all(map(math.isfinite, flat)):
+                return coords
     points = []
     for pair in v:
         if not isinstance(pair, list) or len(pair) != 2:
             raise ParseError(f"expected an [x, y] pair, got {pair!r}", path=path, line=line,
                              field="points")
-        points.append(Waypoint(_number(pair[0], path, line, "points", "a numeric coordinate"),
-                               _number(pair[1], path, line, "points", "a numeric coordinate")))
+        points.append((_number(pair[0], path, line, "points", "a numeric coordinate"),
+                       _number(pair[1], path, line, "points", "a numeric coordinate")))
     return tuple(points)
 
 
@@ -170,7 +184,7 @@ def _trajectory(v: object, manifest: DatasetManifest, what: str, path: str,
             f"{path}:{line}: {what} has {len(points)} points, manifest horizon is "
             f"{manifest.horizon}"
         )
-    return Trajectory(points, dt=manifest.dt)
+    return Trajectory._of(points, manifest.dt)
 
 
 def _describe(key: tuple[str, ...]) -> str:
@@ -218,17 +232,14 @@ def _write_records(path: str, keyed_payloads: Iterable[tuple[tuple[str, ...], di
             f.write("\n")
 
 
-def _xy(trajectory: Trajectory) -> list[list[float]]:
-    return [[float(p.x), float(p.y)] for p in trajectory.points]
-
-
 @contextmanager
 def _replacing(path: str, newline: str) -> Iterator[TextIO]:
     """Open a temporary file beside ``path``; on success it replaces ``path``.
 
     The temporary file gets the mode plain ``open(path, "w")`` would give
     (unlike ``mkstemp``'s 0600), is flushed to disk before the rename, and
-    is removed if the write fails.
+    is removed if the write fails.  The directory is synced after the
+    rename, so the new file is what survives a power loss.
     """
     tmp = f"{path}.{os.getpid()}.tmp"
     try:
@@ -241,6 +252,11 @@ def _replacing(path: str, newline: str) -> Iterator[TextIO]:
         with suppress(FileNotFoundError):
             os.remove(tmp)
         raise
+    fd = os.open(os.path.dirname(path) or ".", os.O_RDONLY)
+    try:
+        os.fsync(fd)
+    finally:
+        os.close(fd)
 
 
 _MANIFEST_FIELDS = ("format_version", "dataset_name", "horizon", "dt", "model_ids",
@@ -308,7 +324,7 @@ def write_predictions(path: str, outputs: Iterable[ModelOutput]) -> None:
     _write_records(path, (((out.sample_id, out.model_id), {
         "sample_id": out.sample_id,
         "model_id": out.model_id,
-        "modes": [{"confidence": float(mode.confidence), "points": _xy(mode.trajectory)}
+        "modes": [{"confidence": float(mode.confidence), "points": mode.trajectory.coords}
                   for mode in out.modes],
     }) for out in outputs), "output")
 
@@ -324,7 +340,7 @@ def load_ground_truth(path: str, manifest: DatasetManifest) -> Iterator[GroundTr
 def write_ground_truth(path: str, records: Iterable[GroundTruthRecord]) -> None:
     _write_records(path, (((rec.sample_id,), {
         "sample_id": rec.sample_id,
-        "points": _xy(rec.trajectory),
+        "points": rec.trajectory.coords,
     }) for rec in records), "ground truth")
 
 
@@ -421,7 +437,7 @@ def load_fused(path: str) -> Iterator[FusedPrediction]:
                 )
             fused = FusedPrediction(
                 sample_id=sample_id,
-                trajectory=Trajectory(points, dt=dt),
+                trajectory=Trajectory._of(points, dt),
                 weights=Weights(tuple(entries)),
                 covariance=cov,
                 confidence=confidence,
@@ -439,7 +455,7 @@ def write_fused(path: str, fused: Iterable[FusedPrediction]) -> None:
         "sample_id": pred.sample_id,
         "strategy": pred.strategy,
         "dt": pred.trajectory.dt,
-        "points": _xy(pred.trajectory),
+        "points": pred.trajectory.coords,
         "weights": [[mid, w] for mid, w in pred.weights.entries],
         "covariance": [[pred.covariance.xx, pred.covariance.xy],
                        [pred.covariance.xy, pred.covariance.yy]],

@@ -20,14 +20,15 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterator, Sequence
+from typing import TYPE_CHECKING, Callable, Iterator, Sequence
 
-import numpy as np
-
-from .core import Mode, ModelOutput, Sample, Trajectory, Waypoint, ade
+from .core import Mode, ModelOutput, Sample, Trajectory, _finite, ade
 from .errors import InvalidInput
 from .fusion import DEFAULT_TAU, STRATEGIES, FusedPrediction
 from .metrics import DEFAULT_K_LIST, ErrorLedger, fuse_and_score, summary_table
+
+if TYPE_CHECKING:
+    import numpy as np
 
 # Unused here; perfbench/tracing.py rebinds these names on this module.
 from .core import fde, select_most_likely  # noqa: F401
@@ -115,8 +116,8 @@ class ScenarioConfig:
             raise InvalidInput(
                 f"sample_count must be an integer in [1, 999999], got {self.sample_count!r}"
             )
-        if not (isinstance(self.horizon, int) and self.horizon >= 1):
-            raise InvalidInput(f"horizon must be an integer >= 1, got {self.horizon!r}")
+        if not (isinstance(self.horizon, int) and 1 <= self.horizon <= 1000):
+            raise InvalidInput(f"horizon must be an integer in [1, 1000], got {self.horizon!r}")
         if not (math.isfinite(self.dt) and self.dt > 0):
             raise InvalidInput(f"dt must be positive, got {self.dt!r}")
         if len(self.mix) != 3 or any(not (math.isfinite(p) and p >= 0) for p in self.mix):
@@ -179,32 +180,43 @@ def maneuver_trajectory(maneuver: str, state: InitialState, horizon: int, dt: fl
     cos_h = math.cos(state.heading)
     sin_h = math.sin(state.heading)
     v = state.speed
-    points = []
+    coords = []
     if maneuver == "constant_turn" and state.turn_rate != 0.0:
         radius = v / state.turn_rate
         for k in range(1, horizon + 1):
             swept = state.heading + state.turn_rate * k * dt
-            points.append(Waypoint(
+            coords.append((
                 state.x + radius * (math.sin(swept) - sin_h),
                 state.y - radius * (math.cos(swept) - cos_h),
             ))
     else:
         for k in range(1, horizon + 1):
             t = k * dt
-            points.append(Waypoint(state.x + v * t * cos_h, state.y + v * t * sin_h))
+            coords.append((state.x + v * t * cos_h, state.y + v * t * sin_h))
         if maneuver == "lane_change":
             shifted = []
-            for k, p in enumerate(points, start=1):
+            for k, (x, y) in enumerate(coords, start=1):
                 u = k / horizon
                 lateral = state.lane_dir * LANE_CHANGE_OFFSET_M * (3 * u * u - 2 * u * u * u)
-                shifted.append(Waypoint(p.x - lateral * sin_h, p.y + lateral * cos_h))
-            points = shifted
-    return Trajectory(tuple(points), dt=dt)
+                shifted.append((x - lateral * sin_h, y + lateral * cos_h))
+            coords = shifted
+    return Trajectory._of(_finite(tuple(coords)), dt)
+
+
+def _rng(entropy: int | tuple[int, ...]) -> np.random.Generator:
+    """numpy's PCG64 generator seeded through ``SeedSequence(entropy)``.
+
+    numpy is imported here, on first use, so that the commands that only
+    read dumps never pay for importing it.
+    """
+    import numpy as np
+
+    return np.random.default_rng(np.random.SeedSequence(entropy))
 
 
 def _sample_rng(seed: int, sample_index: int, stream: int) -> np.random.Generator:
     # Stream 0 is scenario generation; streams 1+ belong to predictors.
-    return np.random.default_rng(np.random.SeedSequence((seed, sample_index, stream)))
+    return _rng((seed, sample_index, stream))
 
 
 def _draw_state(config: ScenarioConfig, rng: np.random.Generator) -> InitialState:
@@ -236,12 +248,9 @@ def scenario_at(config: ScenarioConfig, index: int) -> Scenario:
     state = _draw_state(config, rng)
     clean = maneuver_trajectory(state.maneuver, state, config.horizon, config.dt)
     if config.noise_sigma > 0:
-        noise = rng.normal(0.0, config.noise_sigma, size=(config.horizon, 2))
-        points = tuple(
-            Waypoint(p.x + float(n[0]), p.y + float(n[1]))
-            for p, n in zip(clean.points, noise)
-        )
-        gt = Trajectory(points, dt=config.dt)
+        noise = rng.normal(0.0, config.noise_sigma, size=(config.horizon, 2)).tolist()
+        coords = tuple((x + nx, y + ny) for (x, y), (nx, ny) in zip(clean.coords, noise))
+        gt = Trajectory._of(_finite(coords), config.dt)
     else:
         gt = clean
     return Scenario(sample_id=f"s{index:06d}", state=state, ground_truth=gt)
@@ -303,7 +312,7 @@ def run_predictor(spec: PredictorSpec, scenario: Scenario,
     modes, so confidences are comparable between models by
     construction.
     """
-    rng = np.random.default_rng(np.random.SeedSequence(seed))
+    rng = _rng(seed)
     horizon = scenario.ground_truth.horizon
     dt = scenario.ground_truth.dt
     bx, by = spec.bias
@@ -311,17 +320,12 @@ def run_predictor(spec: PredictorSpec, scenario: Scenario,
     for step in _ladder(spec.mode_count):
         hyp = _hypothesis(spec, scenario.state, scenario.ground_truth, step, horizon, dt)
         if spec.noise_sigma > 0:
-            noise = rng.normal(0.0, spec.noise_sigma, size=(horizon, 2))
+            noise = rng.normal(0.0, spec.noise_sigma, size=(horizon, 2)).tolist()
         else:
-            noise = None
-        points = tuple(
-            Waypoint(
-                p.x + bx + (float(noise[k][0]) if noise is not None else 0.0),
-                p.y + by + (float(noise[k][1]) if noise is not None else 0.0),
-            )
-            for k, p in enumerate(hyp.points)
-        )
-        trajectories.append(Trajectory(points, dt=dt))
+            noise = [(0.0, 0.0)] * horizon
+        coords = tuple((x + bx + nx, y + by + ny)
+                       for (x, y), (nx, ny) in zip(hyp.coords, noise))
+        trajectories.append(Trajectory._of(_finite(coords), dt))
     errors = [ade(traj, scenario.ground_truth) for traj in trajectories]
     modes = tuple(
         Mode(traj, math.exp(-e / spec.temperature))

@@ -4,11 +4,15 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import trajfuse
 from trajfuse.cli import OUT_DIR_ENV, main
 from trajfuse.io import load_fused, load_manifest
 
@@ -120,6 +124,19 @@ class TestFuse:
                      "--predictions", str(dataset / "predictions.ndjson"),
                      "--out", str(out)]) == 0
         assert out.read_bytes() == (dataset / "fused_weighted.ndjson").read_bytes()
+
+    def test_does_not_import_numpy(self, dataset, tmp_path):
+        # Only synth draws random numbers; a dump command pays no numpy import.
+        argv = ["fuse", "--manifest", str(dataset / "manifest.json"),
+                "--predictions", str(dataset / "predictions.ndjson"),
+                "--out", str(tmp_path / "fused.ndjson")]
+        code = ("import sys\nfrom trajfuse.cli import main\n"
+                f"assert main({argv!r}) == 0\nprint('numpy' in sys.modules)")
+        env = {**os.environ, "PYTHONPATH": str(Path(trajfuse.__file__).parents[1])}
+        done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                              text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.splitlines()[-1] == "False"
 
     def test_threshold_strategy(self, dataset, tmp_path):
         out = str(tmp_path / "fused.ndjson")
@@ -350,6 +367,9 @@ class TestMalformedFilesRefused:
 
     @pytest.mark.parametrize("target, damage, error", [
         ("predictions", _first_record((("modes", 0, "points", 0, 0), _HUGE)), "ParseError"),
+        ("predictions", _first_record((("modes", 0, "points", 0, 0), True)), "ParseError"),
+        ("predictions", lambda data: _first_record((("modes", 0, "points", 0, 0), math.inf))(
+            data).replace(b"Infinity", b"1e999", 1), "ParseError"),
         ("predictions", _first_record((("modes", 0, "confidence"), _HUGE)), "ParseError"),
         ("fused", _first_record((("weights", 0, 1), _HUGE)), "ParseError"),
         ("manifest", lambda data: data.replace(b'"dt": 0.5', b'"dt": %d' % _HUGE),
@@ -370,7 +390,8 @@ class TestMalformedFilesRefused:
         ("fused", _first_record((("covariance",), [[1e308, 1e307], [1e307, 1e308]]),
                                 (("determinant",), 0.5), (("confidence",), 0.5)), "ParseError"),
     ], ids=[
-        "coordinate_1e400", "confidence_1e400", "weight_1e400", "manifest_dt_1e400",
+        "coordinate_1e400", "coordinate_true", "coordinate_1e999", "confidence_1e400",
+        "weight_1e400", "manifest_dt_1e400",
         "prediction_0xff", "fused_0xff", "prediction_deep", "manifest_deep", "config_deep",
         "covariance_text_entry", "covariance_text_off_diagonal", "covariance_flat",
         "covariance_null", "covariance_bool", "covariance_determinant_overflow",
@@ -395,6 +416,19 @@ class TestMalformedFilesRefused:
         assert "Traceback" not in err
         assert json.loads(err)["error"] == error
         assert not out.exists()
+
+    @pytest.mark.parametrize("pair, floats", [([0, 1], [0.0, 1.0]), ([2, 1.5], [2.0, 1.5])],
+                             ids=["ints", "mixed"])
+    def test_integer_coordinates_fuse_like_floats(self, dataset, tmp_path, pair, floats):
+        fused = {}
+        for name, value in (("spelled", pair), ("floats", floats)):
+            dump = tmp_path / f"{name}.ndjson"
+            dump.write_bytes(_first_record((("modes", 0, "points", 0), value))(
+                (dataset / "predictions.ndjson").read_bytes()))
+            fused[name] = tmp_path / f"fused_{name}.ndjson"
+            assert main(["fuse", "--manifest", str(dataset / "manifest.json"),
+                         "--predictions", str(dump), "--out", str(fused[name])]) == 0
+        assert fused["spelled"].read_bytes() == fused["floats"].read_bytes()
 
 
 # A bad flag value must be refused before any input is opened or output
@@ -421,9 +455,11 @@ class TestBadFlagsRefusedFirst:
         (("eval", "--manifest", "{manifest}", "--strategy", "threshold",
           "--primary-model", "nobody"), "--primary-model"),
         (("flags", "--confidence-floor", "nan"), "--confidence-floor"),
+        (("synth", "--horizon", "1000000000000000000000000"), "--horizon"),
         *(((command, "--threads", "0"), "--threads") for command in _MISSING_INPUTS),
     ], ids=["synth-overlap-k-0", "synth-overlap-k-nan", "synth-tau", "fuse-tau", "eval-tau",
-            "eval-primary", "flags-floor-nan", *(f"{c}-threads" for c in _MISSING_INPUTS)])
+            "eval-primary", "flags-floor-nan", "synth-horizon",
+            *(f"{c}-threads" for c in _MISSING_INPUTS)])
     def test_refused(self, dataset, tmp_path, capsys, argv, named):
         # A --manifest in argv comes after the missing one, so it wins.
         paths = {"missing": tmp_path / "missing.ndjson", "manifest": dataset / "manifest.json"}

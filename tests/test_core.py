@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+from dataclasses import FrozenInstanceError
 
 import pytest
 from hypothesis import given, settings
@@ -61,6 +62,19 @@ class TestTrajectory:
     def test_translated(self):
         t = traj((1, 1), (2, 2)).translated(-1, 2)
         assert t.xy() == ((0.0, 3.0), (1.0, 4.0))
+        with pytest.raises(InvalidInput, match="finite"):
+            traj((1e308, 0)).translated(1e308, 0)
+
+    def test_points_and_pairs_give_one_value(self):
+        t = Trajectory((Waypoint(0.0, 1.0), Waypoint(2, 3)), dt=0.5)
+        u = traj((0, 1), (2.0, 3.0), dt=0.5)
+        assert t == u
+        assert hash(t) == hash(u)
+        assert t.points == (Waypoint(0.0, 1.0), Waypoint(2.0, 3.0))
+        with pytest.raises(FrozenInstanceError):
+            t.dt = 1.0
+        with pytest.raises(FrozenInstanceError):
+            t.coords = ()
 
 
 class TestModelOutput:

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import copy
 import json
+import os
 import stat
 
 import pytest
@@ -529,6 +530,19 @@ class TestAtomicWrites:
         written = tmp_path / "manifest.json"
         write_manifest(str(written), MANIFEST)
         assert stat.S_IMODE(written.stat().st_mode) == stat.S_IMODE(plain.stat().st_mode)
+
+    def test_directory_synced_after_rename(self, tmp_path, monkeypatch):
+        path = tmp_path / "manifest.json"
+        synced = []  # (fd is a directory, destination exists) per fsync call
+        fsync = os.fsync
+
+        def recording_fsync(fd):
+            synced.append((stat.S_ISDIR(os.fstat(fd).st_mode), path.exists()))
+            fsync(fd)
+
+        monkeypatch.setattr(os, "fsync", recording_fsync)
+        write_manifest(str(path), MANIFEST)
+        assert synced == [(False, False), (True, True)]
 
 
 # Any JSON value: nulls, booleans, integers (some far beyond float range),

@@ -49,7 +49,7 @@ def small_config(**overrides) -> ScenarioConfig:
 class TestValidation:
     def test_scenario_config(self):
         for bad in (dict(sample_count=0), dict(sample_count=1_000_000),
-                    dict(sample_count=2.0), dict(horizon=0), dict(dt=0.0),
+                    dict(sample_count=2.0), dict(horizon=0), dict(horizon=1001), dict(dt=0.0),
                     dict(mix=(0.5, 0.5, 0.5)), dict(mix=(1.0, 0.5, -0.5)),
                     dict(speed_range=(5.0, 3.0)), dict(speed_range=(-1.0, 3.0)),
                     dict(noise_sigma=-0.1), dict(seed=-1), dict(seed=1.5)):

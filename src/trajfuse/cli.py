@@ -52,13 +52,7 @@ from .metrics import (
     summary_table,
     top_k_error,
 )
-from .synth import (
-    PINNED_PRIMARY,
-    PINNED_SEED,
-    generate_samples,
-    pinned_config,
-    pinned_predictors,
-)
+from .synth import PINNED_PRIMARY, generate_samples, pinned_config, pinned_predictors
 
 __all__ = ["main"]
 
@@ -112,20 +106,32 @@ _BOUNDS = {
     "tau": (lambda v: math.isfinite(v) and v >= 0, "finite and >= 0"),
     "overlap_k": (lambda v: math.isfinite(v) and 0 < v <= 100, "in (0, 100]"),
     "confidence_floor": (math.isfinite, "finite"),
-    "horizon": (lambda v: 1 <= v <= 1000, "in [1, 1000]"),
 }
+
+# The synth flags and the ScenarioConfig field each one sets.  The field
+# checks its own bounds, and pinned_config() gives the flag's default.
+_SCENARIO_FIELDS = {"samples": "sample_count", "horizon": "horizon", "dt": "dt", "mix": "mix",
+                    "seed": "seed"}
 
 
 def _resolve(args: argparse.Namespace) -> None:
     """Check flag bounds and cross-flag rules, and fill in derived defaults.
 
     Runs before any input is read or output written.  Sets
-    ``args.strategies`` on the commands that fuse, and ``args.out``.
+    ``args.strategies`` on the commands that fuse, ``args.scenario`` (the
+    ``ScenarioConfig``) on synth, and ``args.out``.
     """
     for dest, (ok, rule) in _BOUNDS.items():
         value = getattr(args, dest, None)
         if value is not None and not ok(value):
             raise InvalidInput(f"--{dest.replace('_', '-')} must be {rule}, got {value}")
+    if args.command == "synth":
+        args.scenario = pinned_config()
+        for dest, name in _SCENARIO_FIELDS.items():
+            try:
+                args.scenario = replace(args.scenario, **{name: getattr(args, dest)})
+            except InvalidInput as e:
+                raise InvalidInput(f"--{dest}: {e}") from None
     if hasattr(args, "strategy"):
         args.strategies = STRATEGIES if args.strategy == "all" else (args.strategy,)
         if "threshold" not in args.strategies:
@@ -206,8 +212,7 @@ def cmd_overlap(args: argparse.Namespace) -> int:
 
 
 def cmd_synth(args: argparse.Namespace) -> int:
-    config = replace(pinned_config(), sample_count=args.samples, horizon=args.horizon,
-                     dt=args.dt, mix=args.mix, seed=args.seed)
+    config = args.scenario
     predictors = pinned_predictors()
     manifest = DatasetManifest(
         dataset_name="synth",
@@ -334,13 +339,14 @@ def build_parser() -> tuple[_Parser, dict[str, dict[str, argparse.Action]]]:
     _add_dataset_inputs(p, ground_truth=True)
     _add_common(p, "report path", "overlap.<format>", "--overlap-k", "--format")
 
+    pinned = pinned_config()
     p = sub.add_parser("synth", help="run the synthetic end-to-end experiment")
-    p.add_argument("--samples", type=int, default=10_000)
-    p.add_argument("--horizon", type=int, default=12)
-    p.add_argument("--dt", type=float, default=0.5)
-    p.add_argument("--mix", type=_parse_mix, default="0.45,0.35,0.20",
+    p.add_argument("--samples", type=int, default=pinned.sample_count)
+    p.add_argument("--horizon", type=int, default=pinned.horizon)
+    p.add_argument("--dt", type=float, default=pinned.dt)
+    p.add_argument("--mix", type=_parse_mix, default=pinned.mix,
                    help="straight,constant_turn,lane_change proportions")
-    p.add_argument("--seed", type=int, default=PINNED_SEED)
+    p.add_argument("--seed", type=int, default=pinned.seed)
     _add_strategy(p, allow_all=True)
     p.set_defaults(strategy="all", sort_by_ade=False)
     _add_common(p, "output directory", "synth_out", "--k-list", "--overlap-k", "--format")

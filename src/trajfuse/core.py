@@ -3,7 +3,8 @@
 All types are immutable value objects and every operation here is a
 pure function.  A trajectory stores its waypoints as a tuple of
 ``(x, y)`` float pairs; ``Waypoint`` objects are built only for callers
-that ask for ``Trajectory.points``.
+that ask for ``Trajectory.points``.  Every way of building a trajectory
+checks its coordinates, so no ``Trajectory`` holds a NaN or infinity.
 """
 
 from __future__ import annotations
@@ -48,6 +49,10 @@ class Trajectory:
     is a view that builds ``Waypoint`` objects on demand.  ``dt`` is
     metadata (seconds between consecutive waypoints); the displacement
     metrics below do not depend on it.
+
+    Every constructor (``Trajectory(points, dt)``, ``from_xy``,
+    ``translated`` and the private ``_of`` for float pairs) checks that
+    there is a waypoint, that each is finite and that ``dt`` is positive.
     """
 
     coords: tuple[tuple[float, float], ...]
@@ -58,16 +63,16 @@ class Trajectory:
 
     @classmethod
     def _of(cls, coords: tuple[tuple[float, float], ...], dt: float) -> "Trajectory":
-        """Trusted constructor: ``coords`` must already be finite float pairs.
-
-        Only the horizon and ``dt`` are checked, so callers that have
-        checked finiteness themselves skip one ``Waypoint`` per pair.
-        """
+        """Build from ``coords``, a tuple of ``(x, y)`` float pairs, as stored."""
         self = cls.__new__(cls)
         self._store(coords, dt)
         return self
 
     def _store(self, coords: tuple[tuple[float, float], ...], dt: float) -> None:
+        # One C-loop pass; only a bad trajectory pays for a Waypoint per pair.
+        if not all(map(math.isfinite, chain.from_iterable(coords))):
+            for x, y in coords:
+                Waypoint(x, y)  # raises for the first pair that is not finite
         if len(coords) < 1:
             raise InvalidInput("trajectory must have at least one waypoint")
         if not (math.isfinite(dt) and dt > 0):
@@ -90,19 +95,10 @@ class Trajectory:
     @classmethod
     def from_xy(cls, pairs: Iterable[Sequence[float]], dt: float = 1.0) -> "Trajectory":
         """Build a trajectory from (x, y) pairs, coercing coordinates to float."""
-        return cls(tuple(Waypoint(float(x), float(y)) for x, y in pairs), dt=dt)
+        return cls._of(tuple((float(x), float(y)) for x, y in pairs), dt)
 
     def translated(self, dx: float, dy: float) -> "Trajectory":
-        return Trajectory._of(_finite(tuple((x + dx, y + dy) for x, y in self.coords)),
-                              self.dt)
-
-
-def _finite(coords: tuple[tuple[float, float], ...]) -> tuple[tuple[float, float], ...]:
-    """``coords`` unchanged once every pair passes ``Waypoint``'s finiteness check."""
-    if not all(map(math.isfinite, chain.from_iterable(coords))):
-        for x, y in coords:
-            Waypoint(x, y)  # raises for the first pair that is not finite
-    return coords
+        return Trajectory._of(tuple((x + dx, y + dy) for x, y in self.coords), self.dt)
 
 
 @dataclass(frozen=True, slots=True)

@@ -19,7 +19,7 @@ import warnings
 from dataclasses import dataclass, field, replace
 from typing import Sequence
 
-from .core import MostLikely, Sample, Trajectory, _finite, select_most_likely
+from .core import MostLikely, Sample, Trajectory, select_most_likely
 from .errors import (
     HorizonMismatch,
     InvalidInput,
@@ -237,7 +237,7 @@ def weighted_average(trajectories: Sequence[Trajectory], weights: Weights) -> Tr
             x += w * px
             y += w * py
         coords.append((x, y))
-    return Trajectory._of(_finite(tuple(coords)), trajectories[0].dt)
+    return Trajectory._of(tuple(coords), trajectories[0].dt)
 
 
 def aggregate_covariance_over_horizon(
@@ -401,5 +401,7 @@ def fuse_threshold(sample: Sample, primary_model_id: str, tau: float = DEFAULT_T
 
 
 def flag_low_confidence(fused: FusedPrediction, floor: float) -> bool:
-    """True when the ensemble confidence falls strictly below the floor."""
+    """True when the ensemble confidence falls strictly below a finite floor."""
+    if not math.isfinite(floor):
+        raise InvalidInput(f"confidence floor must be finite, got {floor}")
     return fused.confidence < floor

@@ -239,7 +239,8 @@ def _replacing(path: str, newline: str) -> Iterator[TextIO]:
     The temporary file gets the mode plain ``open(path, "w")`` would give
     (unlike ``mkstemp``'s 0600), is flushed to disk before the rename, and
     is removed if the write fails.  The directory is synced after the
-    rename, so the new file is what survives a power loss.
+    rename, so the new file is what survives a power loss.  An error about
+    the temporary file names ``path``, the file the caller asked for.
     """
     tmp = f"{path}.{os.getpid()}.tmp"
     try:
@@ -248,9 +249,11 @@ def _replacing(path: str, newline: str) -> Iterator[TextIO]:
             f.flush()
             os.fsync(f.fileno())
         os.replace(tmp, path)
-    except BaseException:
+    except BaseException as e:
         with suppress(FileNotFoundError):
             os.remove(tmp)
+        if isinstance(e, OSError) and e.filename == tmp:
+            raise OSError(e.errno, e.strerror, path) from None
         raise
     fd = os.open(os.path.dirname(path) or ".", os.O_RDONLY)
     try:

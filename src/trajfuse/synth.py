@@ -19,10 +19,10 @@ independently and runs are reproducible across platforms.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING, Callable, Iterator, Sequence
 
-from .core import Mode, ModelOutput, Sample, Trajectory, _finite, ade
+from .core import Mode, ModelOutput, Sample, Trajectory, ade
 from .errors import InvalidInput
 from .fusion import DEFAULT_TAU, STRATEGIES, FusedPrediction
 from .metrics import DEFAULT_K_LIST, ErrorLedger, fuse_and_score, summary_table
@@ -119,7 +119,7 @@ class ScenarioConfig:
         if not (isinstance(self.horizon, int) and 1 <= self.horizon <= 1000):
             raise InvalidInput(f"horizon must be an integer in [1, 1000], got {self.horizon!r}")
         if not (math.isfinite(self.dt) and self.dt > 0):
-            raise InvalidInput(f"dt must be positive, got {self.dt!r}")
+            raise InvalidInput(f"dt must be finite and > 0, got {self.dt!r}")
         if len(self.mix) != 3 or any(not (math.isfinite(p) and p >= 0) for p in self.mix):
             raise InvalidInput(f"mix must be three proportions >= 0, got {self.mix!r}")
         if abs(math.fsum(self.mix) - 1.0) > 1e-9:
@@ -175,8 +175,6 @@ def maneuver_trajectory(maneuver: str, state: InitialState, horizon: int, dt: fl
     """
     if maneuver not in MANEUVERS:
         raise InvalidInput(f"unknown maneuver '{maneuver}'")
-    if horizon < 1:
-        raise InvalidInput(f"horizon must be >= 1, got {horizon}")
     cos_h = math.cos(state.heading)
     sin_h = math.sin(state.heading)
     v = state.speed
@@ -200,7 +198,7 @@ def maneuver_trajectory(maneuver: str, state: InitialState, horizon: int, dt: fl
                 lateral = state.lane_dir * LANE_CHANGE_OFFSET_M * (3 * u * u - 2 * u * u * u)
                 shifted.append((x - lateral * sin_h, y + lateral * cos_h))
             coords = shifted
-    return Trajectory._of(_finite(tuple(coords)), dt)
+    return Trajectory._of(tuple(coords), dt)
 
 
 def _rng(entropy: int | tuple[int, ...]) -> np.random.Generator:
@@ -212,11 +210,6 @@ def _rng(entropy: int | tuple[int, ...]) -> np.random.Generator:
     import numpy as np
 
     return np.random.default_rng(np.random.SeedSequence(entropy))
-
-
-def _sample_rng(seed: int, sample_index: int, stream: int) -> np.random.Generator:
-    # Stream 0 is scenario generation; streams 1+ belong to predictors.
-    return _rng((seed, sample_index, stream))
 
 
 def _draw_state(config: ScenarioConfig, rng: np.random.Generator) -> InitialState:
@@ -244,13 +237,14 @@ def scenario_at(config: ScenarioConfig, index: int) -> Scenario:
     """Generate the index-th scenario directly; any subset is reproducible."""
     if not 0 <= index < config.sample_count:
         raise InvalidInput(f"index {index} outside [0, {config.sample_count})")
-    rng = _sample_rng(config.seed, index, 0)
+    # Stream 0 is scenario generation; streams 1+ belong to predictors.
+    rng = _rng((config.seed, index, 0))
     state = _draw_state(config, rng)
     clean = maneuver_trajectory(state.maneuver, state, config.horizon, config.dt)
     if config.noise_sigma > 0:
         noise = rng.normal(0.0, config.noise_sigma, size=(config.horizon, 2)).tolist()
         coords = tuple((x + nx, y + ny) for (x, y), (nx, ny) in zip(clean.coords, noise))
-        gt = Trajectory._of(_finite(coords), config.dt)
+        gt = Trajectory._of(coords, config.dt)
     else:
         gt = clean
     return Scenario(sample_id=f"s{index:06d}", state=state, ground_truth=gt)
@@ -277,18 +271,12 @@ def _ladder(count: int) -> list[int]:
 def _hypothesis(spec: PredictorSpec, state: InitialState, gt: Trajectory,
                 step: int, horizon: int, dt: float) -> Trajectory:
     if spec.kind == "const_velocity":
-        scaled = InitialState(
-            x=state.x, y=state.y, heading=state.heading,
-            speed=state.speed * max(0.0, 1.0 + step * _SPEED_LADDER_STEP),
-            turn_rate=0.0, maneuver="straight", lane_dir=state.lane_dir,
-        )
+        scaled = replace(state, speed=state.speed * max(0.0, 1.0 + step * _SPEED_LADDER_STEP),
+                         turn_rate=0.0, maneuver="straight")
         return maneuver_trajectory("straight", scaled, horizon, dt)
     if spec.kind == "const_turn_rate":
-        turned = InitialState(
-            x=state.x, y=state.y, heading=state.heading, speed=state.speed,
-            turn_rate=state.turn_rate + step * _TURN_LADDER_STEP,
-            maneuver="constant_turn", lane_dir=state.lane_dir,
-        )
+        turned = replace(state, turn_rate=state.turn_rate + step * _TURN_LADDER_STEP,
+                         maneuver="constant_turn")
         return maneuver_trajectory("constant_turn", turned, horizon, dt)
     # noisy_oracle: the true future shifted laterally per hypothesis.
     lateral = step * _LATERAL_LADDER_STEP
@@ -325,7 +313,7 @@ def run_predictor(spec: PredictorSpec, scenario: Scenario,
             noise = [(0.0, 0.0)] * horizon
         coords = tuple((x + bx + nx, y + by + ny)
                        for (x, y), (nx, ny) in zip(hyp.coords, noise))
-        trajectories.append(Trajectory._of(_finite(coords), dt))
+        trajectories.append(Trajectory._of(coords, dt))
     errors = [ade(traj, scenario.ground_truth) for traj in trajectories]
     modes = tuple(
         Mode(traj, math.exp(-e / spec.temperature))

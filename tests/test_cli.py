@@ -344,6 +344,24 @@ class TestIncompleteDumps:
         assert not out.exists()
 
 
+    @pytest.mark.parametrize("command, message", [
+        ("eval", "no samples to evaluate"),
+        ("overlap", "no samples to analyze"),
+    ])
+    def test_empty_dataset_refused(self, dataset, tmp_path, capsys, command, message):
+        manifest = json.loads((dataset / "manifest.json").read_text())
+        manifest["sample_count"] = 0
+        (tmp_path / "manifest.json").write_text(json.dumps(manifest))
+        (tmp_path / "empty.ndjson").write_text("")
+        out = tmp_path / "out"
+        assert main([command, "--manifest", str(tmp_path / "manifest.json"),
+                     "--predictions", str(tmp_path / "empty.ndjson"),
+                     "--ground-truth", str(tmp_path / "empty.ndjson"),
+                     "--out", str(out)]) == 1
+        assert stderr_payload(capsys) == {"error": "InvalidInput", "message": message}
+        assert not out.exists()
+
+
 _HUGE = 10 ** 400  # a JSON integer no float can hold
 _DEEP = b"[" * 200_000  # nested past the decoder's recursion limit
 
@@ -456,9 +474,16 @@ class TestBadFlagsRefusedFirst:
           "--primary-model", "nobody"), "--primary-model"),
         (("flags", "--confidence-floor", "nan"), "--confidence-floor"),
         (("synth", "--horizon", "1000000000000000000000000"), "--horizon"),
+        (("synth", "--samples", "0"), "--samples"),
+        (("synth", "--dt", "0"), "--dt"),
+        (("synth", "--mix", "1,1,1"), "--mix"),
+        (("synth", "--mix", "a,b,c"), "--mix"),
+        (("synth", "--seed", "-1"), "--seed"),
+        (("eval", "--k-list", ","), "--k-list"),
         *(((command, "--threads", "0"), "--threads") for command in _MISSING_INPUTS),
     ], ids=["synth-overlap-k-0", "synth-overlap-k-nan", "synth-tau", "fuse-tau", "eval-tau",
-            "eval-primary", "flags-floor-nan", "synth-horizon",
+            "eval-primary", "flags-floor-nan", "synth-horizon", "synth-samples", "synth-dt",
+            "synth-mix-sum", "synth-mix-text", "synth-seed", "eval-k-list-empty",
             *(f"{c}-threads" for c in _MISSING_INPUTS)])
     def test_refused(self, dataset, tmp_path, capsys, argv, named):
         # A --manifest in argv comes after the missing one, so it wins.
@@ -554,7 +579,8 @@ class TestConfigFile:
         ("synth", {"mix": 3}, "mix"),
         ("flags", {"format": "xml"}, "xml"),
         ("eval", {"strategy": "bogus"}, "bogus"),
-    ], ids=["k_list", "mix", "format", "strategy"])
+        ("eval", [], "must hold a JSON object"),
+    ], ids=["k_list", "mix", "format", "strategy", "not_an_object"])
     def test_config_values_checked_like_flags(self, dataset, tmp_path, capsys,
                                               command, config, named):
         path = tmp_path / "config.json"
@@ -571,6 +597,22 @@ class TestConfigFile:
         assert payload["error"] in ("InvalidInput", "UsageError")
         assert named in payload["message"]
         assert not os.path.exists(out)
+
+    # A config value gives the bytes its flag gives.  A config list for a
+    # multi-valued flag is spelled as that flag, so the explicit
+    # --predictions (later on the line) still wins over the missing file.
+    @pytest.mark.parametrize("config, flags", [
+        ({"sort_by_ade": True}, ["--sort-by-ade"]),
+        ({"predictions": ["{missing}"]}, []),
+    ], ids=["switch", "multi_valued"])
+    def test_config_gives_the_flag_bytes(self, dataset, tmp_path, config, flags):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(config).replace("{missing}", str(tmp_path / "missing")))
+        by_config = tmp_path / "config.csv"
+        by_flags = tmp_path / "flags.csv"
+        assert main(eval_argv(dataset, str(by_config), "--config", str(path))) == 0
+        assert main(eval_argv(dataset, str(by_flags), *flags)) == 0
+        assert by_config.read_bytes() == by_flags.read_bytes()
 
     def test_synth_samples_from_config(self, tmp_path):
         config = tmp_path / "config.json"
@@ -598,6 +640,15 @@ class TestOutputPaths:
         assert main(["flags", "--fused", str(dataset / "fused_weighted.ndjson"),
                      "--confidence-floor", "1.01"]) == 0
         assert (tmp_path / "flags.csv").exists()
+
+    def test_missing_out_directory_names_the_destination(self, dataset, tmp_path, capsys):
+        out = str(tmp_path / "absent" / "flags.csv")
+        assert main(["flags", "--fused", str(dataset / "fused_weighted.ndjson"),
+                     "--out", out]) == 2
+        payload = stderr_payload(capsys)
+        assert payload["error"] == "IOError"
+        assert out in payload["message"]
+        assert ".tmp" not in payload["message"]
 
     def test_stdout_reports_written_files(self, dataset, tmp_path, capsys):
         out = str(tmp_path / "flags.csv")

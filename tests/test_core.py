@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import FrozenInstanceError
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
@@ -65,6 +66,21 @@ class TestTrajectory:
         with pytest.raises(InvalidInput, match="finite"):
             traj((1e308, 0)).translated(1e308, 0)
 
+    # Every constructor refuses a coordinate that is not finite, with
+    # Waypoint's message.  A SimpleNamespace stands in for a point because
+    # Waypoint itself refuses NaN.
+    @pytest.mark.parametrize("build", [
+        lambda x: Trajectory([SimpleNamespace(x=x, y=0.0)]),
+        lambda x: Trajectory.from_xy([(x, 0.0)]),
+        lambda x: Trajectory._of(((x, 0.0),), 1.0),
+        lambda x: traj((0.0, 0.0)).translated(x, 0.0),
+    ], ids=["points", "from_xy", "_of", "translated"])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_refused_alike(self, build, bad):
+        with pytest.raises(InvalidInput) as caught:
+            build(bad)
+        assert str(caught.value) == f"waypoint coordinates must be finite, got ({bad}, 0.0)"
+
     def test_points_and_pairs_give_one_value(self):
         t = Trajectory((Waypoint(0.0, 1.0), Waypoint(2, 3)), dt=0.5)
         u = traj((0, 1), (2.0, 3.0), dt=0.5)
@@ -111,6 +127,10 @@ class TestSample:
     def test_duplicate_model_ids_rejected(self):
         with pytest.raises(InvalidInput):
             Sample("s", None, (self.out("a"), self.out("a")))
+
+    def test_empty_sample_id_rejected(self):
+        with pytest.raises(InvalidInput, match="sample_id must be nonempty"):
+            Sample("", None, ())
 
     def test_sample_id_mismatch_rejected(self):
         with pytest.raises(InvalidInput):

@@ -24,6 +24,7 @@ from trajfuse.fusion import (
     ensemble_confidence,
     ensemble_covariance,
     flag_low_confidence,
+    fuse_sample,
     fuse_simple,
     fuse_threshold,
     fuse_weighted,
@@ -271,6 +272,10 @@ class TestEnsembleCovariance:
         with pytest.raises(HorizonMismatch):
             ensemble_covariance([a], w, traj((0, 0)))
 
+    def test_no_members_rejected(self):
+        with pytest.raises(InvalidInput, match="at least one trajectory"):
+            ensemble_covariance([], Weights((("a", 1.0),)), traj((0, 0)))
+
 
 class TestEnsembleConfidence:
     def test_arithmetic(self):
@@ -348,6 +353,11 @@ class TestFuseWeighted:
     def test_empty_sample_rejected(self):
         with pytest.raises(InvalidInput):
             fuse_weighted(Sample("s0", None, ()))
+
+    def test_unknown_strategy_rejected(self):
+        sample = one_mode_sample(("a", traj((0, 0)), 1.0))
+        with pytest.raises(InvalidInput, match="unknown strategy 'median'"):
+            fuse_sample(sample, ("median",))
 
     @given(sample=fusion_samples())
     @settings(max_examples=150)
@@ -477,3 +487,11 @@ class TestFlagLowConfidence:
         assert not flag_low_confidence(fused, 0.8)
         assert flag_low_confidence(fused, 0.8000001)
         assert not flag_low_confidence(fused, 0.0)
+
+    @pytest.mark.parametrize("floor", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_floor_rejected(self, floor):
+        # A NaN floor compares false against every confidence, so it would
+        # flag nothing instead of failing.
+        sample = one_mode_sample(("a", traj((1, 0), (0, 1)), 1.0), ("b", traj((-1, 0), (0, -1)), 1.0))
+        with pytest.raises(InvalidInput, match="confidence floor must be finite"):
+            flag_low_confidence(fuse_weighted(sample), floor)

@@ -16,9 +16,11 @@ from trajfuse.metrics import (
     DEFAULT_OVERLAP_K,
     METRICS,
     ErrorLedger,
+    TopKResult,
     build_ledger,
     cross_evaluate,
     ensemble_method_id,
+    fuse_and_score,
     overlap_report,
     summary_table,
     top_k_error,
@@ -130,6 +132,8 @@ class TestBuildLedger:
         unlabeled = Sample("s0", None, ())
         with pytest.raises(InvalidInput):
             build_ledger([unlabeled], {"a": {}})
+        with pytest.raises(InvalidInput, match="no ground truth"):
+            fuse_and_score([unlabeled])
 
 
 class TestTopKError:
@@ -164,6 +168,14 @@ class TestTopKError:
         top = top_k_error(ledger, "m", "ade", 1)
         assert top.member_count == 1
         assert top.sample_ids == frozenset({"s2"})
+
+    @pytest.mark.parametrize("member_count, sample_ids, message", [
+        (0, frozenset(), "member_count must be >= 1"),
+        (2, frozenset({"s0"}), "1 sample_ids for member_count 2"),
+    ], ids=["no_members", "count_disagrees"])
+    def test_result_must_be_consistent(self, member_count, sample_ids, message):
+        with pytest.raises(InvalidInput, match=message):
+            TopKResult("m", "ade", 10.0, member_count, 1.0, sample_ids)
 
     def test_ties_break_by_sample_id(self):
         ledger = ledger_from("m", {f"s{i}": (5.0, 5.0) for i in range(4)})

@@ -21,6 +21,7 @@ when --out is not given.
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import math
 import os
@@ -108,6 +109,10 @@ _BOUNDS = {
     "confidence_floor": (math.isfinite, "finite"),
 }
 
+# The input flags a command cannot run without.  They are declared optional
+# and checked in _resolve, after --config has had its chance to set them.
+_REQUIRED_INPUTS = ("manifest", "predictions", "ground_truth", "fused")
+
 # The synth flags and the ScenarioConfig field each one sets.  The field
 # checks its own bounds, and pinned_config() gives the flag's default.
 _SCENARIO_FIELDS = {"samples": "sample_count", "horizon": "horizon", "dt": "dt", "mix": "mix",
@@ -121,6 +126,10 @@ def _resolve(args: argparse.Namespace) -> None:
     ``args.strategies`` on the commands that fuse, ``args.scenario`` (the
     ``ScenarioConfig``) on synth, and ``args.out``.
     """
+    missing = [f"--{dest.replace('_', '-')}" for dest in _REQUIRED_INPUTS
+               if getattr(args, dest, "") is None]
+    if missing:
+        raise _UsageError(f"the following arguments are required: {', '.join(missing)}")
     for dest, (ok, rule) in _BOUNDS.items():
         value = getattr(args, dest, None)
         if value is not None and not ok(value):
@@ -192,7 +201,8 @@ def cmd_eval(args: argparse.Namespace) -> int:
     samples = load_samples(manifest, args.predictions, args.ground_truth)
     if not samples:
         raise InvalidInput("no samples to evaluate")
-    ledger, _ = fuse_and_score(samples, args.strategies, args.primary_model, args.tau)
+    ledger, _ = fuse_and_score(samples, args.strategies, args.primary_model, args.tau,
+                               keep_fused=False)
     _write_summary(args, ledger, args.out)
     _note(args.out)
     return 0
@@ -297,11 +307,10 @@ def _add_common(parser: argparse.ArgumentParser, out_help: str, default_out: str
 
 
 def _add_dataset_inputs(parser: argparse.ArgumentParser, *, ground_truth: bool) -> None:
-    parser.add_argument("--manifest", required=True, help="dataset manifest JSON")
-    parser.add_argument("--predictions", required=True, nargs="+",
-                        help="prediction dump(s), NDJSON")
+    parser.add_argument("--manifest", help="dataset manifest JSON (required)")
+    parser.add_argument("--predictions", nargs="+", help="prediction dump(s), NDJSON (required)")
     if ground_truth:
-        parser.add_argument("--ground-truth", required=True, help="ground-truth NDJSON")
+        parser.add_argument("--ground-truth", help="ground-truth NDJSON (required)")
 
 
 def _add_strategy(parser: argparse.ArgumentParser, *, allow_all: bool) -> None:
@@ -352,7 +361,7 @@ def build_parser() -> tuple[_Parser, dict[str, dict[str, argparse.Action]]]:
     _add_common(p, "output directory", "synth_out", "--k-list", "--overlap-k", "--format")
 
     p = sub.add_parser("flags", help="list samples whose fused confidence is below a floor")
-    p.add_argument("--fused", required=True, help="fused NDJSON from the fuse command")
+    p.add_argument("--fused", help="fused NDJSON from the fuse command (required)")
     p.add_argument("--confidence-floor", type=float, default=0.5)
     _add_common(p, "report path", "flags.<format>", "--format")
 
@@ -411,6 +420,20 @@ def _config_argv(config_path: str, actions: dict[str, argparse.Action]) -> list[
 
 
 def main(argv: Sequence[str] | None = None) -> int:
+    # A command builds only acyclic data (value objects, tuples, dicts), so
+    # cyclic GC would reclaim nothing it could not free by refcount alone;
+    # yet loading a dump triggers a hundred or more collections, each
+    # re-walking everything loaded so far.  Turn it off for the command.
+    gc_was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        return _run(argv)
+    finally:
+        if gc_was_enabled:
+            gc.enable()
+
+
+def _run(argv: Sequence[str] | None) -> int:
     if argv is None:
         argv = sys.argv[1:]
     parser, config_actions = build_parser()

@@ -211,16 +211,17 @@ def _check_horizons(pred: Trajectory, gt: Trajectory) -> None:
 
 
 def ade(pred: Trajectory, gt: Trajectory) -> float:
-    """Average Euclidean distance between corresponding waypoints, in meters."""
+    """Average Euclidean distance between corresponding waypoints, in meters.
+
+    ``math.dist(p, q)`` norms the same differences ``math.hypot(px - qx,
+    py - qy)`` does, through the same C routine, so the value is the
+    loop's bit for bit.
+    """
     _check_horizons(pred, gt)
-    total = math.fsum(
-        math.hypot(px - gx, py - gy) for (px, py), (gx, gy) in zip(pred.coords, gt.coords)
-    )
-    return total / pred.horizon
+    return math.fsum(map(math.dist, pred.coords, gt.coords)) / pred.horizon
 
 
 def fde(pred: Trajectory, gt: Trajectory) -> float:
     """Euclidean distance at the final waypoint, in meters."""
     _check_horizons(pred, gt)
-    (px, py), (gx, gy) = pred.coords[-1], gt.coords[-1]
-    return math.hypot(px - gx, py - gy)
+    return math.dist(pred.coords[-1], gt.coords[-1])

@@ -8,8 +8,9 @@ strategy is the same pipeline with uniform weights; the threshold
 strategy passes a trusted primary model through verbatim when its own
 confidence clears a bar and defers to the weighted strategy otherwise.
 
-Everything here is pure and stateless.  ``fuse_sample`` is the one
-strategy dispatch.
+Everything here is pure and stateless.  ``decide`` is the one strategy
+dispatch; it stops short of the covariance, which ``Decision.records``
+measures for the callers that keep fused records.
 """
 
 from __future__ import annotations
@@ -43,6 +44,8 @@ __all__ = [
     "fuse_weighted",
     "fuse_simple",
     "fuse_threshold",
+    "Decision",
+    "decide",
     "fuse_sample",
     "flag_low_confidence",
 ]
@@ -299,38 +302,67 @@ def ensemble_confidence(cov: CovarianceSummary) -> float:
     return 1.0 / (1.0 + cov.det)
 
 
-def _fuse(sample_id: str, weights: Weights, strategy: str,
-          members: Sequence[MostLikely], notes: tuple[str, ...] = ()) -> FusedPrediction:
-    # Sum over members in model_id order so the result cannot depend on the
-    # order the members arrive in; the reported weights keep that order.
-    order = sorted(range(len(members)), key=lambda i: members[i].model_id)
-    canonical = Weights(tuple(weights.entries[i] for i in order))
-    trajectories = [members[i].trajectory for i in order]
-    fused = weighted_average(trajectories, canonical)
-    cov = ensemble_covariance(trajectories, canonical, fused)
-    return FusedPrediction(
-        sample_id=sample_id,
-        trajectory=fused,
-        weights=weights,
-        covariance=cov,
-        confidence=ensemble_confidence(cov),
-        strategy=strategy,
-        notes=notes,
-    )
+@dataclass(frozen=True, slots=True)
+class _Blend:
+    """One weighted average of the members, before its spread is measured."""
+
+    weights: Weights  # in sample order, as reported
+    canonical: Weights  # in model_id order, as summed
+    trajectory: Trajectory
+    notes: tuple[str, ...] = ()
 
 
-def fuse_sample(
+@dataclass(frozen=True, slots=True)
+class Decision:
+    """One sample's fusion decided, with the spread not yet measured.
+
+    ``members`` follow sample order; ``trajectories`` holds each requested
+    strategy's fused trajectory, in the order requested.  ``records()``
+    measures the spread and builds the ``FusedPrediction`` per strategy;
+    scoring needs only the trajectories.
+    """
+
+    sample_id: str
+    members: list[MostLikely]
+    trajectories: dict[str, Trajectory]
+    passed_through: bool  # the threshold strategy took the primary's trajectory
+    _ordered: list[Trajectory]  # member trajectories in model_id order
+    _blends: dict[str, _Blend]
+
+    def records(self) -> dict[str, FusedPrediction]:
+        built = {}
+        for strategy, blend in self._blends.items():
+            cov = ensemble_covariance(self._ordered, blend.canonical, blend.trajectory)
+            built[strategy] = FusedPrediction(
+                sample_id=self.sample_id,
+                trajectory=blend.trajectory,
+                weights=blend.weights,
+                covariance=cov,
+                confidence=ensemble_confidence(cov),
+                strategy=strategy,
+                notes=blend.notes,
+            )
+        if "threshold" in self.trajectories:
+            built["threshold"] = built["weighted"]
+            if self.passed_through:
+                built["threshold"] = replace(built["weighted"],
+                                             trajectory=self.trajectories["threshold"],
+                                             strategy="threshold")
+        return {strategy: built[strategy] for strategy in self.trajectories}
+
+
+def decide(
     sample: Sample,
     strategies: Sequence[str],
     primary_model_id: str | None = None,
     tau: float = DEFAULT_TAU,
-) -> tuple[list[MostLikely], dict[str, FusedPrediction]]:
-    """Fuse one sample under each requested strategy.
+) -> Decision:
+    """Apply the strategy rules to one sample, short of measuring the spread.
 
     Each member's most-likely mode is selected once and the weighted
-    fusion runs at most once; "threshold" starts from that result.
-    Returns the members in sample order and the fused prediction per
-    strategy, in the order requested.
+    average runs at most once; "threshold" starts from that result.
+    Members are summed in model_id order, so the result cannot depend on
+    the order they arrive in; the reported weights keep sample order.
     """
     for strategy in strategies:
         if strategy not in STRATEGIES:
@@ -341,7 +373,14 @@ def fuse_sample(
         raise InvalidInput(f"sample '{sample.sample_id}' has no model outputs to fuse")
     members = [select_most_likely(out) for out in sample.outputs]
     model_ids = tuple(m.model_id for m in members)
-    fused: dict[str, FusedPrediction] = {}
+    order = sorted(range(len(members)), key=lambda i: model_ids[i])
+    ordered = [members[i].trajectory for i in order]
+
+    def blend(weights: Weights, notes: tuple[str, ...] = ()) -> _Blend:
+        canonical = Weights(tuple(weights.entries[i] for i in order))
+        return _Blend(weights, canonical, weighted_average(ordered, canonical), notes)
+
+    blends: dict[str, _Blend] = {}
     if "weighted" in strategies or "threshold" in strategies:
         notes: tuple[str, ...] = ()
         try:
@@ -351,24 +390,42 @@ def fuse_sample(
                 f"sample '{sample.sample_id}': all member confidences are zero; "
                 "using uniform weights",
                 ZeroConfidenceWarning,
-                stacklevel=3,
+                stacklevel=4,
             )
             weights = uniform_weights(model_ids)
             notes = ("all member confidences were zero; fell back to uniform weights",)
-        fused["weighted"] = _fuse(sample.sample_id, weights, "weighted", members, notes)
+        blends["weighted"] = blend(weights, notes)
     if "simple" in strategies:
-        fused["simple"] = _fuse(sample.sample_id, uniform_weights(model_ids), "simple", members)
+        blends["simple"] = blend(uniform_weights(model_ids))
+    trajectories = {name: b.trajectory for name, b in blends.items()}
+    passed_through = False
     if "threshold" in strategies:
         primary = next((m for m in members if m.model_id == primary_model_id), None)
         if primary is None:
             raise InvalidInput(
                 f"sample '{sample.sample_id}' has no output for model '{primary_model_id}'"
             )
-        fused["threshold"] = fused["weighted"]
-        if primary.confidence >= tau:
-            fused["threshold"] = replace(fused["weighted"], trajectory=primary.trajectory,
-                                         strategy="threshold")
-    return members, {strategy: fused[strategy] for strategy in strategies}
+        passed_through = primary.confidence >= tau
+        trajectories["threshold"] = (primary.trajectory if passed_through
+                                     else trajectories["weighted"])
+    return Decision(sample.sample_id, members,
+                    {strategy: trajectories[strategy] for strategy in strategies},
+                    passed_through, ordered, blends)
+
+
+def fuse_sample(
+    sample: Sample,
+    strategies: Sequence[str],
+    primary_model_id: str | None = None,
+    tau: float = DEFAULT_TAU,
+) -> tuple[list[MostLikely], dict[str, FusedPrediction]]:
+    """Fuse one sample under each requested strategy.
+
+    Returns the members in sample order and the fused prediction per
+    strategy, in the order requested: ``decide`` plus its records.
+    """
+    decision = decide(sample, strategies, primary_model_id, tau)
+    return decision.members, decision.records()
 
 
 def fuse_weighted(sample: Sample) -> FusedPrediction:

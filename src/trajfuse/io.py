@@ -8,10 +8,13 @@ reader (``_records``) decodes every NDJSON line as UTF-8 JSON and checks
 its exact field set, its key strings and duplicate keys, and one check
 (``_number``) admits every number read from a file, refusing booleans,
 integers beyond float range and non-finite values; shapes are checked
-before any element is read.  Any malformed input, non-UTF-8 bytes and
-over-deep nesting included, is a ParseError (or a HorizonMismatch) with
-file and line context, never another exception.  ``load_samples`` holds
-the whole-dataset rules: a dataset that is not whole is refused.
+before any element is read.  Coordinates that decode as floats skip
+``_number``: the ``Trajectory`` they build refuses a non-finite one, and
+the loader reports that as a ParseError for the record's ``points``.
+Any malformed input, non-UTF-8 bytes and over-deep nesting included, is
+a ParseError (or a HorizonMismatch) with file and line context, never
+another exception.  ``load_samples`` holds the whole-dataset rules: a
+dataset that is not whole is refused.
 
 One writer (``_write_records``) sorts records (sample_id, then model_id)
 and emits full-precision floats, so identical inputs produce
@@ -153,17 +156,21 @@ def _number(v: object, path: str, line: int | None, field: str, what: str = "a n
 
 
 def _points(v: object, path: str, line: int) -> tuple[tuple[float, float], ...]:
-    """A record's ``points`` as a tuple of finite ``(x, y)`` float pairs."""
+    """A record's ``points`` as a tuple of ``(x, y)`` float pairs.
+
+    Only the fallback for other number types runs ``_number``; a float
+    pair may still hold an infinity, which ``Trajectory`` refuses.
+    """
     if not isinstance(v, list) or not v:
         raise ParseError("expected a nonempty list of [x, y] pairs", path=path, line=line,
                          field="points")
-    # Fast path, in C loops: every pair two finite floats.  A dict or string
-    # "pair" becomes a tuple of strings here and so falls through as well.
+    # Fast path, in C loops: every pair two floats.  Finiteness is the
+    # Trajectory constructor's check, made once by the caller.  A dict or
+    # string "pair" becomes a tuple of strings here and so falls through.
     with suppress(TypeError):  # a pair that is a number, a bool or null
         coords = tuple(map(tuple, v))
         if set(map(len, coords)) == {2}:
-            flat = tuple(chain.from_iterable(coords))
-            if set(map(type, flat)) == {float} and all(map(math.isfinite, flat)):
+            if set(map(type, chain.from_iterable(coords))) == {float}:
                 return coords
     points = []
     for pair in v:
@@ -184,7 +191,10 @@ def _trajectory(v: object, manifest: DatasetManifest, what: str, path: str,
             f"{path}:{line}: {what} has {len(points)} points, manifest horizon is "
             f"{manifest.horizon}"
         )
-    return Trajectory._of(points, manifest.dt)
+    try:
+        return Trajectory._of(points, manifest.dt)
+    except InvalidInput as e:
+        raise ParseError(str(e), path=path, line=line, field="points") from None
 
 
 def _describe(key: tuple[str, ...]) -> str:
@@ -215,6 +225,11 @@ def _records(path: str, fields: tuple[str, ...], what: str,
             yield line, obj, key
 
 
+# json.dumps(payload, sort_keys=True) without a new encoder per record.  The
+# writers' payloads are fresh trees, so the cycle check has nothing to find.
+_ENCODER = json.JSONEncoder(sort_keys=True, check_circular=False)
+
+
 def _write_records(path: str, keyed_payloads: Iterable[tuple[tuple[str, ...], dict]],
                    what: str) -> None:
     """The one NDJSON writer: one JSON object per line, sorted by key.
@@ -225,7 +240,7 @@ def _write_records(path: str, keyed_payloads: Iterable[tuple[tuple[str, ...], di
     for key, payload in keyed_payloads:
         if key in lines:
             raise InvalidInput(f"duplicate {what} for {_describe(key)}")
-        lines[key] = json.dumps(payload, sort_keys=True)
+        lines[key] = _ENCODER.encode(payload)
     with _replacing(path, newline="\n") as f:
         for key in sorted(lines):
             f.write(lines[key])

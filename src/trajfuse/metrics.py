@@ -16,7 +16,7 @@ from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from .core import Sample, Trajectory, ade, fde
 from .errors import InvalidInput
-from .fusion import DEFAULT_TAU, FusedPrediction, fuse_sample
+from .fusion import DEFAULT_TAU, FusedPrediction, decide
 
 __all__ = [
     "METRICS",
@@ -225,31 +225,40 @@ def fuse_and_score(
     primary_model_id: str | None = None,
     tau: float = DEFAULT_TAU,
     sample_hook: Callable[[Sample, dict[str, FusedPrediction]], None] | None = None,
+    keep_fused: bool = True,
 ) -> tuple[ErrorLedger, dict[str, list[FusedPrediction]]]:
     """Fuse every sample under each strategy and score members and ensembles.
 
     The ledger gets one row per (member, sample) for the member's
     most-likely mode and one ``ensemble_<strategy>`` row per (strategy,
-    sample); the fused predictions come back per strategy in sample
-    order.  Samples are consumed one at a time, and ``sample_hook`` sees
-    each sample with its fused predictions right after it is scored.
+    sample), scored from the decided trajectory.  Samples are consumed
+    one at a time, and ``sample_hook`` sees each sample with its fused
+    predictions right after it is scored.  The fused predictions come
+    back per strategy in sample order; with ``keep_fused=False`` that
+    mapping is empty, and the fused records (each with its covariance)
+    are built only when ``sample_hook`` needs them.
     """
     ledger = ErrorLedger()
-    fused: dict[str, list[FusedPrediction]] = {strategy: [] for strategy in strategies}
+    fused: dict[str, list[FusedPrediction]] = (
+        {strategy: [] for strategy in strategies} if keep_fused else {})
     for sample in samples:
         gt = sample.ground_truth
         if gt is None:
             raise InvalidInput(f"sample '{sample.sample_id}' has no ground truth to score against")
-        members, by_strategy = fuse_sample(sample, strategies, primary_model_id, tau)
-        for member in members:
+        decision = decide(sample, strategies, primary_model_id, tau)
+        for member in decision.members:
             ledger.add(member.model_id, sample.sample_id,
                        ade(member.trajectory, gt), fde(member.trajectory, gt))
-        for strategy, pred in by_strategy.items():
+        for strategy, trajectory in decision.trajectories.items():
             ledger.add(ensemble_method_id(strategy), sample.sample_id,
-                       ade(pred.trajectory, gt), fde(pred.trajectory, gt))
-            fused[strategy].append(pred)
-        if sample_hook is not None:
-            sample_hook(sample, by_strategy)
+                       ade(trajectory, gt), fde(trajectory, gt))
+        if keep_fused or sample_hook is not None:
+            by_strategy = decision.records()
+            if keep_fused:
+                for strategy, pred in by_strategy.items():
+                    fused[strategy].append(pred)
+            if sample_hook is not None:
+                sample_hook(sample, by_strategy)
     return ledger, fused
 
 
@@ -267,6 +276,21 @@ def _check_k(k_percent: float) -> None:
         raise InvalidInput(f"k_percent must be in (0, 100], got {k_percent}")
 
 
+def _ranked(ledger: ErrorLedger, method_id: str, metric: str) -> list[tuple[str, float]]:
+    """One method's (sample_id, error) pairs, hardest first, ties by sample_id."""
+    pairs = ledger.errors(method_id, metric)
+    pairs.sort(key=lambda item: (-item[1], item[0]))
+    return pairs
+
+
+def _top_k(ranked: list[tuple[str, float]], k_percent: float) -> list[tuple[str, float]]:
+    return ranked[:_top_k_count(len(ranked), k_percent)]
+
+
+def _mean(pairs: list[tuple[str, float]]) -> float:
+    return math.fsum(e for _, e in pairs) / len(pairs)
+
+
 def top_k_error(ledger: ErrorLedger, method_id: str, metric: str, k_percent: float) -> TopKResult:
     """Mean error over the hardest ceil(K% x N) samples of one method.
 
@@ -275,16 +299,13 @@ def top_k_error(ledger: ErrorLedger, method_id: str, metric: str, k_percent: flo
     is deterministic across runs and platforms.
     """
     _check_k(k_percent)
-    pairs = ledger.errors(method_id, metric)
-    pairs.sort(key=lambda item: (-item[1], item[0]))
-    count = _top_k_count(len(pairs), k_percent)
-    members = pairs[:count]
+    members = _top_k(_ranked(ledger, method_id, metric), k_percent)
     return TopKResult(
         method_id=method_id,
         metric=metric,
         k_percent=float(k_percent),
-        member_count=count,
-        mean_error=math.fsum(e for _, e in members) / count,
+        member_count=len(members),
+        mean_error=_mean(members),
         sample_ids=frozenset(sid for sid, _ in members),
     )
 
@@ -359,11 +380,6 @@ def cross_evaluate(
     return (math.fsum(ades) / len(ades), math.fsum(fdes) / len(fdes))
 
 
-def _overall(ledger: ErrorLedger, method_id: str, metric: str) -> float:
-    pairs = ledger.errors(method_id, metric)
-    return math.fsum(e for _, e in pairs) / len(pairs)
-
-
 def _k_label(k_percent: float) -> str:
     return str(int(k_percent)) if float(k_percent).is_integer() else str(k_percent)
 
@@ -386,17 +402,20 @@ def summary_table(
         _check_k(k)
     rows: list[dict[str, object]] = []
     for method_id in ledger.method_ids():
+        # Each metric is ranked once and every K cut from that ranking.
+        by_ade = _ranked(ledger, method_id, "ade")
+        by_fde = None if sort_by_ade else _ranked(ledger, method_id, "fde")
         row: dict[str, object] = {"method": method_id}
         for k in k_list:
             label = _k_label(k)
-            by_ade = top_k_error(ledger, method_id, "ade", k)
-            row[f"top{label}_ade"] = by_ade.mean_error
-            if sort_by_ade:
-                fdes = [ledger.row(method_id, sid)[1] for sid in by_ade.sample_ids]
-                row[f"top{label}_fde"] = math.fsum(fdes) / len(fdes)
+            hardest = _top_k(by_ade, k)
+            row[f"top{label}_ade"] = _mean(hardest)
+            if by_fde is None:
+                row[f"top{label}_fde"] = (math.fsum(ledger.row(method_id, sid)[1]
+                                                    for sid, _ in hardest) / len(hardest))
             else:
-                row[f"top{label}_fde"] = top_k_error(ledger, method_id, "fde", k).mean_error
-        row["overall_ade"] = _overall(ledger, method_id, "ade")
-        row["overall_fde"] = _overall(ledger, method_id, "fde")
+                row[f"top{label}_fde"] = _mean(_top_k(by_fde, k))
+        row["overall_ade"] = _mean(by_ade)
+        row["overall_fde"] = _mean(ledger.errors(method_id, "fde"))
         rows.append(row)
     return rows

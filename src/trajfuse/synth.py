@@ -304,15 +304,17 @@ def run_predictor(spec: PredictorSpec, scenario: Scenario,
     horizon = scenario.ground_truth.horizon
     dt = scenario.ground_truth.dt
     bx, by = spec.bias
+    steps = _ladder(spec.mode_count)
+    # One (K, H, 2) draw yields the same numbers as K draws of (H, 2).
+    if spec.noise_sigma > 0:
+        noise = rng.normal(0.0, spec.noise_sigma, size=(len(steps), horizon, 2)).tolist()
+    else:
+        noise = [[(0.0, 0.0)] * horizon] * len(steps)
     trajectories = []
-    for step in _ladder(spec.mode_count):
+    for step, mode_noise in zip(steps, noise):
         hyp = _hypothesis(spec, scenario.state, scenario.ground_truth, step, horizon, dt)
-        if spec.noise_sigma > 0:
-            noise = rng.normal(0.0, spec.noise_sigma, size=(horizon, 2)).tolist()
-        else:
-            noise = [(0.0, 0.0)] * horizon
         coords = tuple((x + bx + nx, y + by + ny)
-                       for (x, y), (nx, ny) in zip(hyp.coords, noise))
+                       for (x, y), (nx, ny) in zip(hyp.coords, mode_noise))
         trajectories.append(Trajectory._of(coords, dt))
     errors = [ade(traj, scenario.ground_truth) for traj in trajectories]
     modes = tuple(
@@ -405,7 +407,7 @@ def synth_experiment(
         sample_hook(scenarios.pop(sample.sample_id), sample, fused)
 
     ledger, _ = fuse_and_score(samples(), strategies, primary_model, tau,
-                               None if sample_hook is None else hook)
+                               None if sample_hook is None else hook, keep_fused=False)
     return ExperimentResult(
         config=config,
         predictor_names=tuple(names),

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import csv
+import gc
 import json
 import math
 import os
@@ -13,7 +14,9 @@ from pathlib import Path
 import pytest
 
 import trajfuse
+from trajfuse import cli, fusion
 from trajfuse.cli import OUT_DIR_ENV, main
+from trajfuse.errors import NumericalError
 from trajfuse.io import load_fused, load_manifest
 
 
@@ -238,7 +241,7 @@ class TestEval:
     def test_json_format(self, dataset, tmp_path):
         out = tmp_path / "summary.json"
         assert main(eval_argv(dataset, str(out), "--format", "json")) == 0
-        rows = json.load(open(out, encoding="utf-8"))
+        rows = json.loads(Path(out).read_text(encoding="utf-8"))
         assert all(isinstance(r["overall_ade"], float) for r in rows)
 
     def test_sort_by_ade_runs(self, dataset, tmp_path):
@@ -298,7 +301,7 @@ class TestOverlap:
     def test_json_format(self, dataset, tmp_path):
         out = tmp_path / "overlap.json"
         assert main(self.argv(dataset, str(out), "--format", "json")) == 0
-        payload = json.load(open(out, encoding="utf-8"))
+        payload = json.loads(Path(out).read_text(encoding="utf-8"))
         assert set(payload["sizes"]) == {"const_velocity", "const_turn_rate", "noisy_oracle"}
 
     def test_overlap_k_bounds(self, dataset, tmp_path, capsys):
@@ -309,7 +312,7 @@ class TestOverlap:
         assert stderr_payload(capsys)["error"] == "InvalidInput"
 
     def test_single_model_manifest_rejected(self, dataset, tmp_path, capsys):
-        manifest = json.load(open(dataset / "manifest.json", encoding="utf-8"))
+        manifest = json.loads((dataset / "manifest.json").read_text(encoding="utf-8"))
         manifest["model_ids"] = ["const_velocity"]
         lone = tmp_path / "manifest.json"
         lone.write_text(json.dumps(manifest))
@@ -366,6 +369,13 @@ _HUGE = 10 ** 400  # a JSON integer no float can hold
 _DEEP = b"[" * 200_000  # nested past the decoder's recursion limit
 
 
+def _overflowing(*keys):
+    """Damage: spell one number of a file's first record as 1e999 (infinity once decoded)."""
+    def damage(data: bytes) -> bytes:
+        return _first_record((keys, math.inf))(data).replace(b"Infinity", b"1e999", 1)
+    return damage
+
+
 def _first_record(*edits):
     """Damage: set each (key path, value) of ``edits`` in a file's first record."""
     def damage(data: bytes) -> bytes:
@@ -386,10 +396,11 @@ class TestMalformedFilesRefused:
     @pytest.mark.parametrize("target, damage, error", [
         ("predictions", _first_record((("modes", 0, "points", 0, 0), _HUGE)), "ParseError"),
         ("predictions", _first_record((("modes", 0, "points", 0, 0), True)), "ParseError"),
-        ("predictions", lambda data: _first_record((("modes", 0, "points", 0, 0), math.inf))(
-            data).replace(b"Infinity", b"1e999", 1), "ParseError"),
+        ("predictions", _overflowing("modes", 0, "points", 0, 0), "ParseError"),
         ("predictions", _first_record((("modes", 0, "confidence"), _HUGE)), "ParseError"),
         ("fused", _first_record((("weights", 0, 1), _HUGE)), "ParseError"),
+        ("ground_truth", _overflowing("points", 0, 0), "ParseError"),
+        ("fused", _overflowing("points", 0, 1), "ParseError"),
         ("manifest", lambda data: data.replace(b'"dt": 0.5', b'"dt": %d' % _HUGE),
          "ParseError"),
         ("predictions", lambda data: data.replace(b'"s0', b'"\xffs0', 1), "ParseError"),
@@ -409,14 +420,16 @@ class TestMalformedFilesRefused:
                                 (("determinant",), 0.5), (("confidence",), 0.5)), "ParseError"),
     ], ids=[
         "coordinate_1e400", "coordinate_true", "coordinate_1e999", "confidence_1e400",
-        "weight_1e400", "manifest_dt_1e400",
+        "weight_1e400", "ground_truth_coordinate_1e999", "fused_coordinate_1e999",
+        "manifest_dt_1e400",
         "prediction_0xff", "fused_0xff", "prediction_deep", "manifest_deep", "config_deep",
         "covariance_text_entry", "covariance_text_off_diagonal", "covariance_flat",
         "covariance_null", "covariance_bool", "covariance_determinant_overflow",
     ])
     def test_refused(self, dataset, tmp_path, capsys, target, damage, error):
         sources = {"predictions": "predictions.ndjson", "manifest": "manifest.json",
-                   "fused": "fused_weighted.ndjson", "config": None}
+                   "ground_truth": "ground_truth.ndjson", "fused": "fused_weighted.ndjson",
+                   "config": None}
         paths = {name: str(dataset / source) for name, source in sources.items() if source}
         paths[target] = str(tmp_path / f"damaged_{target}")
         original = (dataset / sources[target]).read_bytes() if sources[target] else b""
@@ -426,6 +439,10 @@ class TestMalformedFilesRefused:
             argv = ["flags", "--fused", paths["fused"], "--out", str(out)]
         elif target == "config":
             argv = eval_argv(dataset, str(out), "--config", paths["config"])
+        elif target == "ground_truth":
+            argv = ["eval", "--manifest", paths["manifest"], "--predictions",
+                    paths["predictions"], "--ground-truth", paths["ground_truth"],
+                    "--out", str(out)]
         else:
             argv = ["fuse", "--manifest", paths["manifest"],
                     "--predictions", paths["predictions"], "--out", str(out)]
@@ -434,6 +451,24 @@ class TestMalformedFilesRefused:
         assert "Traceback" not in err
         assert json.loads(err)["error"] == error
         assert not out.exists()
+
+    @pytest.mark.parametrize("target, keys", [
+        ("predictions", ("modes", 0, "points", 0, 1)),
+        ("ground_truth", ("points", 0, 1)),
+    ])
+    def test_infinite_coordinate_names_file_line_and_field(self, dataset, tmp_path, capsys,
+                                                           target, keys):
+        paths = {name: str(dataset / f"{name}.ndjson") for name in ("predictions", "ground_truth")}
+        paths[target] = str(tmp_path / "damaged.ndjson")
+        Path(paths[target]).write_bytes(
+            _overflowing(*keys)((dataset / f"{target}.ndjson").read_bytes()))
+        assert main(["eval", "--manifest", str(dataset / "manifest.json"),
+                     "--predictions", paths["predictions"], "--ground-truth",
+                     paths["ground_truth"], "--out", str(tmp_path / "out")]) == 1
+        payload = stderr_payload(capsys)
+        assert payload["error"] == "ParseError"
+        assert payload["message"].startswith(f"{paths[target]}: line 1: field 'points': ")
+        assert "finite" in payload["message"]
 
     @pytest.mark.parametrize("pair, floats", [([0, 1], [0.0, 1.0]), ([2, 1.5], [2.0, 1.5])],
                              ids=["ints", "mixed"])
@@ -503,7 +538,7 @@ class TestFlags:
         assert main(["flags", "--fused", str(dataset / "fused_weighted.ndjson"),
                      "--confidence-floor", "1.01", "--format", "json",
                      "--out", str(out)]) == 0
-        payload = json.load(open(out, encoding="utf-8"))
+        payload = json.loads(Path(out).read_text(encoding="utf-8"))
         assert payload["count"] == 30
 
     def test_floor_zero_flags_nothing(self, dataset, tmp_path):
@@ -523,7 +558,7 @@ class TestFlags:
         out = tmp_path / "flags.json"
         assert main(["flags", "--fused", fused_path, "--confidence-floor", "0.9",
                      "--format", "json", "--out", str(out)]) == 0
-        payload = json.load(open(out, encoding="utf-8"))
+        payload = json.loads(Path(out).read_text(encoding="utf-8"))
         assert [(f["sample_id"], f["confidence"]) for f in payload["flagged"]] == expected
 
     def test_csv_confidences_roundtrip(self, dataset, tmp_path):
@@ -558,7 +593,7 @@ class TestConfigFile:
         config.write_text(json.dumps({"format": "json"}))
         out = tmp_path / "summary.json"
         assert main(eval_argv(dataset, str(out), "--config", str(config))) == 0
-        assert isinstance(json.load(open(out, encoding="utf-8")), list)
+        assert isinstance(json.loads(Path(out).read_text(encoding="utf-8")), list)
 
     def test_unknown_config_key_rejected(self, dataset, tmp_path, capsys):
         config = tmp_path / "config.json"
@@ -613,6 +648,45 @@ class TestConfigFile:
         assert main(eval_argv(dataset, str(by_config), "--config", str(path))) == 0
         assert main(eval_argv(dataset, str(by_flags), *flags)) == 0
         assert by_config.read_bytes() == by_flags.read_bytes()
+
+    @pytest.mark.parametrize("command, inputs", [
+        ("fuse", ("manifest", "predictions")),
+        ("eval", ("manifest", "predictions", "ground_truth")),
+        ("overlap", ("manifest", "predictions", "ground_truth")),
+        ("flags", ("fused",)),
+    ])
+    def test_config_supplies_the_required_inputs(self, dataset, tmp_path, command, inputs):
+        files = {"manifest": "manifest.json", "predictions": "predictions.ndjson",
+                 "ground_truth": "ground_truth.ndjson", "fused": "fused_weighted.ndjson"}
+        config = {name: str(dataset / files[name]) for name in inputs}
+        flags = [arg for name in inputs
+                 for arg in (f"--{name.replace('_', '-')}", config[name])]
+        if "predictions" in config:
+            config["predictions"] = [config["predictions"]]
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(config))
+        by_config = tmp_path / "by_config"
+        by_flags = tmp_path / "by_flags"
+        assert main([command, "--config", str(path), "--out", str(by_config)]) == 0
+        assert main([command, *flags, "--out", str(by_flags)]) == 0
+        assert by_config.read_bytes() == by_flags.read_bytes()
+
+    @pytest.mark.parametrize("command, config, missing", [
+        ("fuse", {}, "--manifest, --predictions"),
+        ("fuse", {"manifest": "m.json"}, "--predictions"),
+        ("eval", {"predictions": ["p.ndjson"]}, "--manifest, --ground-truth"),
+        ("flags", {"format": "json"}, "--fused"),
+    ])
+    def test_inputs_in_neither_are_named(self, tmp_path, capsys, command, config, missing):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(config))
+        out = tmp_path / "out"
+        assert main([command, "--config", str(path), "--out", str(out)]) == 1
+        assert stderr_payload(capsys) == {
+            "error": "UsageError",
+            "message": f"the following arguments are required: {missing}",
+        }
+        assert not out.exists()
 
     def test_synth_samples_from_config(self, tmp_path):
         config = tmp_path / "config.json"
@@ -670,6 +744,19 @@ class TestUsage:
         assert main(["fuse"]) == 1
         assert stderr_payload(capsys)["error"] == "UsageError"
 
+    @pytest.mark.parametrize("command, missing", [
+        ("fuse", "--manifest, --predictions"),
+        ("eval", "--manifest, --predictions, --ground-truth"),
+        ("overlap", "--manifest, --predictions, --ground-truth"),
+        ("flags", "--fused"),
+    ])
+    def test_missing_inputs_named_like_argparse(self, tmp_path, capsys, command, missing):
+        assert main([command, "--out", str(tmp_path / "out")]) == 1
+        assert stderr_payload(capsys) == {
+            "error": "UsageError",
+            "message": f"the following arguments are required: {missing}",
+        }
+
     def test_bad_choice(self, dataset, capsys):
         assert main(eval_argv(dataset, "x", "--format", "yaml")) == 1
         assert stderr_payload(capsys)["error"] == "UsageError"
@@ -692,3 +779,83 @@ class TestUsage:
                      "--out", str(tmp_path / "f")]) == 2
         payload = stderr_payload(capsys)
         assert set(payload) == {"error", "message"}
+
+
+def _refuse_spread(*args):
+    raise NumericalError("spread measured")
+
+
+class TestSpreadOnlyWhereRecorded:
+    """eval writes no fused records, so it never measures their covariance."""
+
+    def test_eval_never_measures_it(self, dataset, tmp_path, monkeypatch):
+        flags = ("--strategy", "all", "--primary-model", "const_turn_rate")
+        expected = tmp_path / "expected.csv"
+        got = tmp_path / "got.csv"
+        assert main(eval_argv(dataset, str(expected), *flags)) == 0
+        monkeypatch.setattr(fusion, "ensemble_covariance", _refuse_spread)
+        assert main(eval_argv(dataset, str(got), *flags)) == 0
+        assert got.read_bytes() == expected.read_bytes()
+
+    @pytest.mark.parametrize("command", ["fuse", "synth"])
+    def test_fuse_and_synth_still_do(self, dataset, tmp_path, monkeypatch, capsys, command):
+        out = tmp_path / "out"
+        argv = {
+            "fuse": ["fuse", "--manifest", str(dataset / "manifest.json"),
+                     "--predictions", str(dataset / "predictions.ndjson")],
+            "synth": ["synth", "--samples", "3"],
+        }[command]
+        monkeypatch.setattr(fusion, "ensemble_covariance", _refuse_spread)
+        assert main([*argv, "--out", str(out)]) == 1
+        assert stderr_payload(capsys) == {"error": "NumericalError",
+                                          "message": "spread measured"}
+
+
+class TestCyclicGcOff:
+    """main turns cyclic GC off for the command and restores the caller's setting."""
+
+    @pytest.mark.parametrize("enabled", [True, False], ids=["gc_on", "gc_off"])
+    @pytest.mark.parametrize("outcome", ["success", "failure", "crash", "help"])
+    def test_state_restored(self, dataset, tmp_path, monkeypatch, enabled, outcome):
+        seen = []
+        run_flags = cli._COMMANDS["flags"]
+
+        def flags(args):
+            seen.append(gc.isenabled())
+            if outcome == "crash":
+                raise RuntimeError("crash")
+            return run_flags(args)
+
+        monkeypatch.setitem(cli._COMMANDS, "flags", flags)
+        fused = tmp_path / "missing.ndjson" if outcome == "failure" else (
+            dataset / "fused_weighted.ndjson")
+        argv = ["flags", "--fused", str(fused), "--out", str(tmp_path / "flags.csv")]
+        if outcome == "help":
+            argv = ["flags", "--help"]
+        (gc.enable if enabled else gc.disable)()
+        try:
+            if outcome == "success":
+                assert main(argv) == 0
+            elif outcome == "failure":
+                assert main(argv) == 2
+            else:
+                with pytest.raises((RuntimeError, SystemExit)):
+                    main(argv)
+            assert gc.isenabled() is enabled
+        finally:
+            gc.enable()
+        assert seen == ([] if outcome == "help" else [False])
+
+    def test_leftover_garbage_does_not_grow_with_samples(self, tmp_path):
+        def garbage(samples: int) -> int:
+            gc.collect()
+            gc.disable()
+            try:
+                assert main(["synth", "--samples", str(samples), "--horizon", "5",
+                             "--out", str(tmp_path)]) == 0
+                return gc.collect()
+            finally:
+                gc.enable()
+
+        garbage(5)  # the first run also leaves behind what imports and caches build
+        assert garbage(10) == garbage(300)

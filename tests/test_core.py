@@ -214,3 +214,29 @@ class TestDisplacementErrors:
         zero = Trajectory(tuple(Waypoint(0, 0) for _ in t.points), dt=t.dt)
         last = t.points[-1]
         assert fde(t, zero) == pytest.approx(math.hypot(last.x, last.y), rel=1e-12)
+
+
+# Coordinates from subnormal to 1e300, so the norm's scaling is exercised too.
+_any_scale = st.floats(min_value=-1e300, max_value=1e300, allow_nan=False,
+                       allow_infinity=False)
+
+
+@st.composite
+def _aligned_pairs(draw) -> tuple[Trajectory, Trajectory]:
+    n = draw(st.integers(min_value=1, max_value=12))
+    coords = st.lists(st.tuples(_any_scale, _any_scale), min_size=n, max_size=n)
+    return (Trajectory.from_xy(draw(coords)), Trajectory.from_xy(draw(coords)))
+
+
+class TestDisplacementErrorsMatchLoops:
+    """``ade``/``fde`` norm in C; the per-waypoint ``hypot`` loops are the reference."""
+
+    @given(_aligned_pairs())
+    @settings(max_examples=500, deadline=None)
+    def test_bit_identical_to_the_hypot_loops(self, pair):
+        pred, gt = pair
+        loop_ade = math.fsum(math.hypot(px - gx, py - gy)
+                             for (px, py), (gx, gy) in zip(pred.coords, gt.coords))
+        assert ade(pred, gt) == loop_ade / pred.horizon
+        (px, py), (gx, gy) = pred.coords[-1], gt.coords[-1]
+        assert fde(pred, gt) == math.hypot(px - gx, py - gy)

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import warnings
+
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -14,6 +16,7 @@ from trajfuse.errors import (
     ZeroConfidence,
     ZeroConfidenceWarning,
 )
+from trajfuse import fusion
 from trajfuse.fusion import (
     DEFAULT_TAU,
     STRATEGIES,
@@ -21,6 +24,7 @@ from trajfuse.fusion import (
     FusedPrediction,
     Weights,
     aggregate_covariance_over_horizon,
+    decide,
     ensemble_confidence,
     ensemble_covariance,
     flag_low_confidence,
@@ -477,6 +481,36 @@ class TestFuseThreshold:
             fused = fuse_threshold(sample, "p", tau=0.0)
         assert fused.strategy == "threshold"
         assert len(fused.notes) == 1
+
+
+class TestDecide:
+    """The strategy rules without the spread; ``records()`` adds it."""
+
+    @given(fusion_samples(require_positive_confidence=False),
+           st.lists(st.sampled_from(STRATEGIES), min_size=1, max_size=3, unique=True),
+           st.sampled_from([0.0, 0.3, DEFAULT_TAU, 2.0]))
+    @settings(max_examples=200, deadline=None)
+    def test_records_are_fuse_samples(self, sample, strategies, tau):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", ZeroConfidenceWarning)
+            decision = decide(sample, strategies, "m0", tau)
+            members, fused = fuse_sample(sample, strategies, "m0", tau)
+        assert decision.members == members
+        assert decision.records() == fused
+        assert list(fused) == strategies
+        assert decision.trajectories == {s: pred.trajectory for s, pred in fused.items()}
+
+    def test_no_spread_until_records(self, monkeypatch):
+        def refuse(*args):
+            raise NumericalError("spread measured")
+
+        sample = one_mode_sample(("p", traj((10, 0)), 0.9), ("q", traj((0, 0)), 0.1))
+        monkeypatch.setattr(fusion, "ensemble_covariance", refuse)
+        decision = decide(sample, STRATEGIES, "p")
+        assert decision.trajectories["threshold"].xy() == ((10.0, 0.0),)
+        assert decision.trajectories["weighted"].xy() == ((9.0, 0.0),)
+        with pytest.raises(NumericalError, match="spread measured"):
+            decision.records()
 
 
 class TestFlagLowConfidence:

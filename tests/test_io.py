@@ -6,6 +6,7 @@ import copy
 import json
 import os
 import stat
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -376,7 +377,7 @@ class TestFused:
         b = str(tmp_path / "b.ndjson")
         write_fused(a, self.predictions())
         write_fused(b, self.predictions())
-        assert open(a, "rb").read() == open(b, "rb").read()
+        assert Path(a).read_bytes() == Path(b).read_bytes()
 
     def test_writer_rejects_duplicates(self, tmp_path):
         pred = self.predictions()[0]
@@ -433,7 +434,7 @@ class TestFused:
     def test_duplicate_rejected_on_read(self, tmp_path):
         path = str(tmp_path / "fused.ndjson")
         write_fused(path, self.predictions()[:1])
-        line = open(path, encoding="utf-8").read()
+        line = Path(path).read_text(encoding="utf-8")
         with open(path, "w", encoding="utf-8") as f:
             f.write(line + line)
         with pytest.raises(ParseError, match="duplicate"):
@@ -452,7 +453,7 @@ class TestWriteReport:
     def test_csv_rounds_to_two_decimals(self, tmp_path):
         path = str(tmp_path / "report.csv")
         write_report(path, self.rows(), fmt="csv")
-        lines = open(path, encoding="utf-8").read().splitlines()
+        lines = Path(path).read_text(encoding="utf-8").splitlines()
         assert lines[0] == "method,top10_ade,top10_fde,overall_ade,overall_fde"
         assert lines[1] == "a,1.23,2.35,0.50,1.00"
         assert lines[2] == "b,9.88,8.70,3.00,4.00"
@@ -460,21 +461,21 @@ class TestWriteReport:
     def test_json_keeps_full_precision(self, tmp_path):
         path = str(tmp_path / "report.json")
         write_report(path, self.rows(), fmt="json")
-        assert json.load(open(path, encoding="utf-8")) == self.rows()
+        assert json.loads(Path(path).read_text(encoding="utf-8")) == self.rows()
 
     def test_csv_matches_json_after_rounding(self, tmp_path):
         csv_path = str(tmp_path / "report.csv")
         json_path = str(tmp_path / "report.json")
         write_report(csv_path, self.rows(), fmt="csv")
         write_report(json_path, self.rows(), fmt="json")
-        csv_cells = open(csv_path, encoding="utf-8").read().splitlines()[1].split(",")
-        row = json.load(open(json_path, encoding="utf-8"))[0]
+        csv_cells = Path(csv_path).read_text(encoding="utf-8").splitlines()[1].split(",")
+        row = json.loads(Path(json_path).read_text(encoding="utf-8"))[0]
         assert csv_cells[1] == f"{row['top10_ade']:.2f}"
 
     def test_empty_rows_write_header_only(self, tmp_path):
         path = str(tmp_path / "report.csv")
         write_report(path, [], fmt="csv", k_list=(1, 10))
-        lines = open(path, encoding="utf-8").read().splitlines()
+        lines = Path(path).read_text(encoding="utf-8").splitlines()
         assert lines == ["method,top1_ade,top1_fde,top10_ade,top10_fde,overall_ade,overall_fde"]
 
     def test_inconsistent_columns_rejected(self, tmp_path):
@@ -496,7 +497,7 @@ class TestWriteReport:
     def test_overlap_csv(self, tmp_path):
         path = str(tmp_path / "overlap.csv")
         write_report(path, self.overlap(), fmt="csv")
-        lines = open(path, encoding="utf-8").read().splitlines()
+        lines = Path(path).read_text(encoding="utf-8").splitlines()
         assert lines[0] == "kind,models,count,pct_of_each"
         assert lines[1] == "union,A|B|C,5,"
         assert "exclusive,B,0,0.00" in lines
@@ -506,7 +507,7 @@ class TestWriteReport:
     def test_overlap_json(self, tmp_path):
         path = str(tmp_path / "overlap.json")
         write_report(path, self.overlap(), fmt="json")
-        payload = json.load(open(path, encoding="utf-8"))
+        payload = json.loads(Path(path).read_text(encoding="utf-8"))
         assert payload["union_size"] == 5
         assert payload["common_all"]["count"] == 1
 

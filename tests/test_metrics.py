@@ -3,14 +3,17 @@
 from __future__ import annotations
 
 import math
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from trajfuse import fusion, metrics
 from trajfuse.core import Mode, ModelOutput, Sample, Trajectory
-from trajfuse.errors import InvalidInput
+from trajfuse.errors import InvalidInput, NumericalError
+from trajfuse.fusion import STRATEGIES
 from trajfuse.metrics import (
     DEFAULT_K_LIST,
     DEFAULT_OVERLAP_K,
@@ -25,6 +28,7 @@ from trajfuse.metrics import (
     summary_table,
     top_k_error,
 )
+from trajfuse.synth import PINNED_PRIMARY, generate_samples, pinned_config, pinned_predictors
 
 from conftest import ledgers
 
@@ -400,6 +404,123 @@ class TestSummaryTable:
         ledger = ledger_from("m", {"s0": (1.0, 1.0)})
         with pytest.raises(InvalidInput):
             summary_table(ledger, k_list=(0,))
+
+
+def reference_rows(ledger: ErrorLedger, k_list, sort_by_ade: bool) -> list[dict]:
+    """summary_table built the plain way: per-K top_k_error calls, one sort each."""
+    rows = []
+    for method_id in ledger.method_ids():
+        row = {"method": method_id}
+        for k in k_list:
+            label = str(int(k)) if float(k).is_integer() else str(k)
+            by_ade = top_k_error(ledger, method_id, "ade", k)
+            row[f"top{label}_ade"] = by_ade.mean_error
+            if sort_by_ade:
+                fdes = [ledger.row(method_id, sid)[1] for sid in by_ade.sample_ids]
+                row[f"top{label}_fde"] = math.fsum(fdes) / len(fdes)
+            else:
+                row[f"top{label}_fde"] = top_k_error(ledger, method_id, "fde", k).mean_error
+        for metric in METRICS:
+            errors = [e for _, e in ledger.errors(method_id, metric)]
+            row[f"overall_{metric}"] = math.fsum(errors) / len(errors)
+        rows.append(row)
+    return rows
+
+
+@st.composite
+def two_method_ledgers(draw) -> ErrorLedger:
+    """Method "a" as ``ledgers`` draws it; "b" swaps its metrics or ties every sample."""
+    tied = draw(st.booleans())
+    ledger = ErrorLedger()
+    for _, sid, ade_m, fde_m in draw(ledgers()):
+        ledger.add("a", sid, ade_m, fde_m)
+        ledger.add("b", sid, *((1.5, 2.5) if tied else (fde_m, ade_m)))
+    return ledger
+
+
+class TestSummaryTableMatchesPerKCalls:
+    @given(two_method_ledgers(),
+           st.lists(st.sampled_from([1, 2, 2.5, 5, 10, 33.3, 50, 99.9, 100]),
+                    min_size=1, max_size=5),
+           st.booleans())
+    @settings(max_examples=200, deadline=None)
+    def test_rows_equal_the_per_k_reference(self, ledger, k_list, sort_by_ade):
+        rows = summary_table(ledger, k_list, sort_by_ade=sort_by_ade)
+        expected = reference_rows(ledger, k_list, sort_by_ade)
+        assert rows == expected
+        assert [list(row) for row in rows] == [list(row) for row in expected]
+
+    @pytest.mark.parametrize("sort_by_ade, per_method", [(False, 2), (True, 1)])
+    def test_each_method_and_metric_ranked_once(self, monkeypatch, sort_by_ade, per_method):
+        ranked = []
+        original = metrics._ranked
+
+        def counting(ledger, method_id, metric):
+            ranked.append((method_id, metric))
+            return original(ledger, method_id, metric)
+
+        monkeypatch.setattr(metrics, "_ranked", counting)
+        ledger = ErrorLedger()
+        for method_id in ("a", "b", "c"):
+            for i in range(20):
+                ledger.add(method_id, f"s{i:02d}", float(i % 7), float(i % 5))
+        summary_table(ledger, DEFAULT_K_LIST, sort_by_ade=sort_by_ade)
+        assert len(ranked) == 3 * per_method
+        assert len(set(ranked)) == len(ranked)
+
+
+def synth_samples(count: int = 60, horizon: int = 6) -> list[Sample]:
+    config = replace(pinned_config(count), horizon=horizon, seed=11)
+    return [sample for _, sample in generate_samples(config, pinned_predictors())]
+
+
+class TestFuseAndScoreRecords:
+    def test_same_ledger_with_and_without_records(self):
+        samples = synth_samples()
+        with_records, fused = fuse_and_score(samples, STRATEGIES, PINNED_PRIMARY)
+        without, none = fuse_and_score(samples, STRATEGIES, PINNED_PRIMARY, keep_fused=False)
+        assert list(without) == list(with_records)
+        assert none == {}
+        assert {strategy: len(preds) for strategy, preds in fused.items()} == {
+            strategy: len(samples) for strategy in STRATEGIES}
+        # The pinned primary passes through on some samples and not on others.
+        passed = {pred.strategy for pred in fused["threshold"]}
+        assert passed == {"threshold", "weighted"}
+
+    def test_ensemble_rows_score_the_recorded_trajectories(self):
+        samples = synth_samples(20)
+        ledger, fused = fuse_and_score(samples, STRATEGIES, PINNED_PRIMARY)
+        for strategy, preds in fused.items():
+            for sample, pred in zip(samples, preds):
+                gt = sample.ground_truth
+                assert ledger.row(f"ensemble_{strategy}", sample.sample_id) == (
+                    metrics.ade(pred.trajectory, gt), metrics.fde(pred.trajectory, gt))
+
+    def test_no_spread_without_records(self, monkeypatch):
+        def refuse(*args):
+            raise NumericalError("spread measured")
+
+        samples = synth_samples(20)
+        expected, _ = fuse_and_score(samples, STRATEGIES, PINNED_PRIMARY, keep_fused=False)
+        monkeypatch.setattr(fusion, "ensemble_covariance", refuse)
+        ledger, _ = fuse_and_score(samples, STRATEGIES, PINNED_PRIMARY, keep_fused=False)
+        assert list(ledger) == list(expected)
+        with pytest.raises(NumericalError, match="spread measured"):
+            fuse_and_score(samples, STRATEGIES, PINNED_PRIMARY)
+
+    def test_hook_gets_records_without_keeping_them(self):
+        samples = synth_samples(20)
+        _, kept = fuse_and_score(samples, STRATEGIES, PINNED_PRIMARY)
+        seen = {strategy: [] for strategy in STRATEGIES}
+
+        def hook(sample, by_strategy):
+            for strategy, pred in by_strategy.items():
+                seen[strategy].append(pred)
+
+        _, none = fuse_and_score(samples, STRATEGIES, PINNED_PRIMARY, sample_hook=hook,
+                                 keep_fused=False)
+        assert none == {}
+        assert seen == kept
 
 
 def test_metric_names_and_defaults():

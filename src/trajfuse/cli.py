@@ -9,8 +9,9 @@ written; the commands then take the parsed namespace as it is.  Outputs
 replace their destinations atomically.  Every command is deterministic:
 rerunning with identical inputs, seeds, and flags writes byte-identical
 files.  ``--threads`` is checked but has no effect: the work runs serially.
-``synth`` writes a generated dataset and then scores it the same way
-``eval`` and ``overlap`` score a loaded one.
+``synth`` runs ``synth.synth_experiment``, which scores the generated
+samples the same way ``eval`` and ``overlap`` score a loaded one, and
+writes the dataset and fused records its sample hook keeps.
 
 Configuration precedence is flags > --config JSON file > built-in
 defaults; config values are checked like flags.  The TRAJFUSE_OUT_DIR
@@ -30,7 +31,7 @@ from dataclasses import replace
 from typing import Sequence
 
 from .errors import InvalidInput, TrajfuseError
-from .fusion import DEFAULT_TAU, STRATEGIES, flag_low_confidence, fuse_sample
+from .fusion import DEFAULT_TAU, STRATEGIES, decide, flag_low_confidence
 from .io import (
     DatasetManifest,
     GroundTruthRecord,
@@ -53,7 +54,7 @@ from .metrics import (
     summary_table,
     top_k_error,
 )
-from .synth import PINNED_PRIMARY, generate_samples, pinned_config, pinned_predictors
+from .synth import PINNED_PRIMARY, pinned_config, pinned_predictors, synth_experiment
 
 __all__ = ["main"]
 
@@ -174,16 +175,11 @@ def cmd_fuse(args: argparse.Namespace) -> int:
     _check_primary(args, manifest)
     samples = load_samples(manifest, args.predictions, None)
     strategy = args.strategies[0]
-    fused = [fuse_sample(sample, args.strategies, args.primary_model, args.tau)[1][strategy]
+    fused = [decide(sample, args.strategies, args.primary_model, args.tau).records()[strategy]
              for sample in samples]
     write_fused(args.out, fused)
     _note(args.out)
     return 0
-
-
-def _write_summary(args: argparse.Namespace, ledger: ErrorLedger, path: str) -> None:
-    rows = summary_table(ledger, args.k_list, sort_by_ade=args.sort_by_ade)
-    write_report(path, rows, args.format, k_list=args.k_list)
 
 
 def _write_overlap(args: argparse.Namespace, ledger: ErrorLedger, model_ids: Sequence[str],
@@ -201,9 +197,9 @@ def cmd_eval(args: argparse.Namespace) -> int:
     samples = load_samples(manifest, args.predictions, args.ground_truth)
     if not samples:
         raise InvalidInput("no samples to evaluate")
-    ledger, _ = fuse_and_score(samples, args.strategies, args.primary_model, args.tau,
-                               keep_fused=False)
-    _write_summary(args, ledger, args.out)
+    ledger = fuse_and_score(samples, args.strategies, args.primary_model, args.tau)
+    rows = summary_table(ledger, args.k_list, sort_by_ade=args.sort_by_ade)
+    write_report(args.out, rows, args.format, k_list=args.k_list)
     _note(args.out)
     return 0
 
@@ -215,7 +211,7 @@ def cmd_overlap(args: argparse.Namespace) -> int:
     samples = load_samples(manifest, args.predictions, args.ground_truth)
     if not samples:
         raise InvalidInput("no samples to analyze")
-    ledger, _ = fuse_and_score(samples)
+    ledger = fuse_and_score(samples)
     _write_overlap(args, ledger, manifest.model_ids, args.out)
     _note(args.out)
     return 0
@@ -232,8 +228,18 @@ def cmd_synth(args: argparse.Namespace) -> int:
         sample_count=config.sample_count,
     )
     _check_primary(args, manifest)
-    samples = [sample for _, sample in generate_samples(config, predictors)]
-    ledger, fused = fuse_and_score(samples, args.strategies, args.primary_model, args.tau)
+    outputs = []
+    truth = []
+    fused = {strategy: [] for strategy in args.strategies}
+
+    def keep(scenario, sample, by_strategy):
+        outputs.extend(sample.outputs)
+        truth.append(GroundTruthRecord(sample.sample_id, sample.ground_truth))
+        for strategy, pred in by_strategy.items():
+            fused[strategy].append(pred)
+
+    result = synth_experiment(config, predictors, args.strategies, args.primary_model,
+                              args.tau, args.k_list, sample_hook=keep)
 
     os.makedirs(args.out, exist_ok=True)
     for strategy in args.strategies:
@@ -248,12 +254,10 @@ def cmd_synth(args: argparse.Namespace) -> int:
         "overlap": os.path.join(args.out, f"overlap.{args.format}"),
     }
     write_manifest(paths["manifest"], manifest)
-    write_predictions(paths["predictions"],
-                      (output for sample in samples for output in sample.outputs))
-    write_ground_truth(paths["ground_truth"],
-                       (GroundTruthRecord(s.sample_id, s.ground_truth) for s in samples))
-    _write_summary(args, ledger, paths["summary"])
-    _write_overlap(args, ledger, manifest.model_ids, paths["overlap"])
+    write_predictions(paths["predictions"], outputs)
+    write_ground_truth(paths["ground_truth"], truth)
+    write_report(paths["summary"], result.summary, args.format, k_list=args.k_list)
+    _write_overlap(args, result.ledger, manifest.model_ids, paths["overlap"])
     for path in paths.values():
         _note(path)
     return 0

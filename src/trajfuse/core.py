@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 from itertools import chain
 from typing import Iterable, Sequence
 
-from .errors import HorizonMismatch, InvalidInput
+from .errors import HorizonMismatch, InvalidInput, NumericalError
 
 __all__ = [
     "Waypoint",
@@ -218,7 +218,10 @@ def ade(pred: Trajectory, gt: Trajectory) -> float:
     loop's bit for bit.
     """
     _check_horizons(pred, gt)
-    return math.fsum(map(math.dist, pred.coords, gt.coords)) / pred.horizon
+    try:
+        return math.fsum(map(math.dist, pred.coords, gt.coords)) / pred.horizon
+    except OverflowError:
+        raise NumericalError("ADE: the sum of waypoint errors overflows the float range") from None
 
 
 def fde(pred: Trajectory, gt: Trajectory) -> float:

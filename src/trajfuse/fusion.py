@@ -10,7 +10,9 @@ confidence clears a bar and defers to the weighted strategy otherwise.
 
 Everything here is pure and stateless.  ``decide`` is the one strategy
 dispatch; it stops short of the covariance, which ``Decision.records``
-measures for the callers that keep fused records.
+measures.  ``decide(...).records()`` is the only way a fused record is
+built: ``fuse_weighted``, ``fuse_simple`` and ``fuse_threshold`` are
+that call for one strategy.
 """
 
 from __future__ import annotations
@@ -46,7 +48,6 @@ __all__ = [
     "fuse_threshold",
     "Decision",
     "decide",
-    "fuse_sample",
     "flag_low_confidence",
 ]
 
@@ -75,7 +76,10 @@ class Weights:
             seen.add(model_id)
             if not (math.isfinite(w) and w >= 0):
                 raise InvalidInput(f"weight for '{model_id}' must be finite and >= 0, got {w}")
-        total = math.fsum(w for _, w in self.entries)
+        try:
+            total = math.fsum(w for _, w in self.entries)
+        except OverflowError:  # finite weights whose sum passes the float range
+            total = math.inf
         if abs(total - 1.0) > _WEIGHT_SUM_TOL:
             raise InvalidInput(f"weights must sum to 1 within {_WEIGHT_SUM_TOL}, got {total!r}")
 
@@ -193,7 +197,10 @@ def normalize_confidences(
         raise InvalidInput(
             f"{len(model_ids)} model_ids for {len(confidences)} confidences"
         )
-    total = math.fsum(confidences)
+    try:
+        total = math.fsum(confidences)
+    except OverflowError:
+        raise NumericalError("the sum of member confidences overflows the float range") from None
     if total == 0.0:
         raise ZeroConfidence("all member confidences are zero")
     return Weights(tuple((mid, c / total) for mid, c in zip(model_ids, confidences)))
@@ -256,11 +263,14 @@ def aggregate_covariance_over_horizon(
     n = len(per_step)
     if n < 1:
         raise InvalidInput("need at least one timestep")
-    return (
-        math.fsum(m[0] for m in per_step) / n,
-        math.fsum(m[1] for m in per_step) / n,
-        math.fsum(m[2] for m in per_step) / n,
-    )
+    try:
+        return (
+            math.fsum(m[0] for m in per_step) / n,
+            math.fsum(m[1] for m in per_step) / n,
+            math.fsum(m[2] for m in per_step) / n,
+        )
+    except (OverflowError, ValueError):  # a sum past the float range, or inf + -inf
+        raise NumericalError("member spread overflows the float range") from None
 
 
 def ensemble_covariance(
@@ -390,7 +400,7 @@ def decide(
                 f"sample '{sample.sample_id}': all member confidences are zero; "
                 "using uniform weights",
                 ZeroConfidenceWarning,
-                stacklevel=4,
+                stacklevel=3,
             )
             weights = uniform_weights(model_ids)
             notes = ("all member confidences were zero; fell back to uniform weights",)
@@ -413,21 +423,6 @@ def decide(
                     passed_through, ordered, blends)
 
 
-def fuse_sample(
-    sample: Sample,
-    strategies: Sequence[str],
-    primary_model_id: str | None = None,
-    tau: float = DEFAULT_TAU,
-) -> tuple[list[MostLikely], dict[str, FusedPrediction]]:
-    """Fuse one sample under each requested strategy.
-
-    Returns the members in sample order and the fused prediction per
-    strategy, in the order requested: ``decide`` plus its records.
-    """
-    decision = decide(sample, strategies, primary_model_id, tau)
-    return decision.members, decision.records()
-
-
 def fuse_weighted(sample: Sample) -> FusedPrediction:
     """Confidence-weighted fusion of each member's most-likely mode.
 
@@ -436,12 +431,12 @@ def fuse_weighted(sample: Sample) -> FusedPrediction:
     back to uniform, a note is recorded on the prediction, and a
     ZeroConfidenceWarning is emitted; the sample is never dropped.
     """
-    return fuse_sample(sample, ("weighted",))[1]["weighted"]
+    return decide(sample, ("weighted",)).records()["weighted"]
 
 
 def fuse_simple(sample: Sample) -> FusedPrediction:
     """Plain average of the members' most-likely modes (uniform weights)."""
-    return fuse_sample(sample, ("simple",))[1]["simple"]
+    return decide(sample, ("simple",)).records()["simple"]
 
 
 def fuse_threshold(sample: Sample, primary_model_id: str, tau: float = DEFAULT_TAU) -> FusedPrediction:
@@ -454,7 +449,7 @@ def fuse_threshold(sample: Sample, primary_model_id: str, tau: float = DEFAULT_T
     ensemble, so the reported uncertainty reflects all members even when
     the trajectory does not.
     """
-    return fuse_sample(sample, ("threshold",), primary_model_id, tau)[1]["threshold"]
+    return decide(sample, ("threshold",), primary_model_id, tau).records()["threshold"]
 
 
 def flag_low_confidence(fused: FusedPrediction, floor: float) -> bool:

@@ -122,8 +122,12 @@ class ScenarioConfig:
             raise InvalidInput(f"dt must be finite and > 0, got {self.dt!r}")
         if len(self.mix) != 3 or any(not (math.isfinite(p) and p >= 0) for p in self.mix):
             raise InvalidInput(f"mix must be three proportions >= 0, got {self.mix!r}")
-        if abs(math.fsum(self.mix) - 1.0) > 1e-9:
-            raise InvalidInput(f"mix must sum to 1, got {math.fsum(self.mix)!r}")
+        try:
+            total = math.fsum(self.mix)
+        except OverflowError:  # finite proportions whose sum passes the float range
+            total = math.inf
+        if abs(total - 1.0) > 1e-9:
+            raise InvalidInput(f"mix must sum to 1, got {total!r}")
         for name, (lo, hi) in (("speed_range", self.speed_range),
                                ("turn_rate_range", self.turn_rate_range)):
             if not (math.isfinite(lo) and math.isfinite(hi) and 0 <= lo <= hi):
@@ -372,7 +376,8 @@ def synth_experiment(
     ensemble_<strategy> method per requested strategy.  The optional
     ``sample_hook`` sees every (scenario, sample, fused-by-strategy)
     as it streams past, in sample order, so callers can dump files
-    without this function retaining the whole dataset in memory.
+    without this function retaining the whole dataset in memory;
+    ``trajfuse synth`` writes its dumps and fused files from that hook.
 
     ``threads`` is validated but has no effect: the work is pure Python
     and runs serially.
@@ -406,8 +411,8 @@ def synth_experiment(
     def hook(sample: Sample, fused: dict[str, FusedPrediction]) -> None:
         sample_hook(scenarios.pop(sample.sample_id), sample, fused)
 
-    ledger, _ = fuse_and_score(samples(), strategies, primary_model, tau,
-                               None if sample_hook is None else hook, keep_fused=False)
+    ledger = fuse_and_score(samples(), strategies, primary_model, tau,
+                            None if sample_hook is None else hook)
     return ExperimentResult(
         config=config,
         predictor_names=tuple(names),

@@ -418,6 +418,8 @@ class TestMalformedFilesRefused:
         # and NaN passes every tolerance comparison.
         ("fused", _first_record((("covariance",), [[1e308, 1e307], [1e307, 1e308]]),
                                 (("determinant",), 0.5), (("confidence",), 0.5)), "ParseError"),
+        # Each weight is finite, but their sum passes the float range.
+        ("fused", _first_record((("weights",), [["a", 1e308], ["b", 1e308]])), "ParseError"),
     ], ids=[
         "coordinate_1e400", "coordinate_true", "coordinate_1e999", "confidence_1e400",
         "weight_1e400", "ground_truth_coordinate_1e999", "fused_coordinate_1e999",
@@ -425,6 +427,7 @@ class TestMalformedFilesRefused:
         "prediction_0xff", "fused_0xff", "prediction_deep", "manifest_deep", "config_deep",
         "covariance_text_entry", "covariance_text_off_diagonal", "covariance_flat",
         "covariance_null", "covariance_bool", "covariance_determinant_overflow",
+        "weights_sum_overflow",
     ])
     def test_refused(self, dataset, tmp_path, capsys, target, damage, error):
         sources = {"predictions": "predictions.ndjson", "manifest": "manifest.json",
@@ -470,6 +473,51 @@ class TestMalformedFilesRefused:
         assert payload["message"].startswith(f"{paths[target]}: line 1: field 'points': ")
         assert "finite" in payload["message"]
 
+    @pytest.mark.parametrize("command, predictions, truth, named", [
+        ("fuse", {"s0": {"a": (1e308, [[0, 0]]), "b": (1e308, [[1, 0]])}}, None,
+         "confidences"),
+        ("eval", {"s0": {"a": (1e308, [[0, 0]]), "b": (1e308, [[1, 0]])}}, {"s0": [[0, 0]]},
+         "confidences"),
+        # The weighted spread is +inf at one step and -inf at the other.
+        ("fuse", {"s0": {"a": (1.0, [[1e200, 1e200], [1e200, -1e200]]),
+                         "b": (1.0, [[-1e200, -1e200], [-1e200, 1e200]])}}, None, "spread"),
+        # Each sample's error is finite; the sum of the two is not.
+        ("eval", {sid: {"a": (1.0, [[8e307, 0]]), "b": (1.0, [[8e307, 0]])}
+                  for sid in ("s0", "s1")},
+         {"s0": [[-8e307, 0]], "s1": [[-8e307, 0]]}, "mean"),
+        ("eval", {"s0": {"a": (1.0, [[8e307, 0], [8e307, 0]]),
+                         "b": (1.0, [[8e307, 0], [8e307, 0]])}},
+         {"s0": [[-8e307, 0], [-8e307, 0]]}, "ADE"),
+    ], ids=["fuse_confidence_sum", "eval_confidence_sum", "fuse_spread", "eval_mean",
+            "eval_ade"])
+    def test_finite_numbers_whose_sums_overflow(self, tmp_path, capsys, command, predictions,
+                                                truth, named):
+        """Finite inputs whose sums pass the float range: a NumericalError, not a traceback."""
+        horizon = len(predictions["s0"]["a"][1])
+        manifest = {"format_version": 1, "dataset_name": "huge", "horizon": horizon, "dt": 0.5,
+                    "model_ids": ["a", "b"], "sample_count": len(predictions)}
+        (tmp_path / "manifest.json").write_text(json.dumps(manifest))
+        (tmp_path / "predictions.ndjson").write_text("".join(
+            json.dumps({"sample_id": sid, "model_id": mid,
+                        "modes": [{"confidence": confidence, "points": points}]}) + "\n"
+            for sid, by_model in predictions.items()
+            for mid, (confidence, points) in by_model.items()))
+        argv = [command, "--manifest", str(tmp_path / "manifest.json"),
+                "--predictions", str(tmp_path / "predictions.ndjson")]
+        if truth is not None:
+            (tmp_path / "ground_truth.ndjson").write_text("".join(
+                json.dumps({"sample_id": sid, "points": points}) + "\n"
+                for sid, points in truth.items()))
+            argv += ["--ground-truth", str(tmp_path / "ground_truth.ndjson")]
+        out = tmp_path / "out"
+        assert main([*argv, "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        payload = json.loads(err)
+        assert payload["error"] == "NumericalError"
+        assert named in payload["message"]
+        assert not out.exists()
+
     @pytest.mark.parametrize("pair, floats", [([0, 1], [0.0, 1.0]), ([2, 1.5], [2.0, 1.5])],
                              ids=["ints", "mixed"])
     def test_integer_coordinates_fuse_like_floats(self, dataset, tmp_path, pair, floats):
@@ -513,12 +561,13 @@ class TestBadFlagsRefusedFirst:
         (("synth", "--dt", "0"), "--dt"),
         (("synth", "--mix", "1,1,1"), "--mix"),
         (("synth", "--mix", "a,b,c"), "--mix"),
+        (("synth", "--mix", "1e308,1e308,0"), "--mix"),
         (("synth", "--seed", "-1"), "--seed"),
         (("eval", "--k-list", ","), "--k-list"),
         *(((command, "--threads", "0"), "--threads") for command in _MISSING_INPUTS),
     ], ids=["synth-overlap-k-0", "synth-overlap-k-nan", "synth-tau", "fuse-tau", "eval-tau",
             "eval-primary", "flags-floor-nan", "synth-horizon", "synth-samples", "synth-dt",
-            "synth-mix-sum", "synth-mix-text", "synth-seed", "eval-k-list-empty",
+            "synth-mix-sum", "synth-mix-text", "synth-mix-sum-overflow", "synth-seed", "eval-k-list-empty",
             *(f"{c}-threads" for c in _MISSING_INPUTS)])
     def test_refused(self, dataset, tmp_path, capsys, argv, named):
         # A --manifest in argv comes after the missing one, so it wins.

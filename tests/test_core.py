@@ -20,7 +20,7 @@ from trajfuse.core import (
     fde,
     select_most_likely,
 )
-from trajfuse.errors import HorizonMismatch, InvalidInput
+from trajfuse.errors import HorizonMismatch, InvalidInput, NumericalError
 
 from conftest import trajectories
 
@@ -177,6 +177,11 @@ class TestDisplacementErrors:
         t = traj((1, 2), (3, 4))
         assert ade(t, t) == 0.0
         assert fde(t, t) == 0.0
+
+    def test_ade_sum_past_the_float_range_is_a_numerical_error(self):
+        # Each waypoint error is 1.6e308, finite; the two of them sum past the range.
+        with pytest.raises(NumericalError, match="ADE"):
+            ade(traj((8e307, 0), (8e307, 0)), traj((-8e307, 0), (-8e307, 0)))
 
     def test_horizon_mismatch(self):
         with pytest.raises(HorizonMismatch):

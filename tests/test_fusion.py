@@ -2,7 +2,11 @@
 
 from __future__ import annotations
 
+import inspect
+import math
 import warnings
+from dataclasses import replace
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
@@ -28,7 +32,6 @@ from trajfuse.fusion import (
     ensemble_confidence,
     ensemble_covariance,
     flag_low_confidence,
-    fuse_sample,
     fuse_simple,
     fuse_threshold,
     fuse_weighted,
@@ -36,6 +39,8 @@ from trajfuse.fusion import (
     uniform_weights,
     weighted_average,
 )
+
+from trajfuse.metrics import fuse_and_score
 
 from conftest import confidences, fusion_samples, trajectories
 
@@ -77,6 +82,10 @@ class TestWeights:
         with pytest.raises(InvalidInput):
             Weights((("a", 0.5), ("b", 0.4)))
 
+    def test_sum_past_the_float_range_does_not_sum_to_one(self):
+        with pytest.raises(InvalidInput, match="must sum to 1"):
+            Weights((("a", 1e308), ("b", 1e308)))
+
     def test_duplicate_ids_rejected(self):
         with pytest.raises(InvalidInput):
             Weights((("a", 0.5), ("a", 0.5)))
@@ -94,6 +103,10 @@ class TestNormalizeConfidences:
     def test_proportional_shares(self):
         assert normalize_confidences([1.0, 1.0, 2.0]).values == (0.25, 0.25, 0.5)
         assert normalize_confidences([2.0, 2.0, 4.0]).values == (0.25, 0.25, 0.5)
+
+    def test_sum_past_the_float_range_is_a_numerical_error(self):
+        with pytest.raises(NumericalError, match="confidences"):
+            normalize_confidences([1e308, 1e308])
 
     def test_default_ids(self):
         assert normalize_confidences([1.0, 3.0]).model_ids == ("m0", "m1")
@@ -247,6 +260,14 @@ class TestAggregateOverHorizon:
         with pytest.raises(InvalidInput):
             aggregate_covariance_over_horizon([])
 
+    @pytest.mark.parametrize("per_step", [
+        [(1.0, math.inf, 1.0), (1.0, -math.inf, 1.0)],
+        [(1e308, 0.0, 1.0), (1e308, 0.0, 1.0)],
+    ], ids=["inf_minus_inf", "finite_sum_overflows"])
+    def test_unsummable_spread_is_a_numerical_error(self, per_step):
+        with pytest.raises(NumericalError, match="spread"):
+            aggregate_covariance_over_horizon(per_step)
+
 
 class TestEnsembleCovariance:
     def test_two_step_hand_example(self):
@@ -361,7 +382,7 @@ class TestFuseWeighted:
     def test_unknown_strategy_rejected(self):
         sample = one_mode_sample(("a", traj((0, 0)), 1.0))
         with pytest.raises(InvalidInput, match="unknown strategy 'median'"):
-            fuse_sample(sample, ("median",))
+            decide(sample, ("median",))
 
     @given(sample=fusion_samples())
     @settings(max_examples=150)
@@ -490,13 +511,15 @@ class TestDecide:
            st.lists(st.sampled_from(STRATEGIES), min_size=1, max_size=3, unique=True),
            st.sampled_from([0.0, 0.3, DEFAULT_TAU, 2.0]))
     @settings(max_examples=200, deadline=None)
-    def test_records_are_fuse_samples(self, sample, strategies, tau):
+    def test_joint_records_equal_single_strategy_fusions(self, sample, strategies, tau):
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", ZeroConfidenceWarning)
             decision = decide(sample, strategies, "m0", tau)
-            members, fused = fuse_sample(sample, strategies, "m0", tau)
-        assert decision.members == members
-        assert decision.records() == fused
+            fused = decision.records()
+            alone = {"weighted": fuse_weighted(sample), "simple": fuse_simple(sample),
+                     "threshold": fuse_threshold(sample, "m0", tau)}
+        assert decision.members == [select_most_likely(out) for out in sample.outputs]
+        assert fused == {strategy: alone[strategy] for strategy in strategies}
         assert list(fused) == strategies
         assert decision.trajectories == {s: pred.trajectory for s, pred in fused.items()}
 
@@ -511,6 +534,19 @@ class TestDecide:
         assert decision.trajectories["weighted"].xy() == ((9.0, 0.0),)
         with pytest.raises(NumericalError, match="spread measured"):
             decision.records()
+
+
+class TestZeroConfidenceWarning:
+    def test_points_at_the_calling_line(self):
+        members = (("p", traj((1, 0)), 0.0), ("q", traj((0, 0)), 0.0))
+        sample = replace(one_mode_sample(*members), ground_truth=traj((0, 0)))
+        first = inspect.currentframe().f_lineno + 2
+        with pytest.warns(ZeroConfidenceWarning) as caught:
+            fuse_weighted(sample)
+            fuse_threshold(sample, "p", tau=2.0)
+            fuse_and_score([sample], ("weighted",))
+        assert [(Path(w.filename), w.lineno) for w in caught] == [
+            (Path(__file__), first + i) for i in range(3)]
 
 
 class TestFlagLowConfidence:

@@ -2,12 +2,13 @@
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import replace
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from trajfuse import fusion, metrics
@@ -140,6 +141,11 @@ class TestBuildLedger:
             fuse_and_score([unlabeled])
 
 
+@functools.lru_cache(maxsize=None)
+def uniform_ledger(n: int) -> ErrorLedger:
+    return ledger_from("m", {f"s{i:05d}": (1.0, 1.0) for i in range(n)})
+
+
 class TestTopKError:
     def descending(self, n: int = 10) -> ErrorLedger:
         # s0 is hardest with error n, s1 gets n-1, and so on down to 1.
@@ -212,6 +218,21 @@ class TestTopKError:
             with pytest.raises(InvalidInput):
                 top_k_error(ledger, "m", "ade", k)
 
+    def test_decimal_k_counts_from_its_decimal_value(self):
+        # The floats nearest 0.07 and 16.1 lie just above them, so rounding
+        # k * n / 100 in binary overshoots the count by one.
+        assert top_k_error(uniform_ledger(10_000), "m", "ade", 0.07).member_count == 7
+        assert top_k_error(uniform_ledger(1_000), "m", "ade", 16.1).member_count == 161
+
+    @given(n=st.sampled_from([1, 7, 100, 401, 999, 1000, 1001, 4096, 10_000]),
+           j=st.integers(min_value=1, max_value=100_000))
+    @example(n=10_000, j=140)  # binary rounding of K = 0.14 overshot by one
+    @example(n=1_000, j=65_400)  # and of K = 65.4
+    @settings(max_examples=300, deadline=None)
+    def test_member_count_is_the_decimal_ceiling(self, n, j):
+        expected = min(n, max(1, math.ceil(Fraction(j, 1000) * n / 100)))
+        assert top_k_error(uniform_ledger(n), "m", "ade", j / 1000).member_count == expected
+
     @given(ledger=ledgers(), k=st.sampled_from([1, 2, 3, 5, 10, 25, 50, 100, 0.5, 12.5]))
     @settings(max_examples=200)
     def test_member_count_is_exact_ceiling(self, ledger, k):
@@ -230,6 +251,19 @@ class TestTopKError:
         pairs = ledger.errors("m", "ade")
         overall = math.fsum(e for _, e in pairs) / len(pairs)
         assert results[-1].mean_error == pytest.approx(overall, abs=1e-12)
+
+
+@pytest.mark.parametrize("mean", [
+    lambda ledger: top_k_error(ledger, "m", "ade", 100),
+    lambda ledger: summary_table(ledger, (100,)),
+    lambda ledger: summary_table(ledger, (100,), sort_by_ade=True),
+    lambda ledger: cross_evaluate(ledger, "m", "m", 100),
+], ids=["top_k_error", "summary_table", "summary_table_sort_by_ade", "cross_evaluate"])
+def test_mean_past_the_float_range_is_a_numerical_error(mean):
+    # Each error is finite; the sum of the two is not.
+    ledger = ledger_from("m", {"s0": (1.6e308, 1.6e308), "s1": (1.6e308, 1.6e308)})
+    with pytest.raises(NumericalError, match="mean of 2 errors overflows"):
+        mean(ledger)
 
 
 class TestOverlapReport:
@@ -474,13 +508,24 @@ def synth_samples(count: int = 60, horizon: int = 6) -> list[Sample]:
     return [sample for _, sample in generate_samples(config, pinned_predictors())]
 
 
+def recorded(samples: list[Sample]) -> tuple[ErrorLedger, dict[str, list[fusion.FusedPrediction]]]:
+    """The ledger, and the records per strategy that the hook saw, in sample order."""
+    fused = {strategy: [] for strategy in STRATEGIES}
+
+    def hook(sample, by_strategy):
+        for strategy, pred in by_strategy.items():
+            fused[strategy].append(pred)
+
+    return fuse_and_score(samples, STRATEGIES, PINNED_PRIMARY, sample_hook=hook), fused
+
+
 class TestFuseAndScoreRecords:
     def test_same_ledger_with_and_without_records(self):
         samples = synth_samples()
-        with_records, fused = fuse_and_score(samples, STRATEGIES, PINNED_PRIMARY)
-        without, none = fuse_and_score(samples, STRATEGIES, PINNED_PRIMARY, keep_fused=False)
+        with_records, fused = recorded(samples)
+        without = fuse_and_score(samples, STRATEGIES, PINNED_PRIMARY)
+        assert isinstance(without, ErrorLedger)
         assert list(without) == list(with_records)
-        assert none == {}
         assert {strategy: len(preds) for strategy, preds in fused.items()} == {
             strategy: len(samples) for strategy in STRATEGIES}
         # The pinned primary passes through on some samples and not on others.
@@ -489,7 +534,7 @@ class TestFuseAndScoreRecords:
 
     def test_ensemble_rows_score_the_recorded_trajectories(self):
         samples = synth_samples(20)
-        ledger, fused = fuse_and_score(samples, STRATEGIES, PINNED_PRIMARY)
+        ledger, fused = recorded(samples)
         for strategy, preds in fused.items():
             for sample, pred in zip(samples, preds):
                 gt = sample.ground_truth
@@ -501,26 +546,24 @@ class TestFuseAndScoreRecords:
             raise NumericalError("spread measured")
 
         samples = synth_samples(20)
-        expected, _ = fuse_and_score(samples, STRATEGIES, PINNED_PRIMARY, keep_fused=False)
+        expected = fuse_and_score(samples, STRATEGIES, PINNED_PRIMARY)
         monkeypatch.setattr(fusion, "ensemble_covariance", refuse)
-        ledger, _ = fuse_and_score(samples, STRATEGIES, PINNED_PRIMARY, keep_fused=False)
+        ledger = fuse_and_score(samples, STRATEGIES, PINNED_PRIMARY)
         assert list(ledger) == list(expected)
         with pytest.raises(NumericalError, match="spread measured"):
-            fuse_and_score(samples, STRATEGIES, PINNED_PRIMARY)
+            recorded(samples)
 
     def test_hook_gets_records_without_keeping_them(self):
+        """The hook sees each sample in order with its decided records; none are kept."""
         samples = synth_samples(20)
-        _, kept = fuse_and_score(samples, STRATEGIES, PINNED_PRIMARY)
-        seen = {strategy: [] for strategy in STRATEGIES}
-
-        def hook(sample, by_strategy):
-            for strategy, pred in by_strategy.items():
-                seen[strategy].append(pred)
-
-        _, none = fuse_and_score(samples, STRATEGIES, PINNED_PRIMARY, sample_hook=hook,
-                                 keep_fused=False)
-        assert none == {}
-        assert seen == kept
+        seen = []
+        result = fuse_and_score(samples, STRATEGIES, PINNED_PRIMARY,
+                                sample_hook=lambda sample, fused: seen.append((sample, fused)))
+        assert isinstance(result, ErrorLedger)
+        assert [sample for sample, _ in seen] == samples
+        for sample, fused in seen:
+            assert fused == fusion.decide(sample, STRATEGIES, PINNED_PRIMARY).records()
+            assert list(fused) == list(STRATEGIES)
 
 
 def test_metric_names_and_defaults():

@@ -56,6 +56,10 @@ class TestValidation:
             with pytest.raises(InvalidInput):
                 small_config(**bad)
 
+    def test_mix_summing_past_the_float_range(self):
+        with pytest.raises(InvalidInput, match="mix must sum to 1, got inf"):
+            small_config(mix=(1e308, 1e308, 0.0))
+
     def test_predictor_spec(self):
         for bad in (dict(name=""), dict(kind="transformer"), dict(noise_sigma=-1.0),
                     dict(mode_count=0), dict(temperature=0.0),

@@ -12,7 +12,6 @@ from .core import (
     MostLikely,
     Sample,
     Trajectory,
-    Waypoint,
     ade,
     fde,
     select_most_likely,
@@ -71,7 +70,7 @@ from .synth import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "Waypoint", "Trajectory", "Mode", "ModelOutput", "Sample", "MostLikely",
+    "Trajectory", "Mode", "ModelOutput", "Sample", "MostLikely",
     "select_most_likely", "ade", "fde",
     "TrajfuseError", "InvalidInput", "HorizonMismatch", "ZeroConfidence",
     "NumericalError", "ParseError", "ZeroConfidenceWarning",

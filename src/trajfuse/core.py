@@ -2,9 +2,8 @@
 
 All types are immutable value objects and every operation here is a
 pure function.  A trajectory stores its waypoints as a tuple of
-``(x, y)`` float pairs; ``Waypoint`` objects are built only for callers
-that ask for ``Trajectory.points``.  Every way of building a trajectory
-checks its coordinates, so no ``Trajectory`` holds a NaN or infinity.
+``(x, y)`` float pairs, and every way of building one checks its
+coordinates, so no ``Trajectory`` holds a NaN or infinity.
 """
 
 from __future__ import annotations
@@ -17,7 +16,6 @@ from typing import Iterable, Sequence
 from .errors import HorizonMismatch, InvalidInput, NumericalError
 
 __all__ = [
-    "Waypoint",
     "Trajectory",
     "Mode",
     "ModelOutput",
@@ -29,37 +27,25 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True, slots=True)
-class Waypoint:
-    """A 2D position in meters (east, north) in a sample-local frame."""
-
-    x: float
-    y: float
-
-    def __post_init__(self):
-        if not (math.isfinite(self.x) and math.isfinite(self.y)):
-            raise InvalidInput(f"waypoint coordinates must be finite, got ({self.x}, {self.y})")
-
-
 @dataclass(frozen=True, slots=True, init=False)
 class Trajectory:
     """An ordered sequence of future waypoints at a fixed timestep.
 
-    ``coords`` holds the waypoints as ``(x, y)`` float pairs; ``points``
-    is a view that builds ``Waypoint`` objects on demand.  ``dt`` is
-    metadata (seconds between consecutive waypoints); the displacement
-    metrics below do not depend on it.
+    ``coords`` holds the waypoints as ``(x, y)`` float pairs, in meters
+    (east, north) in a sample-local frame.  ``dt`` is metadata (seconds
+    between consecutive waypoints); the displacement metrics below do
+    not depend on it.
 
-    Every constructor (``Trajectory(points, dt)``, ``from_xy``,
-    ``translated`` and the private ``_of`` for float pairs) checks that
-    there is a waypoint, that each is finite and that ``dt`` is positive.
+    Every constructor (``Trajectory(pairs, dt)``, ``translated`` and the
+    private ``_of`` for float pairs) checks that there is a waypoint,
+    that each is finite and that ``dt`` is positive.
     """
 
     coords: tuple[tuple[float, float], ...]
     dt: float
 
-    def __init__(self, points: Iterable[Waypoint], dt: float = 1.0):
-        self._store(tuple((float(p.x), float(p.y)) for p in points), dt)
+    def __init__(self, pairs: Iterable[Sequence[float]], dt: float = 1.0):
+        self._store(tuple((float(x), float(y)) for x, y in pairs), dt)
 
     @classmethod
     def _of(cls, coords: tuple[tuple[float, float], ...], dt: float) -> "Trajectory":
@@ -69,10 +55,10 @@ class Trajectory:
         return self
 
     def _store(self, coords: tuple[tuple[float, float], ...], dt: float) -> None:
-        # One C-loop pass; only a bad trajectory pays for a Waypoint per pair.
+        # One C-loop pass; only a bad trajectory pays for finding its pair.
         if not all(map(math.isfinite, chain.from_iterable(coords))):
-            for x, y in coords:
-                Waypoint(x, y)  # raises for the first pair that is not finite
+            x, y = next(p for p in coords if not all(map(math.isfinite, p)))
+            raise InvalidInput(f"waypoint coordinates must be finite, got ({x}, {y})")
         if len(coords) < 1:
             raise InvalidInput("trajectory must have at least one waypoint")
         if not (math.isfinite(dt) and dt > 0):
@@ -81,21 +67,8 @@ class Trajectory:
         object.__setattr__(self, "dt", dt)
 
     @property
-    def points(self) -> tuple[Waypoint, ...]:
-        return tuple(Waypoint(x, y) for x, y in self.coords)
-
-    @property
     def horizon(self) -> int:
         return len(self.coords)
-
-    def xy(self) -> tuple[tuple[float, float], ...]:
-        """Waypoints as plain (x, y) tuples."""
-        return self.coords
-
-    @classmethod
-    def from_xy(cls, pairs: Iterable[Sequence[float]], dt: float = 1.0) -> "Trajectory":
-        """Build a trajectory from (x, y) pairs, coercing coordinates to float."""
-        return cls._of(tuple((float(x), float(y)) for x, y in pairs), dt)
 
     def translated(self, dx: float, dy: float) -> "Trajectory":
         return Trajectory._of(tuple((x + dx, y + dy) for x, y in self.coords), self.dt)
@@ -219,12 +192,18 @@ def ade(pred: Trajectory, gt: Trajectory) -> float:
     """
     _check_horizons(pred, gt)
     try:
-        return math.fsum(map(math.dist, pred.coords, gt.coords)) / pred.horizon
+        total = math.fsum(map(math.dist, pred.coords, gt.coords))
     except OverflowError:
         raise NumericalError("ADE: the sum of waypoint errors overflows the float range") from None
+    if total == math.inf:
+        raise NumericalError("ADE: a waypoint error overflows the float range")
+    return total / pred.horizon
 
 
 def fde(pred: Trajectory, gt: Trajectory) -> float:
     """Euclidean distance at the final waypoint, in meters."""
     _check_horizons(pred, gt)
-    return math.dist(pred.coords[-1], gt.coords[-1])
+    error = math.dist(pred.coords[-1], gt.coords[-1])
+    if error == math.inf:
+        raise NumericalError("FDE: the final waypoint error overflows the float range")
+    return error

@@ -263,14 +263,18 @@ def aggregate_covariance_over_horizon(
     n = len(per_step)
     if n < 1:
         raise InvalidInput("need at least one timestep")
+    overflow = "member spread overflows the float range"
     try:
-        return (
+        moments = (
             math.fsum(m[0] for m in per_step) / n,
             math.fsum(m[1] for m in per_step) / n,
             math.fsum(m[2] for m in per_step) / n,
         )
     except (OverflowError, ValueError):  # a sum past the float range, or inf + -inf
-        raise NumericalError("member spread overflows the float range") from None
+        raise NumericalError(overflow) from None
+    if not all(map(math.isfinite, moments)):  # a step's moment was already inf
+        raise NumericalError(overflow)
+    return moments
 
 
 def ensemble_covariance(

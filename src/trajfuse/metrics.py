@@ -7,12 +7,14 @@ cross-method difficulty transfer, and Venn-style overlap reports over
 the methods' hardest-sample sets.  ``fuse_and_score`` is the one
 fuse-and-score pass over a dataset, loaded or generated; it returns the
 ledger, and fused records leave it only through its ``sample_hook``.
+Both ledger builders refuse input that would score a method on fewer
+samples than the others, since that method's tail would then be cut
+from a different sample set.
 """
 
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
@@ -53,15 +55,12 @@ class ErrorLedger:
 
     Methods are typically individual models plus one or more
     ensemble_<strategy> entries, all sharing the same sample universe.
-    Gaps (a method missing a sample) are recorded rather than silently
-    dropped so coverage can be reported.
     """
 
-    __slots__ = ("_methods", "gaps")
+    __slots__ = ("_methods",)
 
     def __init__(self) -> None:
         self._methods: dict[str, dict[str, tuple[float, float]]] = {}
-        self.gaps: list[tuple[str, str]] = []
 
     def add(self, method_id: str, sample_id: str, ade_m: float, fde_m: float) -> None:
         if not method_id or not sample_id:
@@ -76,14 +75,8 @@ class ErrorLedger:
             raise InvalidInput(f"duplicate ledger row ({method_id}, {sample_id})")
         rows[sample_id] = (ade_m, fde_m)
 
-    def record_gap(self, method_id: str, sample_id: str) -> None:
-        self.gaps.append((method_id, sample_id))
-
     def method_ids(self) -> tuple[str, ...]:
         return tuple(sorted(self._methods))
-
-    def has(self, method_id: str, sample_id: str) -> bool:
-        return sample_id in self._methods.get(method_id, ())
 
     def row(self, method_id: str, sample_id: str) -> tuple[float, float]:
         try:
@@ -190,34 +183,22 @@ def build_ledger(
 ) -> ErrorLedger:
     """Score every method's trajectory against each sample's ground truth.
 
-    ``predictions`` maps method_id -> {sample_id -> Trajectory}.  A
-    method missing a sample gets a recorded gap and a warning instead of
-    a row; a sample without ground truth is an error, since silently
-    skipping it would skew every method's denominator.
+    ``predictions`` maps method_id -> {sample_id -> Trajectory}.  Every
+    sample needs ground truth and a prediction from every method; either
+    missing is an error, since skipping it would skew a denominator.
     """
     ledger = ErrorLedger()
-    method_ids = list(predictions)
     for sample in samples:
         gt = sample.ground_truth
         if gt is None:
             raise InvalidInput(f"sample '{sample.sample_id}' has no ground truth to score against")
-        for method_id in method_ids:
-            traj = predictions[method_id].get(sample.sample_id)
+        for method_id, by_sample in predictions.items():
+            traj = by_sample.get(sample.sample_id)
             if traj is None:
-                ledger.record_gap(method_id, sample.sample_id)
-                continue
+                raise InvalidInput(
+                    f"method '{method_id}' has no prediction for sample '{sample.sample_id}'"
+                )
             ledger.add(method_id, sample.sample_id, ade(traj, gt), fde(traj, gt))
-    if ledger.gaps:
-        per_method: dict[str, int] = {}
-        for method_id, _ in ledger.gaps:
-            per_method[method_id] = per_method.get(method_id, 0) + 1
-        detail = ", ".join(f"{m}: {n}" for m, n in sorted(per_method.items()))
-        warnings.warn(
-            f"{len(ledger.gaps)} sample(s) missing predictions ({detail}); "
-            "those rows are omitted from the ledger",
-            UserWarning,
-            stacklevel=2,
-        )
     return ledger
 
 
@@ -232,17 +213,28 @@ def fuse_and_score(
 
     The ledger gets one row per (member, sample) for the member's
     most-likely mode and one ``ensemble_<strategy>`` row per (strategy,
-    sample), scored from the decided trajectory.  Samples are consumed
-    one at a time.  Fused records leave only through ``sample_hook``,
-    which sees each sample with its records per strategy right after the
-    sample is scored; without a hook no record is built, so no
-    covariance is computed.
+    sample), scored from the decided trajectory.  Every sample must have
+    the first sample's set of members, so each method is scored on every
+    sample; one that differs is an error, raised before it is fused.
+    Samples are consumed one at a time.  Fused records leave only through
+    ``sample_hook``, which sees each sample with its records per strategy
+    right after the sample is scored; without a hook no record is built,
+    so no covariance is computed.
     """
     ledger = ErrorLedger()
+    first_id = expected = None
     for sample in samples:
         gt = sample.ground_truth
         if gt is None:
             raise InvalidInput(f"sample '{sample.sample_id}' has no ground truth to score against")
+        members = {out.model_id for out in sample.outputs}
+        if expected is None:
+            first_id, expected = sample.sample_id, members
+        elif members != expected:
+            differ = [f"{label} {sorted(ids)}" for label, ids in
+                      (("missing", expected - members), ("extra", members - expected)) if ids]
+            raise InvalidInput(f"sample '{sample.sample_id}' members differ from the first "
+                               f"sample '{first_id}': {', '.join(differ)}")
         decision = decide(sample, strategies, primary_model_id, tau)
         for member in decision.members:
             ledger.add(member.model_id, sample.sample_id,

@@ -8,7 +8,7 @@ from dataclasses import dataclass
 import pytest
 from hypothesis import strategies as st
 
-from trajfuse.core import Mode, ModelOutput, Sample, Trajectory, Waypoint
+from trajfuse.core import Mode, ModelOutput, Sample, Trajectory
 from trajfuse.metrics import ErrorLedger
 from trajfuse.synth import (
     PINNED_PRIMARY,
@@ -29,7 +29,7 @@ def trajectories(horizon: int | None = None, dt: float = 1.0) -> st.SearchStrate
     return sizes.flatmap(
         lambda n: st.lists(
             st.tuples(finite_coords, finite_coords), min_size=n, max_size=n
-        ).map(lambda pts: Trajectory(tuple(Waypoint(x, y) for x, y in pts), dt=dt))
+        ).map(lambda pts: Trajectory(pts, dt=dt))
     )
 
 

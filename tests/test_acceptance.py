@@ -39,7 +39,7 @@ def random_sample(rng: random.Random, index: int, max_confidence: float) -> Samp
     for j in range(rng.randint(2, 5)):
         modes = tuple(
             Mode(
-                trajectory=Trajectory.from_xy(
+                trajectory=Trajectory(
                     [(rng.uniform(-10, 10), rng.uniform(-10, 10)) for _ in range(horizon)],
                     dt=dt,
                 ),
@@ -64,7 +64,7 @@ def naive_fuse(sample: Sample):
     picks = [pick_most_likely(o) for o in sample.outputs]
     total = math.fsum(m.confidence for m in picks)
     weights = [m.confidence / total for m in picks]
-    coords = [m.trajectory.xy() for m in picks]
+    coords = [m.trajectory.coords for m in picks]
     horizon = len(coords[0])
     fused = []
     for t in range(horizon):
@@ -95,7 +95,7 @@ def test_criterion_1_fusion_matches_naive_oracle():
             weights, coords, (xx, yy, xy), det, confidence = naive_fuse(sample)
             for got, want in zip(fused.weights.values, weights):
                 assert abs(got - want) <= 1e-9
-            for (gx, gy), (wx, wy) in zip(fused.trajectory.xy(), coords):
+            for (gx, gy), (wx, wy) in zip(fused.trajectory.coords, coords):
                 assert abs(gx - wx) <= 1e-9
                 assert abs(gy - wy) <= 1e-9
             cov = fused.covariance
@@ -151,13 +151,13 @@ def test_criterion_2_fusion_invariants():
             rescaled = fuse_weighted(scale_confidences(sample, rng.uniform(0.5, 2000.0)))
             for got, want in zip(rescaled.weights.values, fused.weights.values):
                 assert abs(got - want) <= 1e-9
-            for (gx, gy), (wx, wy) in zip(rescaled.trajectory.xy(), fused.trajectory.xy()):
+            for (gx, gy), (wx, wy) in zip(rescaled.trajectory.coords, fused.trajectory.coords):
                 assert abs(gx - wx) <= 1e-9
                 assert abs(gy - wy) <= 1e-9
 
             # The fused point never leaves the members' bounding box.
-            member_coords = [pick_most_likely(o).trajectory.xy() for o in sample.outputs]
-            for t, (fx, fy) in enumerate(fused.trajectory.xy()):
+            member_coords = [pick_most_likely(o).trajectory.coords for o in sample.outputs]
+            for t, (fx, fy) in enumerate(fused.trajectory.coords):
                 xs = [c[t][0] for c in member_coords]
                 ys = [c[t][1] for c in member_coords]
                 assert min(xs) - 1e-9 <= fx <= max(xs) + 1e-9
@@ -174,7 +174,7 @@ def test_criterion_2_fusion_invariants():
             got = permuted.weights.as_dict()
             assert got.keys() == want.keys()
             assert all(abs(got[k] - want[k]) <= 1e-9 for k in want)
-            for (gx, gy), (wx, wy) in zip(permuted.trajectory.xy(), fused.trajectory.xy()):
+            for (gx, gy), (wx, wy) in zip(permuted.trajectory.coords, fused.trajectory.coords):
                 assert abs(gx - wx) <= 1e-9
                 assert abs(gy - wy) <= 1e-9
             assert abs(permuted.covariance.det - fused.covariance.det) <= 1e-9
@@ -242,7 +242,7 @@ def one_point_sample(*members: tuple[float, float, float]) -> Sample:
         ModelOutput(
             model_id=f"m{j}",
             sample_id="s0",
-            modes=(Mode(trajectory=Trajectory.from_xy([(x, y)]), confidence=c),),
+            modes=(Mode(trajectory=Trajectory([(x, y)]), confidence=c),),
         )
         for j, (x, y, c) in enumerate(members)
     )
@@ -256,8 +256,8 @@ def test_criterion_4_hand_verified_numerics():
         fused = fuse_weighted(one_point_sample((0.0, 0.0, 1.0), (4.0, 0.0, 3.0)))
         assert abs(fused.weights.values[0] - 0.25) <= 1e-9
         assert abs(fused.weights.values[1] - 0.75) <= 1e-9
-        assert abs(fused.trajectory.xy()[0][0] - 3.0) <= 1e-9
-        assert abs(fused.trajectory.xy()[0][1] - 0.0) <= 1e-9
+        assert abs(fused.trajectory.coords[0][0] - 3.0) <= 1e-9
+        assert abs(fused.trajectory.coords[0][1] - 0.0) <= 1e-9
         assert abs(fused.covariance.xx - 3.0) <= 1e-9
         assert abs(fused.covariance.det - 0.0) <= 1e-9
         assert abs(fused.confidence - 1.0) <= 1e-9
@@ -277,8 +277,8 @@ def test_criterion_4_hand_verified_numerics():
         assert abs(line.confidence - 1.0) <= 1e-9
 
         # Distances 0.5, 0.5, 1, 1 average to 0.75 and end at 1.
-        gt = Trajectory.from_xy([(0, 0), (1, 0), (2, 0), (3, 0)])
-        pred = Trajectory.from_xy([(0, 0.5), (1, 0.5), (2, 1.0), (3, 1.0)])
+        gt = Trajectory([(0, 0), (1, 0), (2, 0), (3, 0)])
+        pred = Trajectory([(0, 0.5), (1, 0.5), (2, 1.0), (3, 1.0)])
         assert abs(ade(pred, gt) - 0.75) <= 1e-9
         assert abs(fde(pred, gt) - 1.0) <= 1e-9
 
@@ -295,7 +295,7 @@ def test_criterion_4_hand_verified_numerics():
         state = InitialState(x=0.0, y=0.0, heading=0.0, speed=1.0,
                              turn_rate=math.pi / 2, maneuver="constant_turn")
         arc = maneuver_trajectory("constant_turn", state, horizon=4, dt=0.25)
-        end_x, end_y = arc.xy()[-1]
+        end_x, end_y = arc.coords[-1]
         assert abs(end_x - 2 / math.pi) <= 1e-9
         assert abs(end_y - 2 / math.pi) <= 1e-9
 

@@ -481,6 +481,8 @@ class TestMalformedFilesRefused:
         # The weighted spread is +inf at one step and -inf at the other.
         ("fuse", {"s0": {"a": (1.0, [[1e200, 1e200], [1e200, -1e200]]),
                          "b": (1.0, [[-1e200, -1e200], [-1e200, 1e200]])}}, None, "spread"),
+        # Each member is 1e200 from the fused point, so its squared deviation is +inf.
+        ("fuse", {"s0": {"a": (1.0, [[1e200, 0]]), "b": (1.0, [[-1e200, 0]])}}, None, "spread"),
         # Each sample's error is finite; the sum of the two is not.
         ("eval", {sid: {"a": (1.0, [[8e307, 0]]), "b": (1.0, [[8e307, 0]])}
                   for sid in ("s0", "s1")},
@@ -488,8 +490,11 @@ class TestMalformedFilesRefused:
         ("eval", {"s0": {"a": (1.0, [[8e307, 0], [8e307, 0]]),
                          "b": (1.0, [[8e307, 0], [8e307, 0]])}},
          {"s0": [[-8e307, 0], [-8e307, 0]]}, "ADE"),
-    ], ids=["fuse_confidence_sum", "eval_confidence_sum", "fuse_spread", "eval_mean",
-            "eval_ade"])
+        # One waypoint's difference, 3.4e308, is itself past the range.
+        ("eval", {"s0": {"a": (1.0, [[1.7e308, 0]]), "b": (1.0, [[1.7e308, 0]])}},
+         {"s0": [[-1.7e308, 0]]}, "ADE"),
+    ], ids=["fuse_confidence_sum", "eval_confidence_sum", "fuse_spread", "fuse_spread_inf",
+            "eval_mean", "eval_ade", "eval_waypoint_error"])
     def test_finite_numbers_whose_sums_overflow(self, tmp_path, capsys, command, predictions,
                                                 truth, named):
         """Finite inputs whose sums pass the float range: a NumericalError, not a traceback."""

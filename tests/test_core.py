@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import FrozenInstanceError
-from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
@@ -15,7 +14,6 @@ from trajfuse.core import (
     ModelOutput,
     Sample,
     Trajectory,
-    Waypoint,
     ade,
     fde,
     select_most_likely,
@@ -26,19 +24,7 @@ from conftest import trajectories
 
 
 def traj(*pts: tuple[float, float], dt: float = 1.0) -> Trajectory:
-    return Trajectory.from_xy(pts, dt=dt)
-
-
-class TestWaypoint:
-    def test_finite_required(self):
-        with pytest.raises(InvalidInput):
-            Waypoint(float("nan"), 0.0)
-        with pytest.raises(InvalidInput):
-            Waypoint(0.0, float("inf"))
-
-    def test_plain_values(self):
-        p = Waypoint(1.5, -2.0)
-        assert (p.x, p.y) == (1.5, -2.0)
+    return Trajectory(pts, dt=dt)
 
 
 class TestTrajectory:
@@ -57,36 +43,37 @@ class TestTrajectory:
     def test_horizon_and_xy_roundtrip(self):
         t = traj((0, 0), (1, 2), (3, 4), dt=0.5)
         assert t.horizon == 3
-        assert t.xy() == ((0.0, 0.0), (1.0, 2.0), (3.0, 4.0))
-        assert Trajectory.from_xy(t.xy(), dt=0.5) == t
+        assert t.coords == ((0.0, 0.0), (1.0, 2.0), (3.0, 4.0))
+        assert Trajectory(t.coords, dt=0.5) == t
 
     def test_translated(self):
         t = traj((1, 1), (2, 2)).translated(-1, 2)
-        assert t.xy() == ((0.0, 3.0), (1.0, 4.0))
+        assert t.coords == ((0.0, 3.0), (1.0, 4.0))
         with pytest.raises(InvalidInput, match="finite"):
             traj((1e308, 0)).translated(1e308, 0)
 
-    # Every constructor refuses a coordinate that is not finite, with
-    # Waypoint's message.  A SimpleNamespace stands in for a point because
-    # Waypoint itself refuses NaN.
+    # Every constructor refuses a coordinate that is not finite, with one message.
     @pytest.mark.parametrize("build", [
-        lambda x: Trajectory([SimpleNamespace(x=x, y=0.0)]),
-        lambda x: Trajectory.from_xy([(x, 0.0)]),
+        lambda x: Trajectory([(x, 0.0)]),
         lambda x: Trajectory._of(((x, 0.0),), 1.0),
         lambda x: traj((0.0, 0.0)).translated(x, 0.0),
-    ], ids=["points", "from_xy", "_of", "translated"])
+    ], ids=["pairs", "_of", "translated"])
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_non_finite_refused_alike(self, build, bad):
         with pytest.raises(InvalidInput) as caught:
             build(bad)
         assert str(caught.value) == f"waypoint coordinates must be finite, got ({bad}, 0.0)"
 
-    def test_points_and_pairs_give_one_value(self):
-        t = Trajectory((Waypoint(0.0, 1.0), Waypoint(2, 3)), dt=0.5)
-        u = traj((0, 1), (2.0, 3.0), dt=0.5)
-        assert t == u
-        assert hash(t) == hash(u)
-        assert t.points == (Waypoint(0.0, 1.0), Waypoint(2.0, 3.0))
+    def test_every_constructor_gives_one_value(self):
+        t = Trajectory([(0, 1), (2, 3)], dt=0.5)
+        same = (traj((0.0, 1.0), (2.0, 3.0), dt=0.5),
+                Trajectory._of(((0.0, 1.0), (2.0, 3.0)), 0.5),
+                traj((-1, 0), (1, 2), dt=0.5).translated(1, 1))
+        for u in same:
+            assert t == u
+            assert hash(t) == hash(u)
+        assert t.coords == ((0.0, 1.0), (2.0, 3.0))
+        assert all(type(c) is float for pair in t.coords for c in pair)
         with pytest.raises(FrozenInstanceError):
             t.dt = 1.0
         with pytest.raises(FrozenInstanceError):
@@ -153,12 +140,12 @@ class TestSelectMostLikely:
         modes = (Mode(traj((0, 0)), 0.2), Mode(traj((1, 1)), 0.7), Mode(traj((2, 2)), 0.1))
         best = select_most_likely(ModelOutput("m", "s", modes))
         assert best.confidence == 0.7
-        assert best.trajectory.points[0] == Waypoint(1, 1)
+        assert best.trajectory.coords == ((1.0, 1.0),)
 
     def test_tie_goes_to_lowest_index(self):
         modes = (Mode(traj((0, 0)), 0.5), Mode(traj((1, 1)), 0.5))
         best = select_most_likely(ModelOutput("m", "s", modes))
-        assert best.trajectory.points[0] == Waypoint(0, 0)
+        assert best.trajectory.coords == ((0.0, 0.0),)
 
 
 class TestDisplacementErrors:
@@ -182,6 +169,18 @@ class TestDisplacementErrors:
         # Each waypoint error is 1.6e308, finite; the two of them sum past the range.
         with pytest.raises(NumericalError, match="ADE"):
             ade(traj((8e307, 0), (8e307, 0)), traj((-8e307, 0), (-8e307, 0)))
+
+    def test_ade_waypoint_error_past_the_float_range_is_a_numerical_error(self):
+        # The first waypoints are 3.4e308 apart, past the range; the last agree.
+        pred, gt = traj((1.7e308, 0), (0, 0)), traj((-1.7e308, 0), (0, 0))
+        with pytest.raises(NumericalError, match="ADE: a waypoint error overflows"):
+            ade(pred, gt)
+        assert fde(pred, gt) == 0.0
+
+    def test_fde_past_the_float_range_is_a_numerical_error(self):
+        pred, gt = traj((0, 0), (1.7e308, 0)), traj((0, 0), (-1.7e308, 0))
+        with pytest.raises(NumericalError, match="FDE: the final waypoint error overflows"):
+            fde(pred, gt)
 
     def test_horizon_mismatch(self):
         with pytest.raises(HorizonMismatch):
@@ -216,9 +215,8 @@ class TestDisplacementErrors:
     @given(t=trajectories())
     @settings(max_examples=100)
     def test_fde_is_last_step_distance(self, t):
-        zero = Trajectory(tuple(Waypoint(0, 0) for _ in t.points), dt=t.dt)
-        last = t.points[-1]
-        assert fde(t, zero) == pytest.approx(math.hypot(last.x, last.y), rel=1e-12)
+        zero = Trajectory([(0, 0)] * t.horizon, dt=t.dt)
+        assert fde(t, zero) == pytest.approx(math.hypot(*t.coords[-1]), rel=1e-12)
 
 
 # Coordinates from subnormal to 1e300, so the norm's scaling is exercised too.
@@ -230,7 +228,7 @@ _any_scale = st.floats(min_value=-1e300, max_value=1e300, allow_nan=False,
 def _aligned_pairs(draw) -> tuple[Trajectory, Trajectory]:
     n = draw(st.integers(min_value=1, max_value=12))
     coords = st.lists(st.tuples(_any_scale, _any_scale), min_size=n, max_size=n)
-    return (Trajectory.from_xy(draw(coords)), Trajectory.from_xy(draw(coords)))
+    return (Trajectory(draw(coords)), Trajectory(draw(coords)))
 
 
 class TestDisplacementErrorsMatchLoops:

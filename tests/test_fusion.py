@@ -46,7 +46,7 @@ from conftest import confidences, fusion_samples, trajectories
 
 
 def traj(*pts: tuple[float, float], dt: float = 1.0) -> Trajectory:
-    return Trajectory.from_xy(pts, dt=dt)
+    return Trajectory(pts, dt=dt)
 
 
 def one_mode_sample(*members: tuple[str, Trajectory, float], sample_id: str = "s0") -> Sample:
@@ -179,7 +179,7 @@ class TestWeightedAverage:
         a = traj((0, 0), (2, 0))
         b = traj((0, 4), (0, 2))
         w = uniform_weights(["a", "b"])
-        assert weighted_average([a, b], w).xy() == ((0.0, 2.0), (1.0, 1.0))
+        assert weighted_average([a, b], w).coords == ((0.0, 2.0), (1.0, 1.0))
 
     def test_preserves_dt(self):
         a = traj((0, 0), dt=0.2)
@@ -276,7 +276,7 @@ class TestEnsembleCovariance:
         b = traj((-1, 0), (0, -1))
         w = uniform_weights(["a", "b"])
         fused = weighted_average([a, b], w)
-        assert fused.xy() == ((0.0, 0.0), (0.0, 0.0))
+        assert fused.coords == ((0.0, 0.0), (0.0, 0.0))
         cov = ensemble_covariance([a, b], w, fused)
         assert cov.matrix == ((0.5, 0.0), (0.0, 0.5))
         assert cov.det == 0.25
@@ -340,7 +340,7 @@ class TestFuseWeighted:
         sample = one_mode_sample(("a", traj((0, 0)), 1.0), ("b", traj((4, 0)), 3.0))
         fused = fuse_weighted(sample)
         assert fused.weights.as_dict() == {"a": 0.25, "b": 0.75}
-        assert fused.trajectory.xy() == ((3.0, 0.0),)
+        assert fused.trajectory.coords == ((3.0, 0.0),)
         assert fused.covariance.matrix == ((3.0, 0.0), (0.0, 0.0))
         assert fused.confidence == 1.0
         assert fused.strategy == "weighted"
@@ -357,14 +357,14 @@ class TestFuseWeighted:
         fused = fuse_weighted(sample)
         # Weight for b comes from its best mode: 0.8 / 1.8.
         assert fused.weights.as_dict()["b"] == pytest.approx(0.8 / 1.8, abs=1e-15)
-        assert fused.trajectory.points[0].y == 0.0
+        assert fused.trajectory.coords[0][1] == 0.0
 
     def test_all_zero_confidences_fall_back_to_uniform(self):
         sample = one_mode_sample(("a", traj((0, 0)), 0.0), ("b", traj((2, 0)), 0.0))
         with pytest.warns(ZeroConfidenceWarning):
             fused = fuse_weighted(sample)
         assert fused.weights.values == (0.5, 0.5)
-        assert fused.trajectory.xy() == ((1.0, 0.0),)
+        assert fused.trajectory.coords == ((1.0, 0.0),)
         assert len(fused.notes) == 1
         assert "uniform" in fused.notes[0]
 
@@ -390,9 +390,9 @@ class TestFuseWeighted:
         """A convex combination cannot leave the members' bounding box."""
         members = [select_most_likely(o) for o in sample.outputs]
         fused = fuse_weighted(sample)
-        for t, (fx, fy) in enumerate(fused.trajectory.xy()):
-            xs = [m.trajectory.points[t].x for m in members]
-            ys = [m.trajectory.points[t].y for m in members]
+        for t, (fx, fy) in enumerate(fused.trajectory.coords):
+            xs = [m.trajectory.coords[t][0] for m in members]
+            ys = [m.trajectory.coords[t][1] for m in members]
             assert min(xs) - 1e-9 <= fx <= max(xs) + 1e-9
             assert min(ys) - 1e-9 <= fy <= max(ys) + 1e-9
 
@@ -407,7 +407,7 @@ class TestFuseWeighted:
         a = fuse_weighted(sample)
         b = fuse_weighted(flipped)
         assert a.weights.as_dict() == b.weights.as_dict()
-        for (ax, ay), (bx, by) in zip(a.trajectory.xy(), b.trajectory.xy()):
+        for (ax, ay), (bx, by) in zip(a.trajectory.coords, b.trajectory.coords):
             assert abs(ax - bx) <= 1e-9
             assert abs(ay - by) <= 1e-9
         assert abs(a.confidence - b.confidence) <= 1e-9
@@ -436,7 +436,7 @@ class TestFuseSimple:
         sample = one_mode_sample(("a", traj((0, 0)), 1000.0), ("b", traj((2, 0)), 0.001))
         fused = fuse_simple(sample)
         assert fused.weights.values == (0.5, 0.5)
-        assert fused.trajectory.xy() == ((1.0, 0.0),)
+        assert fused.trajectory.coords == ((1.0, 0.0),)
         assert fused.strategy == "simple"
 
     def test_three_member_mean(self):
@@ -446,8 +446,8 @@ class TestFuseSimple:
             ("c", traj((0, 3)), 0.7),
         )
         fused = fuse_simple(sample)
-        assert fused.trajectory.points[0].x == pytest.approx(1.0, abs=1e-12)
-        assert fused.trajectory.points[0].y == pytest.approx(1.0, abs=1e-12)
+        assert fused.trajectory.coords[0][0] == pytest.approx(1.0, abs=1e-12)
+        assert fused.trajectory.coords[0][1] == pytest.approx(1.0, abs=1e-12)
 
 
 class TestFuseThreshold:
@@ -461,7 +461,7 @@ class TestFuseThreshold:
         sample = self.sample(primary_conf=0.9)
         fused = fuse_threshold(sample, "p", tau=0.9)
         assert fused.strategy == "threshold"
-        assert fused.trajectory.xy() == ((10.0, 0.0),)
+        assert fused.trajectory.coords == ((10.0, 0.0),)
         # Uncertainty still reflects the whole ensemble.
         base = fuse_weighted(sample)
         assert fused.weights == base.weights
@@ -530,8 +530,8 @@ class TestDecide:
         sample = one_mode_sample(("p", traj((10, 0)), 0.9), ("q", traj((0, 0)), 0.1))
         monkeypatch.setattr(fusion, "ensemble_covariance", refuse)
         decision = decide(sample, STRATEGIES, "p")
-        assert decision.trajectories["threshold"].xy() == ((10.0, 0.0),)
-        assert decision.trajectories["weighted"].xy() == ((9.0, 0.0),)
+        assert decision.trajectories["threshold"].coords == ((10.0, 0.0),)
+        assert decision.trajectories["weighted"].coords == ((9.0, 0.0),)
         with pytest.raises(NumericalError, match="spread measured"):
             decision.records()
 

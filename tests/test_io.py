@@ -39,7 +39,7 @@ from trajfuse.metrics import overlap_report
 
 
 def traj(*pts: tuple[float, float], dt: float = 1.0) -> Trajectory:
-    return Trajectory.from_xy(pts, dt=dt)
+    return Trajectory(pts, dt=dt)
 
 
 def one_mode_sample(*members, sample_id="s0") -> Sample:
@@ -61,7 +61,7 @@ MANIFEST = DatasetManifest(
 def output(model_id: str, sample_id: str, *xy_lists, confs=None) -> ModelOutput:
     confs = confs or [1.0] * len(xy_lists)
     modes = tuple(
-        Mode(Trajectory.from_xy(pts, dt=MANIFEST.dt), c) for pts, c in zip(xy_lists, confs)
+        Mode(Trajectory(pts, dt=MANIFEST.dt), c) for pts, c in zip(xy_lists, confs)
     )
     return ModelOutput(model_id, sample_id, modes)
 
@@ -303,7 +303,7 @@ class TestGroundTruth:
         write_ground_truth(path, self.records())
         loaded = list(load_ground_truth(path, MANIFEST))
         assert [r.sample_id for r in loaded] == ["s0", "s1"]
-        assert loaded[1].trajectory.xy() == ((2.0, 2.0), (3.0, 3.0))
+        assert loaded[1].trajectory.coords == ((2.0, 2.0), (3.0, 3.0))
 
     def test_duplicate_rejected_on_write(self, tmp_path):
         rec = self.records()[0]

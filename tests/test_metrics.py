@@ -31,11 +31,11 @@ from trajfuse.metrics import (
 )
 from trajfuse.synth import PINNED_PRIMARY, generate_samples, pinned_config, pinned_predictors
 
-from conftest import ledgers
+from conftest import ledgers, trajectories
 
 
 def traj(*pts: tuple[float, float]) -> Trajectory:
-    return Trajectory.from_xy(pts)
+    return Trajectory(pts)
 
 
 def ledger_from(method_id: str, errors: dict[str, tuple[float, float]]) -> ErrorLedger:
@@ -50,8 +50,6 @@ class TestErrorLedger:
         ledger = ErrorLedger()
         ledger.add("m", "s0", 1.5, 2.5)
         assert ledger.row("m", "s0") == (1.5, 2.5)
-        assert ledger.has("m", "s0")
-        assert not ledger.has("m", "s1")
         assert ledger.sample_count("m") == 1
         assert len(ledger) == 1
         assert list(ledger) == [("m", "s0", 1.5, 2.5)]
@@ -96,11 +94,6 @@ class TestErrorLedger:
         with pytest.raises(InvalidInput):
             ErrorLedger().row("m", "s0")
 
-    def test_gaps_recorded(self):
-        ledger = ErrorLedger()
-        ledger.record_gap("m", "s7")
-        assert ledger.gaps == [("m", "s7")]
-
 
 class TestEnsembleMethodId:
     def test_prefixing(self):
@@ -123,15 +116,13 @@ class TestBuildLedger:
         assert ledger.row("a", "s0") == (0.75, 1.0)
         assert ledger.row("b", "s0") == (5.0, 5.0)
         assert ledger.row("a", "s1") == (0.0, 0.0)
-        assert ledger.gaps == []
 
-    def test_missing_prediction_becomes_gap(self):
+    def test_missing_prediction_refused(self):
         samples = [self.sample("s0", [(0, 0)]), self.sample("s1", [(0, 0)])]
-        predictions = {"a": {"s0": traj((1, 0))}}
-        with pytest.warns(UserWarning, match="missing predictions"):
-            ledger = build_ledger(samples, predictions)
-        assert ledger.gaps == [("a", "s1")]
-        assert ledger.sample_count("a") == 1
+        predictions = {"a": {"s0": traj((1, 0)), "s1": traj((1, 0))}, "b": {"s0": traj((1, 0))}}
+        with pytest.raises(InvalidInput) as caught:
+            build_ledger(samples, predictions)
+        assert str(caught.value) == "method 'b' has no prediction for sample 's1'"
 
     def test_unlabeled_sample_rejected(self):
         unlabeled = Sample("s0", None, ())
@@ -564,6 +555,65 @@ class TestFuseAndScoreRecords:
         for sample, fused in seen:
             assert fused == fusion.decide(sample, STRATEGIES, PINNED_PRIMARY).records()
             assert list(fused) == list(STRATEGIES)
+
+
+@st.composite
+def whole_datasets(draw) -> list[Sample]:
+    """2-6 labeled samples, each with the same 2-4 members in a drawn order."""
+    horizon = draw(st.integers(min_value=1, max_value=6))
+    member_ids = [f"m{j}" for j in range(draw(st.integers(min_value=2, max_value=4)))]
+    samples = []
+    for i in range(draw(st.integers(min_value=2, max_value=6))):
+        sid = f"s{i}"
+        outputs = [ModelOutput(mid, sid, (Mode(draw(trajectories(horizon)),
+                                               draw(st.floats(0.01, 1.0))),))
+                   for mid in member_ids]
+        samples.append(Sample(sid, draw(trajectories(horizon)),
+                              tuple(draw(st.permutations(outputs)))))
+    return samples
+
+
+class TestWholeLedgersOnly:
+    """Every method is scored on every sample, or the ledger is refused."""
+
+    @given(whole_datasets())
+    @settings(max_examples=100, deadline=None)
+    def test_every_method_counts_every_sample(self, samples):
+        ledger = fuse_and_score(samples, STRATEGIES, "m0")
+        members = {out.model_id for out in samples[0].outputs}
+        assert set(ledger.method_ids()) == members | {ensemble_method_id(s) for s in STRATEGIES}
+        for method_id in ledger.method_ids():
+            assert ledger.sample_count(method_id) == len(samples)
+
+    @given(whole_datasets(), st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_a_dropped_member_is_refused_before_its_sample_is_fused(self, samples, data):
+        index = data.draw(st.integers(min_value=1, max_value=len(samples) - 1))
+        sample = samples[index]
+        dropped = data.draw(st.sampled_from(sample.outputs))
+        samples[index] = Sample(sample.sample_id, sample.ground_truth,
+                                tuple(out for out in sample.outputs if out is not dropped))
+        hooked = []
+        with pytest.raises(InvalidInput) as caught:
+            fuse_and_score(samples, STRATEGIES, "m0",
+                           sample_hook=lambda s, records: hooked.append(s.sample_id))
+        assert str(caught.value) == (f"sample '{sample.sample_id}' members differ from the "
+                                     f"first sample 's0': missing ['{dropped.model_id}']")
+        assert hooked == [s.sample_id for s in samples[:index]]
+
+    def test_fuse_and_score_names_the_sample_and_the_models(self):
+        def sample(sid: str, members: str) -> Sample:
+            return Sample(sid, traj((0, 0)), tuple(
+                ModelOutput(mid, sid, (Mode(traj((1, 0)), 1.0),)) for mid in members))
+
+        with pytest.raises(InvalidInput) as caught:
+            fuse_and_score([sample("s0", "ab"), sample("s1", "a"), sample("s2", "ab")])
+        assert str(caught.value) == ("sample 's1' members differ from the first sample 's0': "
+                                     "missing ['b']")
+        with pytest.raises(InvalidInput) as caught:
+            fuse_and_score([sample("s0", "ab"), sample("s1", "bc")])
+        assert str(caught.value) == ("sample 's1' members differ from the first sample 's0': "
+                                     "missing ['a'], extra ['c']")
 
 
 def test_metric_names_and_defaults():

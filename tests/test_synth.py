@@ -81,27 +81,27 @@ class TestValidation:
 class TestManeuverTrajectory:
     def test_straight(self):
         t = maneuver_trajectory("straight", state(speed=1.0), horizon=3, dt=0.5)
-        assert t.xy() == ((0.5, 0.0), (1.0, 0.0), (1.5, 0.0))
+        assert t.coords == ((0.5, 0.0), (1.0, 0.0), (1.5, 0.0))
 
     def test_straight_follows_heading(self):
         t = maneuver_trajectory("straight", state(heading=math.pi / 2, speed=2.0),
                                 horizon=2, dt=1.0)
-        assert t.points[0].x == pytest.approx(0.0, abs=1e-12)
-        assert t.points[0].y == pytest.approx(2.0, abs=1e-12)
+        assert t.coords[0][0] == pytest.approx(0.0, abs=1e-12)
+        assert t.coords[0][1] == pytest.approx(2.0, abs=1e-12)
 
     def test_quarter_circle(self):
         # One second at turn rate pi/2 sweeps a quarter of a circle with
         # radius 2/pi, landing at (2/pi, 2/pi).
         s = state(maneuver="constant_turn", speed=1.0, turn_rate=math.pi / 2)
         t = maneuver_trajectory("constant_turn", s, horizon=1, dt=1.0)
-        assert t.points[0].x == pytest.approx(2 / math.pi, abs=1e-9)
-        assert t.points[0].y == pytest.approx(2 / math.pi, abs=1e-9)
+        assert t.coords[0][0] == pytest.approx(2 / math.pi, abs=1e-9)
+        assert t.coords[0][1] == pytest.approx(2 / math.pi, abs=1e-9)
 
     def test_full_circle_returns_home(self):
         s = state(maneuver="constant_turn", speed=1.0, turn_rate=math.pi / 2)
         t = maneuver_trajectory("constant_turn", s, horizon=4, dt=1.0)
-        assert t.points[-1].x == pytest.approx(0.0, abs=1e-9)
-        assert t.points[-1].y == pytest.approx(0.0, abs=1e-9)
+        assert t.coords[-1][0] == pytest.approx(0.0, abs=1e-9)
+        assert t.coords[-1][1] == pytest.approx(0.0, abs=1e-9)
 
     def test_zero_turn_rate_degrades_to_straight(self):
         s = state(maneuver="constant_turn", speed=3.0, turn_rate=0.0)
@@ -112,21 +112,21 @@ class TestManeuverTrajectory:
     def test_lane_change_reaches_full_offset(self):
         s = state(maneuver="lane_change", speed=5.0)
         t = maneuver_trajectory("lane_change", s, horizon=10, dt=0.4)
-        assert t.points[-1].y == pytest.approx(LANE_CHANGE_OFFSET_M, abs=1e-12)
-        assert t.points[-1].x == pytest.approx(5.0 * 10 * 0.4, abs=1e-12)
+        assert t.coords[-1][1] == pytest.approx(LANE_CHANGE_OFFSET_M, abs=1e-12)
+        assert t.coords[-1][0] == pytest.approx(5.0 * 10 * 0.4, abs=1e-12)
         # Smoothstep is at half the offset exactly halfway through.
-        assert t.points[4].y == pytest.approx(LANE_CHANGE_OFFSET_M * 0.5, abs=1e-12)
+        assert t.coords[4][1] == pytest.approx(LANE_CHANGE_OFFSET_M * 0.5, abs=1e-12)
 
     def test_lane_change_direction(self):
         s = state(maneuver="lane_change", speed=5.0, lane_dir=-1)
         t = maneuver_trajectory("lane_change", s, horizon=4, dt=0.5)
-        assert t.points[-1].y == pytest.approx(-LANE_CHANGE_OFFSET_M, abs=1e-12)
+        assert t.coords[-1][1] == pytest.approx(-LANE_CHANGE_OFFSET_M, abs=1e-12)
 
     def test_origin_offset_carries_through(self):
         s = InitialState(x=5.0, y=7.0, heading=0.0, speed=1.0, turn_rate=0.0,
                          maneuver="straight")
         t = maneuver_trajectory("straight", s, horizon=1, dt=1.0)
-        assert t.xy() == ((6.0, 7.0),)
+        assert t.coords == ((6.0, 7.0),)
 
     def test_rejects_bad_args(self):
         with pytest.raises(InvalidInput):
@@ -232,7 +232,7 @@ class TestRunPredictor:
                              mode_count=5)
         scenario = scenario_from(state(speed=10.0), 2, 0.5)
         out = run_predictor(spec, scenario, seed=0)
-        finals = [m.trajectory.points[-1].x for m in out.modes]
+        finals = [m.trajectory.coords[-1][0] for m in out.modes]
         assert finals == pytest.approx([10.0, 8.5, 11.5, 7.0, 13.0], abs=1e-12)
 
     def test_lateral_ladder_hypotheses(self):
@@ -240,7 +240,7 @@ class TestRunPredictor:
                              mode_count=3)
         scenario = scenario_from(state(speed=5.0), 3, 0.5)
         out = run_predictor(spec, scenario, seed=0)
-        offsets = [m.trajectory.points[0].y - scenario.ground_truth.points[0].y
+        offsets = [m.trajectory.coords[0][1] - scenario.ground_truth.coords[0][1]
                    for m in out.modes]
         assert offsets == pytest.approx([0.0, -0.5, 0.5], abs=1e-12)
 
@@ -270,9 +270,10 @@ class TestRunPredictor:
                              bias=(1.0, -2.0))
         scenario = scenario_from(state(speed=3.0), 4, 0.5)
         out = run_predictor(spec, scenario, seed=0)
-        for p, g in zip(out.modes[0].trajectory.points, scenario.ground_truth.points):
-            assert p.x - g.x == pytest.approx(1.0, abs=1e-12)
-            assert p.y - g.y == pytest.approx(-2.0, abs=1e-12)
+        for (px, py), (gx, gy) in zip(out.modes[0].trajectory.coords,
+                                      scenario.ground_truth.coords):
+            assert px - gx == pytest.approx(1.0, abs=1e-12)
+            assert py - gy == pytest.approx(-2.0, abs=1e-12)
 
     def test_seeded_noise_is_reproducible(self):
         spec = PredictorSpec(name="orc", kind="noisy_oracle", noise_sigma=0.5)

@@ -8,10 +8,13 @@ rules once in ``_resolve``, all before any input is read or output
 written; the commands then take the parsed namespace as it is.  Outputs
 replace their destinations atomically.  Every command is deterministic:
 rerunning with identical inputs, seeds, and flags writes byte-identical
-files.  ``--threads`` is checked but has no effect: the work runs serially.
-``synth`` runs ``synth.synth_experiment``, which scores the generated
-samples the same way ``eval`` and ``overlap`` score a loaded one, and
-writes the dataset and fused records its sample hook keeps.
+files.  ``synth`` runs ``synth.synth_experiment``, which scores the
+generated samples the same way ``eval`` and ``overlap`` score a loaded
+one, on ``--threads`` worker processes (default: the usable CPU count,
+capped by it and by the sample count); its sample hook encodes each
+sample's dump and fused lines in the worker that made the sample, and
+the parent writes them.  The other commands check ``--threads`` and run
+serially.
 
 Configuration precedence is flags > --config JSON file > built-in
 defaults; config values are checked like flags.  The TRAJFUSE_OUT_DIR
@@ -28,6 +31,7 @@ import math
 import os
 import sys
 from dataclasses import replace
+from itertools import chain
 from typing import Sequence
 
 from .errors import InvalidInput, TrajfuseError
@@ -35,14 +39,16 @@ from .fusion import DEFAULT_TAU, STRATEGIES, decide, flag_low_confidence
 from .io import (
     DatasetManifest,
     GroundTruthRecord,
+    fused_line,
+    ground_truth_line,
     load_fused,
     load_manifest,
     load_samples,
+    prediction_line,
     write_flags,
     write_fused,
-    write_ground_truth,
+    write_lines,
     write_manifest,
-    write_predictions,
     write_report,
 )
 from .metrics import (
@@ -54,7 +60,13 @@ from .metrics import (
     summary_table,
     top_k_error,
 )
-from .synth import PINNED_PRIMARY, pinned_config, pinned_predictors, synth_experiment
+from .synth import (
+    PINNED_PRIMARY,
+    pinned_config,
+    pinned_predictors,
+    synth_experiment,
+    usable_cpus,
+)
 
 __all__ = ["main"]
 
@@ -228,23 +240,20 @@ def cmd_synth(args: argparse.Namespace) -> int:
         sample_count=config.sample_count,
     )
     _check_primary(args, manifest)
-    outputs = []
-    truth = []
-    fused = {strategy: [] for strategy in args.strategies}
 
-    def keep(scenario, sample, by_strategy):
-        outputs.extend(sample.outputs)
-        truth.append(GroundTruthRecord(sample.sample_id, sample.ground_truth))
-        for strategy, pred in by_strategy.items():
-            fused[strategy].append(pred)
+    def encode(scenario, sample, by_strategy):
+        return ([prediction_line(out) for out in sample.outputs],
+                ground_truth_line(GroundTruthRecord(sample.sample_id, sample.ground_truth)),
+                [fused_line(by_strategy[strategy]) for strategy in args.strategies])
 
     result = synth_experiment(config, predictors, args.strategies, args.primary_model,
-                              args.tau, args.k_list, sample_hook=keep)
+                              args.tau, args.k_list, sample_hook=encode, threads=args.threads)
+    lines = result.hook_results
 
     os.makedirs(args.out, exist_ok=True)
-    for strategy in args.strategies:
+    for i, strategy in enumerate(args.strategies):
         fused_path = os.path.join(args.out, f"fused_{strategy}.ndjson")
-        write_fused(fused_path, fused[strategy])
+        write_lines(fused_path, (fused[i] for _, _, fused in lines), "fused prediction")
         _note(fused_path)
     paths = {
         "manifest": os.path.join(args.out, "manifest.json"),
@@ -254,8 +263,9 @@ def cmd_synth(args: argparse.Namespace) -> int:
         "overlap": os.path.join(args.out, f"overlap.{args.format}"),
     }
     write_manifest(paths["manifest"], manifest)
-    write_predictions(paths["predictions"], outputs)
-    write_ground_truth(paths["ground_truth"], truth)
+    write_lines(paths["predictions"], chain.from_iterable(outputs for outputs, _, _ in lines),
+                "output")
+    write_lines(paths["ground_truth"], (truth for _, truth, _ in lines), "ground truth")
     write_report(paths["summary"], result.summary, args.format, k_list=args.k_list)
     _write_overlap(args, result.ledger, manifest.model_ids, paths["overlap"])
     for path in paths.values():
@@ -305,8 +315,10 @@ def _add_common(parser: argparse.ArgumentParser, out_help: str, default_out: str
         parser.add_argument(flag, **_SHARED_FLAGS[flag])
     parser.add_argument("--config", help="JSON file of flag defaults (flags still win)")
     parser.add_argument("--out", help=f"{out_help} (default: {default_out})")
-    parser.add_argument("--threads", type=int, default=None,
-                        help="accepted for compatibility; has no effect (work runs serially)")
+    parser.add_argument("--threads", type=int, default=usable_cpus(),
+                        help="synth's worker processes, capped by the usable CPUs and the "
+                             "sample count (default: the usable CPU count, %(default)s); "
+                             "the other commands check it and run serially")
     parser.set_defaults(default_out=default_out)
 
 

@@ -16,12 +16,16 @@ a ParseError (or a HorizonMismatch) with file and line context, never
 another exception.  ``load_samples`` holds the whole-dataset rules: a
 dataset that is not whole is refused.
 
-One writer (``_write_records``) sorts records (sample_id, then model_id)
-and emits full-precision floats, so identical inputs produce
-byte-identical files.  Every writer replaces its destination atomically:
-it writes a temporary file in the same directory, fsyncs it, renames it
-over the destination and fsyncs the directory, so a failed write leaves
-the previous file (or none) and no partial one.
+Each record kind has one encoder (``prediction_line``,
+``ground_truth_line``, ``fused_line``) that turns a record into its sort
+key and its NDJSON line with full-precision floats, and one writer
+(``write_lines``) sorts the lines (sample_id, then model_id), so
+identical inputs produce byte-identical files.  Encoding is separate
+from writing so that ``synth`` can encode in the worker that made a
+sample and write in the parent.  Every writer replaces its destination
+atomically: it writes a temporary file in the same directory, fsyncs
+it, renames it over the destination and fsyncs the directory, so a
+failed write leaves the previous file (or none) and no partial one.
 """
 
 from __future__ import annotations
@@ -48,12 +52,16 @@ __all__ = [
     "load_manifest",
     "write_manifest",
     "load_predictions",
+    "prediction_line",
     "write_predictions",
     "load_ground_truth",
+    "ground_truth_line",
     "write_ground_truth",
     "load_samples",
     "load_fused",
+    "fused_line",
     "write_fused",
+    "write_lines",
     "write_report",
     "write_flags",
 ]
@@ -226,24 +234,26 @@ def _records(path: str, fields: tuple[str, ...], what: str,
 
 
 # json.dumps(payload, sort_keys=True) without a new encoder per record.  The
-# writers' payloads are fresh trees, so the cycle check has nothing to find.
-_ENCODER = json.JSONEncoder(sort_keys=True, check_circular=False)
+# encoders' payloads are fresh trees, so the cycle check has nothing to find.
+_encode = json.JSONEncoder(sort_keys=True, check_circular=False).encode
+
+# A record's sort key, (sample_id,) or (sample_id, model_id), and its NDJSON line.
+Line = tuple[tuple[str, ...], str]
 
 
-def _write_records(path: str, keyed_payloads: Iterable[tuple[tuple[str, ...], dict]],
-                   what: str) -> None:
-    """The one NDJSON writer: one JSON object per line, sorted by key.
+def write_lines(path: str, lines: Iterable[Line], what: str) -> None:
+    """The one NDJSON writer: each encoded record on its own line, sorted by key.
 
     A repeated key is an InvalidInput (``what`` names the record).
     """
-    lines: dict[tuple[str, ...], str] = {}
-    for key, payload in keyed_payloads:
-        if key in lines:
+    by_key: dict[tuple[str, ...], str] = {}
+    for key, line in lines:
+        if key in by_key:
             raise InvalidInput(f"duplicate {what} for {_describe(key)}")
-        lines[key] = _ENCODER.encode(payload)
+        by_key[key] = line
     with _replacing(path, newline="\n") as f:
-        for key in sorted(lines):
-            f.write(lines[key])
+        for key in sorted(by_key):
+            f.write(by_key[key])
             f.write("\n")
 
 
@@ -337,14 +347,19 @@ def load_predictions(path: str, manifest: DatasetManifest) -> Iterator[ModelOutp
         yield ModelOutput(model_id=model_id, sample_id=sample_id, modes=tuple(modes))
 
 
-def write_predictions(path: str, outputs: Iterable[ModelOutput]) -> None:
-    """Dump ModelOutputs as NDJSON sorted by (sample_id, model_id)."""
-    _write_records(path, (((out.sample_id, out.model_id), {
+def prediction_line(out: ModelOutput) -> Line:
+    """One (sample, model) record of a prediction dump, encoded."""
+    return (out.sample_id, out.model_id), _encode({
         "sample_id": out.sample_id,
         "model_id": out.model_id,
         "modes": [{"confidence": float(mode.confidence), "points": mode.trajectory.coords}
                   for mode in out.modes],
-    }) for out in outputs), "output")
+    })
+
+
+def write_predictions(path: str, outputs: Iterable[ModelOutput]) -> None:
+    """Dump ModelOutputs as NDJSON sorted by (sample_id, model_id)."""
+    write_lines(path, map(prediction_line, outputs), "output")
 
 
 def load_ground_truth(path: str, manifest: DatasetManifest) -> Iterator[GroundTruthRecord]:
@@ -355,11 +370,16 @@ def load_ground_truth(path: str, manifest: DatasetManifest) -> Iterator[GroundTr
             sample_id, _trajectory(obj["points"], manifest, "ground truth", path, line))
 
 
-def write_ground_truth(path: str, records: Iterable[GroundTruthRecord]) -> None:
-    _write_records(path, (((rec.sample_id,), {
+def ground_truth_line(rec: GroundTruthRecord) -> Line:
+    """One ground-truth record, encoded."""
+    return (rec.sample_id,), _encode({
         "sample_id": rec.sample_id,
         "points": rec.trajectory.coords,
-    }) for rec in records), "ground truth")
+    })
+
+
+def write_ground_truth(path: str, records: Iterable[GroundTruthRecord]) -> None:
+    write_lines(path, map(ground_truth_line, records), "ground truth")
 
 
 def load_samples(
@@ -467,9 +487,9 @@ def load_fused(path: str) -> Iterator[FusedPrediction]:
         yield fused
 
 
-def write_fused(path: str, fused: Iterable[FusedPrediction]) -> None:
-    """Dump fused predictions as NDJSON sorted by sample_id, full precision."""
-    _write_records(path, (((pred.sample_id,), {
+def fused_line(pred: FusedPrediction) -> Line:
+    """One fused record, encoded with full precision."""
+    return (pred.sample_id,), _encode({
         "sample_id": pred.sample_id,
         "strategy": pred.strategy,
         "dt": pred.trajectory.dt,
@@ -480,7 +500,12 @@ def write_fused(path: str, fused: Iterable[FusedPrediction]) -> None:
         "determinant": pred.covariance.det,
         "confidence": pred.confidence,
         "notes": list(pred.notes),
-    }) for pred in fused), "fused prediction")
+    })
+
+
+def write_fused(path: str, fused: Iterable[FusedPrediction]) -> None:
+    """Dump fused predictions as NDJSON sorted by sample_id, full precision."""
+    write_lines(path, map(fused_line, fused), "fused prediction")
 
 
 def _report_header(k_list: Sequence[float]) -> list[str]:

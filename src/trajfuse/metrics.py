@@ -184,10 +184,12 @@ def build_ledger(
     """Score every method's trajectory against each sample's ground truth.
 
     ``predictions`` maps method_id -> {sample_id -> Trajectory}.  Every
-    sample needs ground truth and a prediction from every method; either
-    missing is an error, since skipping it would skew a denominator.
+    sample needs ground truth and a prediction from every method, and
+    every prediction needs its sample; anything missing is an error,
+    since skipping it would skew a denominator.
     """
     ledger = ErrorLedger()
+    scored: set[str] = set()
     for sample in samples:
         gt = sample.ground_truth
         if gt is None:
@@ -199,6 +201,12 @@ def build_ledger(
                     f"method '{method_id}' has no prediction for sample '{sample.sample_id}'"
                 )
             ledger.add(method_id, sample.sample_id, ade(traj, gt), fde(traj, gt))
+        scored.add(sample.sample_id)
+    for method_id, by_sample in predictions.items():
+        extra = by_sample.keys() - scored
+        if extra:
+            raise InvalidInput(f"method '{method_id}' has a prediction for sample "
+                               f"'{min(extra)}', which is not among the samples")
     return ledger
 
 

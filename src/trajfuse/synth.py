@@ -19,11 +19,12 @@ independently and runs are reproducible across platforms.
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass, replace
-from typing import TYPE_CHECKING, Callable, Iterator, Sequence
+from typing import TYPE_CHECKING, BinaryIO, Callable, Iterable, Iterator, Sequence
 
 from .core import Mode, ModelOutput, Sample, Trajectory, ade
-from .errors import InvalidInput
+from .errors import InvalidInput, TrajfuseError
 from .fusion import DEFAULT_TAU, STRATEGIES, FusedPrediction
 from .metrics import DEFAULT_K_LIST, ErrorLedger, fuse_and_score, summary_table
 
@@ -49,6 +50,7 @@ __all__ = [
     "run_predictor",
     "generate_samples",
     "synth_experiment",
+    "usable_cpus",
     "pinned_config",
     "pinned_predictors",
     "PINNED_SEED",
@@ -330,24 +332,32 @@ def run_predictor(spec: PredictorSpec, scenario: Scenario,
 
 @dataclass(frozen=True, slots=True)
 class ExperimentResult:
-    """Ledger and summary of one synthetic end-to-end run."""
+    """Ledger and summary of one synthetic end-to-end run.
+
+    ``hook_results`` holds what the sample hook returned for each
+    sample, in sample order (empty without a hook).
+    """
 
     config: ScenarioConfig
     predictor_names: tuple[str, ...]
     strategies: tuple[str, ...]
     ledger: ErrorLedger
     summary: list[dict[str, object]]
+    hook_results: list[object]
 
 
 def generate_samples(
     config: ScenarioConfig,
     predictors: Sequence[PredictorSpec],
+    indices: Iterable[int] | None = None,
 ) -> Iterator[tuple[Scenario, Sample]]:
-    """Yield each scenario with the predictor bank's outputs for it, in sample order.
+    """Yield each scenario with the predictor bank's outputs for it, in index order.
 
-    Predictor j draws from the derived seed (config.seed, index, 1 + j).
+    ``indices`` picks the samples (default: all of them, in sample
+    order).  Predictor j draws from the derived seed (config.seed,
+    index, 1 + j).
     """
-    for index in range(config.sample_count):
+    for index in range(config.sample_count) if indices is None else indices:
         scenario = scenario_at(config, index)
         outputs = tuple(
             run_predictor(spec, scenario, (config.seed, index, 1 + j))
@@ -357,7 +367,97 @@ def generate_samples(
                                ground_truth=scenario.ground_truth, outputs=outputs)
 
 
-SampleHook = Callable[[Scenario, Sample, dict[str, FusedPrediction]], None]
+SampleHook = Callable[[Scenario, Sample, dict[str, FusedPrediction]], object]
+
+
+def usable_cpus() -> int:
+    """The CPUs this process may run on: its affinity mask where the platform has one."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity masks on this platform
+        return os.cpu_count() or 1
+
+
+def _worker_count(threads: int, sample_count: int) -> int:
+    """``threads`` capped by the usable CPUs and the sample count; 1 without ``os.fork``.
+
+    The cap is what keeps a huge ``threads`` from starting as many processes.
+    """
+    if not hasattr(os, "fork"):
+        return 1
+    return min(threads, usable_cpus(), sample_count)
+
+
+def _fork(run: Callable[[range], object], indices: range) -> tuple[int, BinaryIO]:
+    """Run ``run(indices)`` in a forked child; return its pid and the read end of its pipe.
+
+    The child pipes back ``(None, result)``, or ``(error, None)`` if
+    ``run`` raised, pickled, and exits 0 only once all of it is written.
+    It leaves through ``os._exit``, so it never returns into the caller
+    or runs its atexit handlers or flushes its inherited buffers.
+    """
+    import pickle
+
+    read_fd, write_fd = os.pipe()
+    try:
+        pid = os.fork()
+    except OSError:
+        os.close(read_fd)
+        os.close(write_fd)
+        raise
+    if pid:
+        os.close(write_fd)
+        return pid, open(read_fd, "rb")
+    status = 1
+    try:
+        os.close(read_fd)
+        try:
+            payload = pickle.dumps((None, run(indices)), pickle.HIGHEST_PROTOCOL)
+        except BaseException as e:
+            payload = pickle.dumps((e, None), pickle.HIGHEST_PROTOCOL)
+        with open(write_fd, "wb") as pipe:
+            pipe.write(payload)
+        status = 0
+    finally:
+        os._exit(status)
+
+
+def _kill(pid: int, pipe: BinaryIO) -> None:
+    """Close an unreaped worker's pipe, kill it and reap it: its result is no longer wanted."""
+    import signal
+
+    pipe.close()
+    try:
+        os.kill(pid, signal.SIGKILL)
+    except ProcessLookupError:
+        pass
+    os.waitpid(pid, 0)
+
+
+def _receive(pipe: BinaryIO) -> object:
+    """What a worker pickled into its pipe, unpickled as it streams in; None if cut short."""
+    import pickle
+
+    try:
+        return pickle.load(pipe)
+    except (EOFError, pickle.UnpicklingError):  # the worker's exit status says why
+        return None
+
+
+def _result(indices: range, status: int, sent: object) -> object:
+    """A reaped worker's result; its error, re-raised; or a TrajfuseError if it sent none."""
+    import signal
+
+    code = os.waitstatus_to_exitcode(status)
+    if code != 0 or sent is None:
+        how = (f"was killed by {signal.Signals(-code).name}" if code < 0
+               else f"exited with status {code}")
+        raise TrajfuseError(f"synth worker for samples [{indices.start}, {indices.stop}) "
+                            f"{how} without a result")
+    error, value = sent
+    if error is not None:
+        raise error
+    return value
 
 
 def synth_experiment(
@@ -375,12 +475,24 @@ def synth_experiment(
     Ledger rows cover each member's most-likely mode plus one
     ensemble_<strategy> method per requested strategy.  The optional
     ``sample_hook`` sees every (scenario, sample, fused-by-strategy)
-    as it streams past, in sample order, so callers can dump files
-    without this function retaining the whole dataset in memory;
-    ``trajfuse synth`` writes its dumps and fused files from that hook.
+    as it streams past, so callers can encode or dump records without
+    this function retaining the samples; what it returns for each
+    sample lands in ``hook_results``, in sample order.  ``trajfuse
+    synth`` encodes its dump and fused lines in that hook.
 
-    ``threads`` is validated but has no effect: the work is pure Python
-    and runs serially.
+    ``threads`` caps the worker processes: the samples split into
+    ``min(threads, usable_cpus(), sample_count)`` contiguous index
+    ranges (one without ``os.fork``).  The first range runs here, each
+    other one in a forked child, and the children's ledger rows (added
+    through ``ErrorLedger.add``) and hook results are merged in range
+    order, so the result is the same for every ``threads``.  A hook
+    called in a child keeps its side effects there; only its return
+    values, which must pickle, come back.  The lowest range's error is
+    re-raised, as a serial run would raise it; a worker that ends
+    without a result (a signal, out of memory) is a TrajfuseError naming
+    its range.  A lock another thread holds at the fork stays held in
+    the child, so ``trajfuse synth`` forks before it imports numpy,
+    whose OpenBLAS starts threads.
     """
     if len(predictors) < 2:
         raise InvalidInput(f"need >= 2 predictors, got {len(predictors)}")
@@ -398,27 +510,52 @@ def synth_experiment(
     if threads < 1:
         raise InvalidInput(f"threads must be >= 1, got {threads}")
 
-    # Holds at most one entry: fuse_and_score scores a sample, and calls
-    # the hook, before it draws the next.
-    scenarios: dict[str, Scenario] = {}
+    def run(indices: range) -> tuple[ErrorLedger, list[object]]:
+        results: list[object] = []
+        # Holds at most one entry: fuse_and_score scores a sample, and
+        # calls the hook, before it draws the next.
+        scenarios: dict[str, Scenario] = {}
 
-    def samples() -> Iterator[Sample]:
-        for scenario, sample in generate_samples(config, predictors):
-            if sample_hook is not None:
-                scenarios[sample.sample_id] = scenario
-            yield sample
+        def samples() -> Iterator[Sample]:
+            for scenario, sample in generate_samples(config, predictors, indices):
+                if sample_hook is not None:
+                    scenarios[sample.sample_id] = scenario
+                yield sample
 
-    def hook(sample: Sample, fused: dict[str, FusedPrediction]) -> None:
-        sample_hook(scenarios.pop(sample.sample_id), sample, fused)
+        def hook(sample: Sample, fused: dict[str, FusedPrediction]) -> None:
+            results.append(sample_hook(scenarios.pop(sample.sample_id), sample, fused))
 
-    ledger = fuse_and_score(samples(), strategies, primary_model, tau,
-                            None if sample_hook is None else hook)
+        ledger = fuse_and_score(samples(), strategies, primary_model, tau,
+                                None if sample_hook is None else hook)
+        return ledger, results
+
+    n, workers = config.sample_count, _worker_count(threads, config.sample_count)
+    shards = [range(n * i // workers, n * (i + 1) // workers) for i in range(workers)]
+    pending = []  # (indices, pid, pipe) of each child not yet reaped, in range order
+    try:
+        for indices in shards[1:]:
+            pending.append((indices, *_fork(run, indices)))
+        ledger, hook_results = run(shards[0])
+        while pending:
+            indices, pid, pipe = pending[0]
+            with pipe:
+                sent = _receive(pipe)
+            status = os.waitpid(pid, 0)[1]
+            del pending[0]
+            part, results = _result(indices, status, sent)
+            for row in part:
+                ledger.add(*row)
+            hook_results += results
+    finally:
+        for _, pid, pipe in pending:
+            _kill(pid, pipe)
     return ExperimentResult(
         config=config,
         predictor_names=tuple(names),
         strategies=tuple(strategies),
         ledger=ledger,
         summary=summary_table(ledger, k_list),
+        hook_results=hook_results,
     )
 
 

@@ -2,12 +2,14 @@
 
 from __future__ import annotations
 
+import os
 import time
 from dataclasses import dataclass
 
 import pytest
 from hypothesis import strategies as st
 
+from trajfuse import synth
 from trajfuse.core import Mode, ModelOutput, Sample, Trajectory
 from trajfuse.metrics import ErrorLedger
 from trajfuse.synth import (
@@ -110,3 +112,29 @@ def pinned_run() -> PinnedRun:
     )
     elapsed = time.perf_counter() - start
     return PinnedRun(result=result, elapsed_s=elapsed, confidence_error_pairs=pairs)
+
+
+@pytest.fixture
+def three_workers(monkeypatch) -> list[int]:
+    """Three usable CPUs for synth's worker count on any host, and the list of pids forked."""
+    monkeypatch.setattr(synth, "usable_cpus", lambda: 3)
+    pids: list[int] = []
+    fork = os.fork
+
+    def recording_fork() -> int:
+        pid = fork()
+        if pid:
+            pids.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", recording_fork)
+    return pids
+
+
+def reaped(pid: int) -> bool:
+    """Whether ``pid`` is no longer a child of this process, running or waiting to be reaped."""
+    try:
+        os.waitpid(pid, os.WNOHANG)
+    except ChildProcessError:
+        return True
+    return False

@@ -7,17 +7,20 @@ import gc
 import json
 import math
 import os
+import signal
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+from conftest import reaped
 
 import trajfuse
 from trajfuse import cli, fusion
 from trajfuse.cli import OUT_DIR_ENV, main
 from trajfuse.errors import NumericalError
 from trajfuse.io import load_fused, load_manifest
+from trajfuse.synth import usable_cpus
 
 
 SYNTH_ARGV = ["synth", "--samples", "30", "--horizon", "6", "--seed", "123",
@@ -84,6 +87,31 @@ class TestSynth:
         for name in SYNTH_FILES:
             assert (serial / name).read_bytes() == (threaded / name).read_bytes(), name
             assert (serial / name).read_bytes() == (dataset / name).read_bytes(), name
+
+    def test_killed_worker_fails_cleanly(self, tmp_path, capsys, monkeypatch, three_workers):
+        """A worker that dies is an error naming its samples; nothing is written."""
+        parent = os.getpid()
+        encode = cli.prediction_line
+
+        def dying(out):
+            if os.getpid() != parent and out.sample_id == "s000015":
+                os.kill(os.getpid(), signal.SIGKILL)
+            return encode(out)
+
+        monkeypatch.setattr(cli, "prediction_line", dying)
+        out = tmp_path / "o"
+        assert main(["synth", "--samples", "30", "--horizon", "6", "--threads", "3",
+                     "--out", str(out)]) == 1
+        assert stderr_payload(capsys) == {
+            "error": "TrajfuseError",
+            "message": "synth worker for samples [10, 20) was killed by SIGKILL without a result"}
+        assert not out.exists()
+        assert len(three_workers) == 2
+        assert all(reaped(pid) for pid in three_workers)
+
+    def test_threads_default_to_usable_cpus(self):
+        parser, _ = cli.build_parser()
+        assert parser.parse_args(["synth"]).threads == usable_cpus()
 
     def test_bad_samples_rejected(self, tmp_path, capsys):
         assert main(["synth", "--samples", "0", "--out", str(tmp_path / "o")]) == 1

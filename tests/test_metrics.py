@@ -124,6 +124,14 @@ class TestBuildLedger:
             build_ledger(samples, predictions)
         assert str(caught.value) == "method 'b' has no prediction for sample 's1'"
 
+    def test_prediction_without_sample_refused(self):
+        samples = [self.sample("s0", [(0, 0)])]
+        predictions = {"a": {"s0": traj((1, 0)), "s9": traj((2, 0))}}
+        with pytest.raises(InvalidInput) as caught:
+            build_ledger(samples, predictions)
+        assert str(caught.value) == ("method 'a' has a prediction for sample 's9', "
+                                     "which is not among the samples")
+
     def test_unlabeled_sample_rejected(self):
         unlabeled = Sample("s0", None, ())
         with pytest.raises(InvalidInput):

@@ -3,12 +3,16 @@
 from __future__ import annotations
 
 import math
+import os
+import signal
 
 import pytest
+from conftest import reaped
 from scipy import stats
 
+from trajfuse import synth
 from trajfuse.core import ade, fde, select_most_likely
-from trajfuse.errors import InvalidInput
+from trajfuse.errors import InvalidInput, TrajfuseError
 from trajfuse.metrics import ensemble_method_id
 from trajfuse.synth import (
     LANE_CHANGE_OFFSET_M,
@@ -379,12 +383,86 @@ class TestSynthExperiment:
         assert sorted(serial.ledger) == sorted(threaded.ledger)
         assert serial.summary == threaded.summary
 
-    def test_hook_sees_samples_in_order(self):
-        seen: list[str] = []
+    def test_hook_sees_samples_in_order(self, three_workers):
+        """What the hook returns comes back in sample order from every worker."""
         config = small_config(sample_count=25)
-        synth_experiment(config, self.bank(), threads=3,
-                         sample_hook=lambda sc, sa, fu: seen.append(sa.sample_id))
-        assert seen == [f"s{i:06d}" for i in range(25)]
+        result = synth_experiment(
+            config, self.bank(), threads=3,
+            sample_hook=lambda sc, sa, fu: (sc.sample_id, sa.sample_id, sorted(fu)))
+        assert len(three_workers) == 2
+        assert result.hook_results == [(f"s{i:06d}", f"s{i:06d}", ["simple", "weighted"])
+                                       for i in range(25)]
+
+    def test_no_hook_no_results(self):
+        assert synth_experiment(small_config(sample_count=5), self.bank()).hook_results == []
+
+    def test_worker_error_is_the_serial_error(self, three_workers):
+        # 40 samples on 3 workers: [0, 13), [13, 26), [26, 40).  Both forked
+        # ranges fail; a serial run meets the lower range's error first.
+        def hook(scenario, sample, fused):
+            if sample.sample_id in ("s000020", "s000035"):
+                raise InvalidInput(f"hook refused {sample.sample_id}")
+
+        errors = []
+        for threads in (1, 3):
+            with pytest.raises(InvalidInput) as caught:
+                synth_experiment(small_config(), self.bank(), threads=threads, sample_hook=hook)
+            errors.append((type(caught.value), str(caught.value)))
+        assert errors == [(InvalidInput, "hook refused s000020")] * 2
+        assert len(three_workers) == 2
+        assert all(reaped(pid) for pid in three_workers)
+
+    def test_killed_worker_names_its_range(self, three_workers):
+        parent = os.getpid()
+
+        def hook(scenario, sample, fused):
+            if os.getpid() != parent and sample.sample_id == "s000015":
+                os.kill(os.getpid(), signal.SIGKILL)
+
+        with pytest.raises(TrajfuseError) as caught:
+            synth_experiment(small_config(), self.bank(), threads=3, sample_hook=hook)
+        assert str(caught.value) == ("synth worker for samples [13, 26) was killed by SIGKILL "
+                                     "without a result")
+        assert len(three_workers) == 2
+        assert all(reaped(pid) for pid in three_workers)
+
+    def test_unpicklable_hook_result_is_an_error(self, three_workers):
+        with pytest.raises(Exception, match="pickle"):
+            synth_experiment(small_config(sample_count=6), self.bank(), threads=3,
+                             sample_hook=lambda sc, sa, fu: lambda: None)
+        assert all(reaped(pid) for pid in three_workers)
+
+
+class TestWorkerCount:
+    """The worker-count cap, checked without starting a process."""
+
+    @pytest.fixture(autouse=True)
+    def no_fork(self, monkeypatch):
+        def refuse():
+            raise AssertionError("os.fork called")
+        monkeypatch.setattr(os, "fork", refuse)
+
+    def test_capped_by_usable_cpus_and_samples(self, monkeypatch):
+        monkeypatch.setattr(synth, "usable_cpus", lambda: 2)
+        assert synth._worker_count(100_000, 10_000) == 2
+        assert synth._worker_count(1, 10_000) == 1
+        assert synth._worker_count(100_000, 1) == 1
+        config = small_config(sample_count=1)
+        result = synth_experiment(config, TestSynthExperiment().bank(), threads=100_000)
+        assert len(result.ledger) == 4
+
+    def test_one_worker_without_fork(self, monkeypatch):
+        monkeypatch.delattr(os, "fork")
+        assert synth._worker_count(8, 100) == 1
+
+    def test_usable_cpus(self, monkeypatch):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 3, 5}, raising=False)
+        assert synth.usable_cpus() == 3
+        monkeypatch.delattr(os, "sched_getaffinity")
+        monkeypatch.setattr(os, "cpu_count", lambda: 5)
+        assert synth.usable_cpus() == 5
+        monkeypatch.setattr(os, "cpu_count", lambda: None)
+        assert synth.usable_cpus() == 1
 
 
 class TestPinnedSetup:

@@ -9,7 +9,6 @@ cross-model overlap of the hardest samples.
 from .core import (
     Mode,
     ModelOutput,
-    MostLikely,
     Sample,
     Trajectory,
     ade,
@@ -59,7 +58,6 @@ from .synth import (
     PredictorSpec,
     Scenario,
     ScenarioConfig,
-    generate_scenarios,
     maneuver_trajectory,
     pinned_config,
     pinned_predictors,
@@ -70,7 +68,7 @@ from .synth import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "Trajectory", "Mode", "ModelOutput", "Sample", "MostLikely",
+    "Trajectory", "Mode", "ModelOutput", "Sample",
     "select_most_likely", "ade", "fde",
     "TrajfuseError", "InvalidInput", "HorizonMismatch", "ZeroConfidence",
     "NumericalError", "ParseError", "ZeroConfidenceWarning",
@@ -82,7 +80,7 @@ __all__ = [
     "OverlapReport", "ensemble_method_id", "build_ledger", "top_k_error",
     "overlap_report", "cross_evaluate", "summary_table",
     "ScenarioConfig", "PredictorSpec", "Scenario", "ExperimentResult",
-    "maneuver_trajectory", "generate_scenarios", "run_predictor",
+    "maneuver_trajectory", "run_predictor",
     "synth_experiment", "pinned_config", "pinned_predictors",
     "__version__",
 ]

@@ -20,7 +20,6 @@ __all__ = [
     "Mode",
     "ModelOutput",
     "Sample",
-    "MostLikely",
     "select_most_likely",
     "ade",
     "fde",
@@ -152,30 +151,14 @@ class Sample:
                         f"{out.horizon} != ground-truth horizon {self.ground_truth.horizon}"
                     )
 
-    def output_for(self, model_id: str) -> ModelOutput:
-        for out in self.outputs:
-            if out.model_id == model_id:
-                return out
-        raise InvalidInput(f"sample '{self.sample_id}' has no output for model '{model_id}'")
 
-
-@dataclass(frozen=True, slots=True)
-class MostLikely:
-    """The highest-confidence mode of one model, ready for fusion."""
-
-    model_id: str
-    trajectory: Trajectory
-    confidence: float
-
-
-def select_most_likely(output: ModelOutput) -> MostLikely:
-    """Pick the mode with maximal confidence; ties go to the lowest mode index."""
+def select_most_likely(output: ModelOutput) -> Mode:
+    """The mode with maximal confidence, itself; ties go to the lowest mode index."""
     best = output.modes[0]
     for mode in output.modes[1:]:
         if mode.confidence > best.confidence:
             best = mode
-    return MostLikely(model_id=output.model_id, trajectory=best.trajectory,
-                      confidence=best.confidence)
+    return best
 
 
 def _check_horizons(pred: Trajectory, gt: Trajectory) -> None:

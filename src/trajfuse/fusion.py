@@ -22,7 +22,7 @@ import warnings
 from dataclasses import dataclass, field, replace
 from typing import Sequence
 
-from .core import MostLikely, Sample, Trajectory, select_most_likely
+from .core import Mode, Sample, Trajectory, select_most_likely
 from .errors import (
     HorizonMismatch,
     InvalidInput,
@@ -40,7 +40,6 @@ __all__ = [
     "normalize_confidences",
     "uniform_weights",
     "weighted_average",
-    "aggregate_covariance_over_horizon",
     "ensemble_covariance",
     "ensemble_confidence",
     "fuse_weighted",
@@ -250,33 +249,6 @@ def weighted_average(trajectories: Sequence[Trajectory], weights: Weights) -> Tr
     return Trajectory._of(tuple(coords), trajectories[0].dt)
 
 
-def aggregate_covariance_over_horizon(
-    per_step: Sequence[tuple[float, float, float]],
-) -> tuple[float, float, float]:
-    """Collapse per-timestep (xx, xy, yy) second moments into one matrix.
-
-    This is the single place that fixes how disagreement is aggregated
-    over the horizon: the mean over timesteps, weighting each step
-    equally.  Swap this function to try alternatives (final step only,
-    sum, ...) without touching the rest of the pipeline.
-    """
-    n = len(per_step)
-    if n < 1:
-        raise InvalidInput("need at least one timestep")
-    overflow = "member spread overflows the float range"
-    try:
-        moments = (
-            math.fsum(m[0] for m in per_step) / n,
-            math.fsum(m[1] for m in per_step) / n,
-            math.fsum(m[2] for m in per_step) / n,
-        )
-    except (OverflowError, ValueError):  # a sum past the float range, or inf + -inf
-        raise NumericalError(overflow) from None
-    if not all(map(math.isfinite, moments)):  # a step's moment was already inf
-        raise NumericalError(overflow)
-    return moments
-
-
 def ensemble_covariance(
     trajectories: Sequence[Trajectory],
     weights: Weights,
@@ -284,8 +256,10 @@ def ensemble_covariance(
 ) -> CovarianceSummary:
     """Weighted scatter of member positions around the fused trajectory.
 
-    Per timestep, sums w_i * (p_i - fused)(p_i - fused)^T over members;
-    the per-step matrices are then aggregated over the horizon.
+    Per timestep, sums w_i * (p_i - fused)(p_i - fused)^T over members,
+    then takes the mean of those matrices over the horizon, every step
+    weighted equally (``math.fsum`` per entry).  A spread past the float
+    range is a NumericalError.
     """
     if len(trajectories) < 1:
         raise InvalidInput("need at least one trajectory")
@@ -307,7 +281,13 @@ def ensemble_covariance(
             xy += w * dx * dy
             yy += w * dy * dy
         per_step.append((xx, xy, yy))
-    xx, xy, yy = aggregate_covariance_over_horizon(per_step)
+    overflow = "member spread overflows the float range"
+    try:
+        xx, xy, yy = [math.fsum(column) / len(per_step) for column in zip(*per_step)]
+    except (OverflowError, ValueError):  # a sum past the float range, or inf + -inf
+        raise NumericalError(overflow) from None
+    if not all(map(math.isfinite, (xx, xy, yy))):  # a step's moment was already inf
+        raise NumericalError(overflow)
     return CovarianceSummary(xx=xx, xy=xy, yy=yy)
 
 
@@ -330,14 +310,16 @@ class _Blend:
 class Decision:
     """One sample's fusion decided, with the spread not yet measured.
 
-    ``members`` follow sample order; ``trajectories`` holds each requested
-    strategy's fused trajectory, in the order requested.  ``records()``
-    measures the spread and builds the ``FusedPrediction`` per strategy;
-    scoring needs only the trajectories.
+    ``members`` holds each member's most-likely ``Mode`` in sample order,
+    and ``model_ids`` the matching ids.  ``trajectories`` holds each
+    requested strategy's fused trajectory, in the order requested.
+    ``records()`` measures the spread and builds the ``FusedPrediction``
+    per strategy; scoring needs only the trajectories.
     """
 
     sample_id: str
-    members: list[MostLikely]
+    model_ids: tuple[str, ...]
+    members: list[Mode]
     trajectories: dict[str, Trajectory]
     passed_through: bool  # the threshold strategy took the primary's trajectory
     _ordered: list[Trajectory]  # member trajectories in model_id order
@@ -374,9 +356,10 @@ def decide(
     """Apply the strategy rules to one sample, short of measuring the spread.
 
     Each member's most-likely mode is selected once and the weighted
-    average runs at most once; "threshold" starts from that result.
-    Members are summed in model_id order, so the result cannot depend on
-    the order they arrive in; the reported weights keep sample order.
+    average runs at most once; "threshold" starts from that result, and
+    finds the primary's mode through ``model_ids``.  Members are summed in
+    model_id order, so the result cannot depend on the order they arrive
+    in; the reported weights keep sample order.
     """
     for strategy in strategies:
         if strategy not in STRATEGIES:
@@ -386,7 +369,7 @@ def decide(
     if len(sample.outputs) < 1:
         raise InvalidInput(f"sample '{sample.sample_id}' has no model outputs to fuse")
     members = [select_most_likely(out) for out in sample.outputs]
-    model_ids = tuple(m.model_id for m in members)
+    model_ids = tuple(out.model_id for out in sample.outputs)
     order = sorted(range(len(members)), key=lambda i: model_ids[i])
     ordered = [members[i].trajectory for i in order]
 
@@ -414,15 +397,15 @@ def decide(
     trajectories = {name: b.trajectory for name, b in blends.items()}
     passed_through = False
     if "threshold" in strategies:
-        primary = next((m for m in members if m.model_id == primary_model_id), None)
-        if primary is None:
+        if primary_model_id not in model_ids:
             raise InvalidInput(
                 f"sample '{sample.sample_id}' has no output for model '{primary_model_id}'"
             )
+        primary = members[model_ids.index(primary_model_id)]
         passed_through = primary.confidence >= tau
         trajectories["threshold"] = (primary.trajectory if passed_through
                                      else trajectories["weighted"])
-    return Decision(sample.sample_id, members,
+    return Decision(sample.sample_id, model_ids, members,
                     {strategy: trajectories[strategy] for strategy in strategies},
                     passed_through, ordered, blends)
 

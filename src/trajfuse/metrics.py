@@ -244,8 +244,8 @@ def fuse_and_score(
             raise InvalidInput(f"sample '{sample.sample_id}' members differ from the first "
                                f"sample '{first_id}': {', '.join(differ)}")
         decision = decide(sample, strategies, primary_model_id, tau)
-        for member in decision.members:
-            ledger.add(member.model_id, sample.sample_id,
+        for model_id, member in zip(decision.model_ids, decision.members):
+            ledger.add(model_id, sample.sample_id,
                        ade(member.trajectory, gt), fde(member.trajectory, gt))
         for strategy, trajectory in decision.trajectories.items():
             ledger.add(ensemble_method_id(strategy), sample.sample_id,

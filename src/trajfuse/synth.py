@@ -46,7 +46,6 @@ __all__ = [
     "ExperimentResult",
     "maneuver_trajectory",
     "scenario_at",
-    "generate_scenarios",
     "run_predictor",
     "generate_samples",
     "synth_experiment",
@@ -142,19 +141,13 @@ class ScenarioConfig:
 
 @dataclass(frozen=True, slots=True)
 class PredictorSpec:
-    """One synthetic ensemble member.
-
-    ``bias`` is a constant world-frame offset added to every waypoint;
-    it exists so tests can build members with known, cancelable
-    systematic errors.
-    """
+    """One synthetic ensemble member; ``run_predictor`` says how each field shapes its modes."""
 
     name: str
     kind: str
     noise_sigma: float = 0.0
     mode_count: int = 1
     temperature: float = 1.0
-    bias: tuple[float, float] = (0.0, 0.0)
 
     def __post_init__(self):
         if not self.name:
@@ -167,8 +160,6 @@ class PredictorSpec:
             raise InvalidInput(f"mode_count must be an integer >= 1, got {self.mode_count!r}")
         if not (math.isfinite(self.temperature) and self.temperature > 0):
             raise InvalidInput(f"temperature must be > 0, got {self.temperature!r}")
-        if len(self.bias) != 2 or any(not math.isfinite(b) for b in self.bias):
-            raise InvalidInput(f"bias must be a finite (x, y) offset, got {self.bias!r}")
 
 
 def maneuver_trajectory(maneuver: str, state: InitialState, horizon: int, dt: float) -> Trajectory:
@@ -256,12 +247,6 @@ def scenario_at(config: ScenarioConfig, index: int) -> Scenario:
     return Scenario(sample_id=f"s{index:06d}", state=state, ground_truth=gt)
 
 
-def generate_scenarios(config: ScenarioConfig) -> Iterator[Scenario]:
-    """Yield deterministic scenarios s000000, s000001, ... for a config."""
-    for index in range(config.sample_count):
-        yield scenario_at(config, index)
-
-
 def _ladder(count: int) -> list[int]:
     """Symmetric hypothesis offsets: 0, -1, +1, -2, +2, ... (count entries)."""
     steps = [0]
@@ -297,9 +282,9 @@ def run_predictor(spec: PredictorSpec, scenario: Scenario,
 
     Each mode is a kinematic hypothesis (speed, turn-rate, or lateral
     offset ladder around the base extrapolation) plus per-waypoint
-    Gaussian noise and the predictor's constant bias.  A mode's confidence
-    is the Boltzmann factor exp(-ADE/temperature) of the emitted
-    trajectory: the softmax numerator, deliberately left unnormalized.
+    Gaussian noise.  A mode's confidence is the Boltzmann factor
+    exp(-ADE/temperature) of the emitted trajectory: the softmax
+    numerator, deliberately left unnormalized.
     Normalizing within one model would be shift-invariant and erase how
     good the model is in absolute terms; with raw factors, the fusion
     stage's normalization computes a softmax across all members' chosen
@@ -309,7 +294,6 @@ def run_predictor(spec: PredictorSpec, scenario: Scenario,
     rng = _rng(seed)
     horizon = scenario.ground_truth.horizon
     dt = scenario.ground_truth.dt
-    bx, by = spec.bias
     steps = _ladder(spec.mode_count)
     # One (K, H, 2) draw yields the same numbers as K draws of (H, 2).
     if spec.noise_sigma > 0:
@@ -319,7 +303,7 @@ def run_predictor(spec: PredictorSpec, scenario: Scenario,
     trajectories = []
     for step, mode_noise in zip(steps, noise):
         hyp = _hypothesis(spec, scenario.state, scenario.ground_truth, step, horizon, dt)
-        coords = tuple((x + bx + nx, y + by + ny)
+        coords = tuple((x + nx, y + ny)
                        for (x, y), (nx, ny) in zip(hyp.coords, mode_noise))
         trajectories.append(Trajectory._of(coords, dt))
     errors = [ade(traj, scenario.ground_truth) for traj in trajectories]
@@ -422,33 +406,26 @@ def _fork(run: Callable[[range], object], indices: range) -> tuple[int, BinaryIO
         os._exit(status)
 
 
-def _kill(pid: int, pipe: BinaryIO) -> None:
-    """Close an unreaped worker's pipe, kill it and reap it: its result is no longer wanted."""
-    import signal
+def _collect(pending: list[tuple[range, int, BinaryIO]]) -> object:
+    """The result of the first pending worker, or its error re-raised.
 
-    pipe.close()
-    try:
-        os.kill(pid, signal.SIGKILL)
-    except ProcessLookupError:
-        pass
-    os.waitpid(pid, 0)
-
-
-def _receive(pipe: BinaryIO) -> object:
-    """What a worker pickled into its pipe, unpickled as it streams in; None if cut short."""
+    Reads the worker's pipe as it streams in, reaps the worker, and only
+    then drops it from ``pending`` and re-raises; a worker that ends
+    without a result (a signal, out of memory) is a TrajfuseError naming
+    its range.  Should the reading fail, the worker stays in ``pending``
+    for the caller to kill and reap.
+    """
     import pickle
-
-    try:
-        return pickle.load(pipe)
-    except (EOFError, pickle.UnpicklingError):  # the worker's exit status says why
-        return None
-
-
-def _result(indices: range, status: int, sent: object) -> object:
-    """A reaped worker's result; its error, re-raised; or a TrajfuseError if it sent none."""
     import signal
 
-    code = os.waitstatus_to_exitcode(status)
+    indices, pid, pipe = pending[0]
+    with pipe:
+        try:
+            sent = pickle.load(pipe)
+        except (EOFError, pickle.UnpicklingError):  # the worker's exit status says why
+            sent = None
+    code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+    del pending[0]
     if code != 0 or sent is None:
         how = (f"was killed by {signal.Signals(-code).name}" if code < 0
                else f"exited with status {code}")
@@ -491,8 +468,10 @@ def synth_experiment(
     re-raised, as a serial run would raise it; a worker that ends
     without a result (a signal, out of memory) is a TrajfuseError naming
     its range.  A lock another thread holds at the fork stays held in
-    the child, so ``trajfuse synth`` forks before it imports numpy,
-    whose OpenBLAS starts threads.
+    the child, so ``trajfuse synth`` forks before it imports numpy.
+    OpenBLAS (numpy's, scipy's) stops its pools in a ``pthread_atfork``
+    handler, so a caller that imported numpy forks no OpenBLAS thread;
+    threads the caller started itself still run at the fork.
     """
     if len(predictors) < 2:
         raise InvalidInput(f"need >= 2 predictors, got {len(predictors)}")
@@ -537,18 +516,21 @@ def synth_experiment(
             pending.append((indices, *_fork(run, indices)))
         ledger, hook_results = run(shards[0])
         while pending:
-            indices, pid, pipe = pending[0]
-            with pipe:
-                sent = _receive(pipe)
-            status = os.waitpid(pid, 0)[1]
-            del pending[0]
-            part, results = _result(indices, status, sent)
+            part, results = _collect(pending)
             for row in part:
                 ledger.add(*row)
             hook_results += results
     finally:
-        for _, pid, pipe in pending:
-            _kill(pid, pipe)
+        if pending:  # an error cut the run short: these results are no longer wanted
+            import signal
+
+            for _, pid, pipe in pending:
+                pipe.close()
+                try:
+                    os.kill(pid, signal.SIGKILL)
+                except ProcessLookupError:
+                    pass
+                os.waitpid(pid, 0)
     return ExperimentResult(
         config=config,
         predictor_names=tuple(names),

@@ -1,14 +1,16 @@
-"""Domain types and displacement metrics."""
+"""Domain types, displacement metrics, and the package's public names."""
 
 from __future__ import annotations
 
+import importlib
 import math
-from dataclasses import FrozenInstanceError
+from dataclasses import FrozenInstanceError, fields
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import trajfuse
 from trajfuse.core import (
     Mode,
     ModelOutput,
@@ -128,24 +130,19 @@ class TestSample:
         with pytest.raises(HorizonMismatch):
             Sample("s", gt, (self.out("a", horizon=2),))
 
-    def test_output_for(self):
-        s = Sample("s", None, (self.out("a"), self.out("b")))
-        assert s.output_for("b").model_id == "b"
-        with pytest.raises(InvalidInput):
-            s.output_for("missing")
-
 
 class TestSelectMostLikely:
     def test_argmax(self):
         modes = (Mode(traj((0, 0)), 0.2), Mode(traj((1, 1)), 0.7), Mode(traj((2, 2)), 0.1))
         best = select_most_likely(ModelOutput("m", "s", modes))
+        assert best is modes[1]
         assert best.confidence == 0.7
         assert best.trajectory.coords == ((1.0, 1.0),)
 
     def test_tie_goes_to_lowest_index(self):
         modes = (Mode(traj((0, 0)), 0.5), Mode(traj((1, 1)), 0.5))
         best = select_most_likely(ModelOutput("m", "s", modes))
-        assert best.trajectory.coords == ((0.0, 0.0),)
+        assert best is modes[0]
 
 
 class TestDisplacementErrors:
@@ -243,3 +240,23 @@ class TestDisplacementErrorsMatchLoops:
         assert ade(pred, gt) == loop_ade / pred.horizon
         (px, py), (gx, gy) = pred.coords[-1], gt.coords[-1]
         assert fde(pred, gt) == math.hypot(px - gx, py - gy)
+
+
+# Names the package used to export, or carry as a field or method, and no longer does.
+REMOVED_NAMES = ("MostLikely", "aggregate_covariance_over_horizon", "output_for",
+                 "generate_scenarios", "bias")
+
+
+def test_public_names():
+    modules = [trajfuse] + [importlib.import_module(f"trajfuse.{name}")
+                            for name in ("core", "fusion", "io", "metrics", "synth", "cli")]
+    for module in modules:
+        for name in module.__all__:
+            assert hasattr(module, name), f"{module.__name__}.{name}"
+        for name in REMOVED_NAMES:
+            assert name not in module.__all__ and not hasattr(module, name)
+    namespace: dict[str, object] = {}
+    exec("from trajfuse import *", namespace)
+    assert set(namespace) - {"__builtins__"} == set(trajfuse.__all__)
+    assert not hasattr(Sample, "output_for")
+    assert "bias" not in {f.name for f in fields(trajfuse.PredictorSpec)}

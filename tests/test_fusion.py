@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import inspect
-import math
 import warnings
 from dataclasses import replace
 from pathlib import Path
@@ -27,7 +26,6 @@ from trajfuse.fusion import (
     CovarianceSummary,
     FusedPrediction,
     Weights,
-    aggregate_covariance_over_horizon,
     decide,
     ensemble_confidence,
     ensemble_covariance,
@@ -248,25 +246,40 @@ class TestCovarianceSummary:
 
 
 class TestAggregateOverHorizon:
+    """ensemble_covariance reports the equal-weight mean of its per-step scatters."""
+
     def test_mean_of_steps(self):
-        assert aggregate_covariance_over_horizon(
-            [(1.0, 0.0, 0.0), (0.0, 0.0, 1.0)]
-        ) == (0.5, 0.0, 0.5)
+        # Step 1 scatters along the diagonal, (1, 1, 1); step 2 along x, (4, 0, 0).
+        a = traj((1, 1), (2, 0))
+        b = traj((-1, -1), (-2, 0))
+        w = uniform_weights(["a", "b"])
+        cov = ensemble_covariance([a, b], w, weighted_average([a, b], w))
+        assert cov.matrix == ((2.5, 0.5), (0.5, 0.5))
+        assert cov.det == 1.0
 
     def test_single_step_identity(self):
-        assert aggregate_covariance_over_horizon([(2.0, 0.5, 1.0)]) == (2.0, 0.5, 1.0)
+        # Fused at (0, 1); deviations (0, -1), (2, 1), (-2, 1) at weights 1/2, 1/4, 1/4.
+        members = [traj((0, 0)), traj((2, 2)), traj((-2, 2))]
+        w = Weights((("a", 0.5), ("b", 0.25), ("c", 0.25)))
+        fused = weighted_average(members, w)
+        assert fused.coords == ((0.0, 1.0),)
+        cov = ensemble_covariance(members, w, fused)
+        assert cov.matrix == ((2.0, 0.0), (0.0, 1.0))
+        assert ensemble_confidence(cov) == 1.0 / 3.0
 
-    def test_empty_rejected(self):
-        with pytest.raises(InvalidInput):
-            aggregate_covariance_over_horizon([])
-
-    @pytest.mark.parametrize("per_step", [
-        [(1.0, math.inf, 1.0), (1.0, -math.inf, 1.0)],
-        [(1e308, 0.0, 1.0), (1e308, 0.0, 1.0)],
-    ], ids=["inf_minus_inf", "finite_sum_overflows"])
-    def test_unsummable_spread_is_a_numerical_error(self, per_step):
+    @pytest.mark.parametrize("a, b", [
+        # xy is +inf on step 1 and -inf on step 2.
+        (traj((1e200, 1e200), (1e200, -1e200)), traj((-1e200, -1e200), (-1e200, 1e200))),
+        # xx is 1e308 on each step, and their sum passes the float range.
+        (traj((1e154, 0), (1e154, 0)), traj((-1e154, 0), (-1e154, 0))),
+        # xx is already +inf on the one step.
+        (traj((1e200, 0)), traj((-1e200, 0))),
+    ], ids=["inf_minus_inf", "finite_sum_overflows", "step_moment_overflows"])
+    def test_unsummable_spread_is_a_numerical_error(self, a, b):
+        w = uniform_weights(["a", "b"])
+        fused = weighted_average([a, b], w)
         with pytest.raises(NumericalError, match="spread"):
-            aggregate_covariance_over_horizon(per_step)
+            ensemble_covariance([a, b], w, fused)
 
 
 class TestEnsembleCovariance:
@@ -358,6 +371,16 @@ class TestFuseWeighted:
         # Weight for b comes from its best mode: 0.8 / 1.8.
         assert fused.weights.as_dict()["b"] == pytest.approx(0.8 / 1.8, abs=1e-15)
         assert fused.trajectory.coords[0][1] == 0.0
+
+    def test_symmetric_biases_cancel(self):
+        # Two equally confident members offset 2 m either side of one path.
+        base = traj((0, 0.5), (1, 1.5), (2, -1.25))
+        sample = one_mode_sample(("left", base.translated(0, 2), 0.7),
+                                 ("right", base.translated(0, -2), 0.7))
+        fused = fuse_weighted(sample)
+        assert fused.trajectory == base
+        assert fused.covariance.matrix == ((0.0, 0.0), (0.0, 4.0))
+        assert fused.covariance.yy == 4.0
 
     def test_all_zero_confidences_fall_back_to_uniform(self):
         sample = one_mode_sample(("a", traj((0, 0)), 0.0), ("b", traj((2, 0)), 0.0))
@@ -488,7 +511,7 @@ class TestFuseThreshold:
         assert DEFAULT_TAU == 0.75
 
     def test_unknown_primary_rejected(self):
-        with pytest.raises(InvalidInput):
+        with pytest.raises(InvalidInput, match="sample 's0' has no output for model 'nope'"):
             fuse_threshold(self.sample(), "nope", tau=0.5)
 
     def test_bad_tau_rejected(self):
@@ -519,9 +542,18 @@ class TestDecide:
             alone = {"weighted": fuse_weighted(sample), "simple": fuse_simple(sample),
                      "threshold": fuse_threshold(sample, "m0", tau)}
         assert decision.members == [select_most_likely(out) for out in sample.outputs]
+        assert decision.model_ids == tuple(out.model_id for out in sample.outputs)
         assert fused == {strategy: alone[strategy] for strategy in strategies}
         assert list(fused) == strategies
         assert decision.trajectories == {s: pred.trajectory for s, pred in fused.items()}
+
+    def test_members_are_the_modes_with_their_ids(self):
+        sample = one_mode_sample(("q", traj((0, 0)), 0.1), ("p", traj((10, 0)), 0.9))
+        decision = decide(sample, ("threshold",), "p", 0.5)
+        assert decision.model_ids == ("q", "p")
+        assert all(member is out.modes[0]
+                   for member, out in zip(decision.members, sample.outputs))
+        assert decision.trajectories["threshold"] is sample.outputs[1].modes[0].trajectory
 
     def test_no_spread_until_records(self, monkeypatch):
         def refuse(*args):

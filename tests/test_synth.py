@@ -24,7 +24,7 @@ from trajfuse.synth import (
     PredictorSpec,
     Scenario,
     ScenarioConfig,
-    generate_scenarios,
+    generate_samples,
     maneuver_trajectory,
     pinned_config,
     pinned_predictors,
@@ -50,6 +50,10 @@ def small_config(**overrides) -> ScenarioConfig:
     return ScenarioConfig(**defaults)
 
 
+def scenarios(config: ScenarioConfig) -> list[Scenario]:
+    return [scenario_at(config, i) for i in range(config.sample_count)]
+
+
 class TestValidation:
     def test_scenario_config(self):
         for bad in (dict(sample_count=0), dict(sample_count=1_000_000),
@@ -66,8 +70,7 @@ class TestValidation:
 
     def test_predictor_spec(self):
         for bad in (dict(name=""), dict(kind="transformer"), dict(noise_sigma=-1.0),
-                    dict(mode_count=0), dict(temperature=0.0),
-                    dict(bias=(float("nan"), 0.0))):
+                    dict(mode_count=0), dict(temperature=0.0)):
             spec = dict(name="m", kind="const_velocity")
             spec.update(bad)
             with pytest.raises(InvalidInput):
@@ -142,15 +145,15 @@ class TestManeuverTrajectory:
 class TestScenarioGeneration:
     def test_deterministic(self):
         config = small_config()
-        assert list(generate_scenarios(config)) == list(generate_scenarios(config))
+        assert scenarios(config) == scenarios(config)
 
     def test_matches_direct_indexing(self):
         config = small_config()
-        streamed = list(generate_scenarios(config))
-        assert streamed == [scenario_at(config, i) for i in range(config.sample_count)]
+        streamed = [scenario for scenario, _ in generate_samples(config, pinned_predictors())]
+        assert streamed == scenarios(config)
 
     def test_sample_ids(self):
-        ids = [s.sample_id for s in generate_scenarios(small_config(sample_count=3))]
+        ids = [s.sample_id for s in scenarios(small_config(sample_count=3))]
         assert ids == ["s000000", "s000001", "s000002"]
 
     def test_index_bounds(self):
@@ -161,13 +164,13 @@ class TestScenarioGeneration:
             scenario_at(config, -1)
 
     def test_seed_changes_data(self):
-        a = list(generate_scenarios(small_config(seed=1)))
-        b = list(generate_scenarios(small_config(seed=2)))
+        a = scenarios(small_config(seed=1))
+        b = scenarios(small_config(seed=2))
         assert a != b
 
     def test_zero_noise_matches_closed_form(self):
         config = small_config(noise_sigma=0.0)
-        for s in generate_scenarios(config):
+        for s in scenarios(config):
             clean = maneuver_trajectory(s.state.maneuver, s.state,
                                         config.horizon, config.dt)
             assert s.ground_truth == clean
@@ -176,7 +179,7 @@ class TestScenarioGeneration:
         for mix, expected in (((1.0, 0.0, 0.0), "straight"),
                               ((0.0, 1.0, 0.0), "constant_turn"),
                               ((0.0, 0.0, 1.0), "lane_change")):
-            for s in generate_scenarios(small_config(sample_count=20, mix=mix)):
+            for s in scenarios(small_config(sample_count=20, mix=mix)):
                 assert s.state.maneuver == expected
                 if expected == "constant_turn":
                     assert s.state.turn_rate != 0.0
@@ -185,7 +188,7 @@ class TestScenarioGeneration:
 
     def test_speeds_respect_range(self):
         config = small_config(sample_count=100, speed_range=(2.0, 4.0))
-        for s in generate_scenarios(config):
+        for s in scenarios(config):
             assert 2.0 <= s.state.speed <= 4.0
 
 
@@ -269,16 +272,6 @@ class TestRunPredictor:
             e = ade(mode.trajectory, scenario.ground_truth)
             assert mode.confidence == math.exp(-e / spec.temperature)
 
-    def test_bias_offsets_every_point(self):
-        spec = PredictorSpec(name="cv", kind="const_velocity", noise_sigma=0.0,
-                             bias=(1.0, -2.0))
-        scenario = scenario_from(state(speed=3.0), 4, 0.5)
-        out = run_predictor(spec, scenario, seed=0)
-        for (px, py), (gx, gy) in zip(out.modes[0].trajectory.coords,
-                                      scenario.ground_truth.coords):
-            assert px - gx == pytest.approx(1.0, abs=1e-12)
-            assert py - gy == pytest.approx(-2.0, abs=1e-12)
-
     def test_seeded_noise_is_reproducible(self):
         spec = PredictorSpec(name="orc", kind="noisy_oracle", noise_sigma=0.5)
         scenario = scenario_from(state(speed=5.0), 4, 0.5)
@@ -342,21 +335,6 @@ class TestSynthExperiment:
         assert row["ensemble_weighted"]["overall_ade"] < 0.05
         assert row["ensemble_weighted"]["overall_ade"] < row["cv"]["overall_ade"]
         assert row["ensemble_weighted"]["overall_ade"] < row["ensemble_simple"]["overall_ade"]
-
-    def test_symmetric_biases_cancel(self):
-        predictors = (
-            PredictorSpec(name="left", kind="noisy_oracle", noise_sigma=0.0,
-                          bias=(0.0, 2.0)),
-            PredictorSpec(name="right", kind="noisy_oracle", noise_sigma=0.0,
-                          bias=(0.0, -2.0)),
-        )
-        config = small_config(sample_count=30, noise_sigma=0.0)
-        result = synth_experiment(config, predictors)
-        row = {r["method"]: r for r in result.summary}
-        assert row["left"]["overall_ade"] == pytest.approx(2.0, abs=1e-12)
-        assert row["right"]["overall_ade"] == pytest.approx(2.0, abs=1e-12)
-        assert row["ensemble_weighted"]["overall_ade"] < 1e-9
-        assert row["ensemble_simple"]["overall_ade"] < 1e-9
 
     def test_threshold_zero_tau_shadows_primary(self):
         config = small_config()

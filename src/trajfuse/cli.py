@@ -8,13 +8,17 @@ rules once in ``_resolve``, all before any input is read or output
 written; the commands then take the parsed namespace as it is.  Outputs
 replace their destinations atomically.  Every command is deterministic:
 rerunning with identical inputs, seeds, and flags writes byte-identical
-files.  ``synth`` runs ``synth.synth_experiment``, which scores the
-generated samples the same way ``eval`` and ``overlap`` score a loaded
-one, on ``--threads`` worker processes (default: the usable CPU count,
-capped by it and by the sample count); its sample hook encodes each
-sample's dump and fused lines in the worker that made the sample, and
-the parent writes them.  The other commands check ``--threads`` and run
-serially.
+files.  ``--threads`` is the worker-process count of ``synth``,
+``fuse``, ``eval`` and ``overlap`` (default: the usable CPU count,
+capped by it and by the sample count).  ``synth`` runs
+``synth.synth_experiment``, which scores the generated samples the same
+way ``eval`` and ``overlap`` score a loaded one; its sample hook encodes
+each sample's dump and fused lines in the worker that made the sample,
+and the parent writes them.  ``fuse``, ``eval`` and ``overlap`` run
+through ``io.map_sample_ranges``: each worker loads, fuses and scores
+one sample-id range of the dump and sends back only its ledger rows or
+encoded fused lines, which the parent merges and writes.  ``flags``
+streams its one file and runs serially.
 
 Configuration precedence is flags > --config JSON file > built-in
 defaults; config values are checked like flags.  The TRAJFUSE_OUT_DIR
@@ -43,10 +47,10 @@ from .io import (
     ground_truth_line,
     load_fused,
     load_manifest,
-    load_samples,
+    map_sample_ranges,
     prediction_line,
+    usable_cpus,
     write_flags,
-    write_fused,
     write_lines,
     write_manifest,
     write_report,
@@ -60,13 +64,7 @@ from .metrics import (
     summary_table,
     top_k_error,
 )
-from .synth import (
-    PINNED_PRIMARY,
-    pinned_config,
-    pinned_predictors,
-    synth_experiment,
-    usable_cpus,
-)
+from .synth import PINNED_PRIMARY, pinned_config, pinned_predictors, synth_experiment
 
 __all__ = ["main"]
 
@@ -182,14 +180,27 @@ def _note(path: str) -> None:
     print(f"wrote {path}")
 
 
+def _merged(ledgers: Sequence[ErrorLedger]) -> ErrorLedger:
+    """The first ledger, with every row of the others added to it in order."""
+    first, *rest = ledgers
+    for ledger in rest:
+        for row in ledger:
+            first.add(*row)
+    return first
+
+
 def cmd_fuse(args: argparse.Namespace) -> int:
     manifest = load_manifest(args.manifest)
     _check_primary(args, manifest)
-    samples = load_samples(manifest, args.predictions, None)
     strategy = args.strategies[0]
-    fused = [decide(sample, args.strategies, args.primary_model, args.tau).records()[strategy]
-             for sample in samples]
-    write_fused(args.out, fused)
+
+    def encode(samples):
+        return [fused_line(decide(sample, args.strategies, args.primary_model,
+                                  args.tau).records()[strategy])
+                for sample in samples]
+
+    lines = map_sample_ranges(manifest, args.predictions, None, encode, args.threads, "fuse")
+    write_lines(args.out, chain.from_iterable(lines), "fused prediction")
     _note(args.out)
     return 0
 
@@ -206,10 +217,12 @@ def _write_overlap(args: argparse.Namespace, ledger: ErrorLedger, model_ids: Seq
 def cmd_eval(args: argparse.Namespace) -> int:
     manifest = load_manifest(args.manifest)
     _check_primary(args, manifest)
-    samples = load_samples(manifest, args.predictions, args.ground_truth)
-    if not samples:
+    ledger = _merged(map_sample_ranges(
+        manifest, args.predictions, args.ground_truth,
+        lambda samples: fuse_and_score(samples, args.strategies, args.primary_model, args.tau),
+        args.threads, "eval"))
+    if not ledger:
         raise InvalidInput("no samples to evaluate")
-    ledger = fuse_and_score(samples, args.strategies, args.primary_model, args.tau)
     rows = summary_table(ledger, args.k_list, sort_by_ade=args.sort_by_ade)
     write_report(args.out, rows, args.format, k_list=args.k_list)
     _note(args.out)
@@ -220,10 +233,10 @@ def cmd_overlap(args: argparse.Namespace) -> int:
     manifest = load_manifest(args.manifest)
     if len(manifest.model_ids) < 2:
         raise InvalidInput("overlap needs at least 2 models in the manifest")
-    samples = load_samples(manifest, args.predictions, args.ground_truth)
-    if not samples:
+    ledger = _merged(map_sample_ranges(manifest, args.predictions, args.ground_truth,
+                                       fuse_and_score, args.threads, "overlap"))
+    if not ledger:
         raise InvalidInput("no samples to analyze")
-    ledger = fuse_and_score(samples)
     _write_overlap(args, ledger, manifest.model_ids, args.out)
     _note(args.out)
     return 0
@@ -316,9 +329,9 @@ def _add_common(parser: argparse.ArgumentParser, out_help: str, default_out: str
     parser.add_argument("--config", help="JSON file of flag defaults (flags still win)")
     parser.add_argument("--out", help=f"{out_help} (default: {default_out})")
     parser.add_argument("--threads", type=int, default=usable_cpus(),
-                        help="synth's worker processes, capped by the usable CPUs and the "
-                             "sample count (default: the usable CPU count, %(default)s); "
-                             "the other commands check it and run serially")
+                        help="worker processes of synth, fuse, eval and overlap, capped by "
+                             "the usable CPUs and the sample count (default: the usable CPU "
+                             "count, %(default)s); flags runs serially")
     parser.set_defaults(default_out=default_out)
 
 

@@ -16,6 +16,13 @@ a ParseError (or a HorizonMismatch) with file and line context, never
 another exception.  ``load_samples`` holds the whole-dataset rules: a
 dataset that is not whole is refused.
 
+A dataset whose files are sorted by sample_id, as every writer here
+sorts them, can be read in parts: ``map_sample_ranges`` cuts it into
+contiguous sample-id ranges (``SampleRange``), and ``fork_map``, the
+package's one fork helper, runs each range in its own process, which
+reads only that range's lines of each file.  A file in any other order
+is detected and read whole.
+
 Each record kind has one encoder (``prediction_line``,
 ``ground_truth_line``, ``fused_line``) that turns a record into its sort
 key and its NDJSON line with full-precision floats, and one writer
@@ -38,10 +45,10 @@ import reprlib
 from contextlib import contextmanager, suppress
 from dataclasses import asdict, dataclass
 from itertools import chain
-from typing import Iterable, Iterator, Mapping, Sequence, TextIO
+from typing import BinaryIO, Callable, Iterable, Iterator, Mapping, Sequence, TextIO, TypeVar
 
 from .core import Mode, ModelOutput, Sample, Trajectory
-from .errors import HorizonMismatch, InvalidInput, NumericalError, ParseError
+from .errors import HorizonMismatch, InvalidInput, NumericalError, ParseError, TrajfuseError
 from .fusion import STRATEGIES, CovarianceSummary, FusedPrediction, Weights
 from .metrics import DEFAULT_K_LIST, OverlapReport, _k_label
 
@@ -58,6 +65,11 @@ __all__ = [
     "ground_truth_line",
     "write_ground_truth",
     "load_samples",
+    "SampleRange",
+    "map_sample_ranges",
+    "fork_map",
+    "worker_count",
+    "usable_cpus",
     "load_fused",
     "fused_line",
     "write_fused",
@@ -210,18 +222,107 @@ def _describe(key: tuple[str, ...]) -> str:
     return ", ".join(f"{name} '{value}'" for name, value in zip(("sample", "model"), key))
 
 
-def _records(path: str, fields: tuple[str, ...], what: str,
-             *key_fields: str) -> Iterator[tuple[int, dict, tuple[str, ...]]]:
-    """Yield ``(line, record, key)`` for every line of an NDJSON file.
+@dataclass(frozen=True, slots=True)
+class SampleRange:
+    """The sample ids ``lo <= sample_id < hi`` of one part of a dataset.
+
+    ``None`` leaves that end open, so ``SampleRange()`` is the whole
+    dataset.  In a file sorted by sample_id the range is one run of whole
+    lines, found by ``byte_span``.
+    """
+
+    lo: str | None = None
+    hi: str | None = None
+
+    def __contains__(self, sample_id: str) -> bool:
+        return ((self.lo is None or self.lo <= sample_id)
+                and (self.hi is None or sample_id < self.hi))
+
+    def __str__(self) -> str:
+        return (f"[{'start' if self.lo is None else repr(self.lo)}, "
+                f"{'end' if self.hi is None else repr(self.hi)})")
+
+    def byte_span(self, f: BinaryIO) -> tuple[int, int | None]:
+        """The offsets of the range's first line and of the line after its last.
+
+        Each end is a binary search over byte offsets that decodes one
+        line per probe; an open end is the start or the end (None) of the
+        file.
+        """
+        return (0 if self.lo is None else _first_at_or_after(f, self.lo),
+                None if self.hi is None else _first_at_or_after(f, self.hi))
+
+
+_WHOLE = SampleRange()
+
+
+class _Unsorted(TrajfuseError):
+    """A part of a dataset met a record outside its sample ids, or a line it could not place."""
+
+
+def _line_at(f: BinaryIO, offset: int) -> tuple[int, str | None]:
+    """The offset and sample_id of the first line starting at or after ``offset``.
+
+    The sample_id is None at the end of the file; a line that is not a
+    JSON object with a string sample_id is ``_Unsorted``.
+    """
+    f.seek(max(offset - 1, 0))
+    if offset:
+        f.readline()  # the rest of the line that holds byte offset - 1
+    start = f.tell()
+    raw = f.readline()
+    if not raw:
+        return start, None
+    try:
+        sample_id = _decode(raw, "", None).get("sample_id")
+    except ParseError:
+        sample_id = None
+    if not isinstance(sample_id, str):
+        raise _Unsorted(f"no sample_id at byte {start}")
+    return start, sample_id
+
+
+def _first_at_or_after(f: BinaryIO, sample_id: str) -> int:
+    """The offset of the first line whose sample_id is >= ``sample_id``, or the file size.
+
+    Binary search, so the file must be sorted by sample_id; a file that
+    is not can give any offset, and ``_records`` then meets a record
+    outside its range.
+    """
+    lo, hi = 0, os.fstat(f.fileno()).st_size
+    while lo < hi:
+        mid = (lo + hi) // 2
+        start, found = _line_at(f, mid)
+        if found is None or found >= sample_id:
+            hi = mid
+        else:  # no line starts in [mid, start], so none of them is the answer
+            lo = start + 1
+    return _line_at(f, lo)[0]
+
+
+def _records(path: str, fields: tuple[str, ...], what: str, *key_fields: str,
+             ids: SampleRange = _WHOLE) -> Iterator[tuple[int, dict, tuple[str, ...]]]:
+    """Yield ``(line, record, key)`` for every line of an NDJSON file in ``ids``.
 
     The one NDJSON reader: each line must be one JSON object with exactly
     ``fields``; its key is the tuple of its ``key_fields`` values, each a
     nonempty string, and no key may repeat (``what`` names the record in
-    that error).
+    that error).  The first key field is the sample_id.  A part of the
+    dataset reads only its own lines of a file sorted by sample_id, and a
+    record outside ``ids`` is ``_Unsorted``.  Its line numbers count from
+    its first line: ``map_sample_ranges`` reports no error of a part, it
+    reruns the dataset as one range, so every error message names a line
+    the way the whole file numbers it.
     """
     seen: set[tuple[str, ...]] = set()
     with open(path, "rb") as f:
+        start, stop = ids.byte_span(f)
+        f.seek(start)
+        left = math.inf if stop is None else stop - start
         for line, raw in enumerate(f, start=1):
+            if left <= 0:
+                break
+            left -= len(raw)
             if raw.isspace():
                 raise ParseError("blank line", path=path, line=line)
             obj = _decode(raw, path, line)
@@ -229,6 +330,8 @@ def _records(path: str, fields: tuple[str, ...], what: str,
             key = tuple(_string(obj[k], path, line, k) for k in key_fields)
             if key in seen:
                 raise ParseError(f"duplicate {what} for {_describe(key)}", path=path, line=line)
+            if ids is not _WHOLE and key[0] not in ids:
+                raise _Unsorted(f"{path}: sample '{key[0]}' is outside {ids}")
             seen.add(key)
             yield line, obj, key
 
@@ -316,17 +419,19 @@ def write_manifest(path: str, manifest: DatasetManifest) -> None:
     _write_json(path, asdict(manifest))
 
 
-def load_predictions(path: str, manifest: DatasetManifest) -> Iterator[ModelOutput]:
+def load_predictions(path: str, manifest: DatasetManifest,
+                     ids: SampleRange = _WHOLE) -> Iterator[ModelOutput]:
     """Stream validated ModelOutputs from an NDJSON prediction dump.
 
     Each line holds one (sample_id, model_id) record with all of that
     model's modes.  Unknown model ids and duplicate (sample, model)
     pairs are ParseErrors; a horizon that disagrees with the manifest is
-    a HorizonMismatch.
+    a HorizonMismatch.  ``ids`` reads one part of a sorted dump.
     """
     known = set(manifest.model_ids)
     for line, obj, (sample_id, model_id) in _records(
-            path, ("sample_id", "model_id", "modes"), "record", "sample_id", "model_id"):
+            path, ("sample_id", "model_id", "modes"), "record", "sample_id", "model_id",
+            ids=ids):
         if model_id not in known:
             raise ParseError(f"model_id '{model_id}' not listed in manifest", path=path,
                              line=line, field="model_id")
@@ -362,10 +467,14 @@ def write_predictions(path: str, outputs: Iterable[ModelOutput]) -> None:
     write_lines(path, map(prediction_line, outputs), "output")
 
 
-def load_ground_truth(path: str, manifest: DatasetManifest) -> Iterator[GroundTruthRecord]:
-    """Stream ground-truth records, enforcing the manifest horizon."""
+def load_ground_truth(path: str, manifest: DatasetManifest,
+                      ids: SampleRange = _WHOLE) -> Iterator[GroundTruthRecord]:
+    """Stream ground-truth records, enforcing the manifest horizon.
+
+    ``ids`` reads one part of a sorted file.
+    """
     for line, obj, (sample_id,) in _records(path, ("sample_id", "points"), "ground truth",
-                                            "sample_id"):
+                                            "sample_id", ids=ids):
         yield GroundTruthRecord(
             sample_id, _trajectory(obj["points"], manifest, "ground truth", path, line))
 
@@ -395,9 +504,25 @@ def load_samples(
     manifest model, the sample count must equal ``sample_count``, and
     ground truth must cover exactly the predicted samples.
     """
+    return _load(manifest, prediction_paths, ground_truth_path, _WHOLE)[0]
+
+
+def _load(
+    manifest: DatasetManifest,
+    prediction_paths: Sequence[str],
+    ground_truth_path: str | None,
+    ids: SampleRange,
+) -> tuple[list[Sample], tuple[int, int, int]]:
+    """The Samples in ``ids``, and their counts: predicted, labeled, unlabeled.
+
+    Every sample must be whole.  The whole dataset also checks the
+    whole-dataset rules, each where a serial reader meets it; a part
+    leaves them to ``_check_count`` and ``_check_truth`` on every part's
+    counts.
+    """
     by_sample: dict[str, dict[str, ModelOutput]] = {}
     for path in prediction_paths:
-        for output in load_predictions(path, manifest):
+        for output in load_predictions(path, manifest, ids):
             per_model = by_sample.setdefault(output.sample_id, {})
             if output.model_id in per_model:
                 raise InvalidInput(
@@ -410,23 +535,260 @@ def load_samples(
             missing = ", ".join(m for m in manifest.model_ids if m not in per_model)
             raise InvalidInput(f"sample '{sample_id}' has {len(per_model)} of "
                                f"{len(manifest.model_ids)} manifest models (missing {missing})")
-    if len(by_sample) != manifest.sample_count:
-        raise InvalidInput(f"predictions cover {len(by_sample)} samples, "
-                           f"manifest declares {manifest.sample_count}")
+    whole = ids is _WHOLE
+    if whole:
+        _check_count(manifest, len(by_sample))
     gt_by_sample: dict[str, Trajectory] = {}
+    unlabeled = 0
     if ground_truth_path is not None:
-        for rec in load_ground_truth(ground_truth_path, manifest):
+        for rec in load_ground_truth(ground_truth_path, manifest, ids):
             gt_by_sample[rec.sample_id] = rec.trajectory
         unlabeled = len(by_sample.keys() - gt_by_sample.keys())
-        if unlabeled or len(gt_by_sample) != len(by_sample):
-            raise InvalidInput(f"ground truth has {len(gt_by_sample)} samples for "
-                               f"{len(by_sample)} predicted; {unlabeled} predicted "
-                               "samples have no ground truth")
-    return [
+        if whole:
+            _check_truth(len(by_sample), len(gt_by_sample), unlabeled)
+    samples = [
         Sample(sample_id=sample_id, ground_truth=gt_by_sample.get(sample_id),
                outputs=tuple(by_sample[sample_id][mid] for mid in manifest.model_ids))
         for sample_id in sorted(by_sample)
     ]
+    return samples, (len(by_sample), len(gt_by_sample), unlabeled)
+
+
+def _check_count(manifest: DatasetManifest, predicted: int) -> None:
+    """Whole-dataset rule: the predicted samples are as many as the manifest declares."""
+    if predicted != manifest.sample_count:
+        raise InvalidInput(f"predictions cover {predicted} samples, "
+                           f"manifest declares {manifest.sample_count}")
+
+
+def _check_truth(predicted: int, labeled: int, unlabeled: int) -> None:
+    """Whole-dataset rule: ground truth covers exactly the predicted samples."""
+    if unlabeled or labeled != predicted:
+        raise InvalidInput(f"ground truth has {labeled} samples for "
+                           f"{predicted} predicted; {unlabeled} predicted "
+                           "samples have no ground truth")
+
+
+def usable_cpus() -> int:
+    """The CPUs this process may run on: its affinity mask where the platform has one."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity masks on this platform
+        return os.cpu_count() or 1
+
+
+def worker_count(threads: int, items: int) -> int:
+    """``threads`` capped by the usable CPUs and by ``items``, and at least 1; 1 without ``os.fork``.
+
+    The cap is what keeps a huge ``threads`` from starting as many processes.
+    """
+    if not hasattr(os, "fork"):
+        return 1
+    return max(1, min(threads, usable_cpus(), items))
+
+
+_Part = TypeVar("_Part")
+_Result = TypeVar("_Result")
+
+
+def fork_map(run: Callable[[_Part], _Result], parts: Sequence[_Part],
+             label: Callable[[_Part], str]) -> list[_Result]:
+    """``[run(part) for part in parts]``, the first part here and each other one in a forked child.
+
+    The children start before the first part runs, and their results
+    come back pickled, in part order, so ``run``'s results must pickle.
+    The lowest part's error is re-raised, as a serial run would raise it;
+    a child that ends without a result (a signal, out of memory) is a
+    TrajfuseError that names it by ``label(part)``.  Once an error cuts
+    the run short, every child left is killed and reaped.  A child keeps
+    its side effects; a lock another thread holds at the fork stays held
+    in the child, so fork from a process that runs one thread.
+
+    Each process runs on its own usable CPU, part i on the i-th (modulo
+    their count), and this process gets its own CPU set back at the end:
+    left to itself, the scheduler can keep a just-forked child on its
+    parent's CPU for the whole of a short part.
+    """
+    mask = (os.sched_getaffinity(0)
+            if len(parts) > 1 and hasattr(os, "sched_setaffinity") else set())
+    cpus = sorted(mask)
+    pending = []  # (part, pid, pipe) of each child not yet reaped, in part order
+    try:
+        for i, part in enumerate(parts[1:], start=1):
+            pending.append((part, *_fork(run, part, {cpus[i % len(cpus)]} if cpus else set())))
+        _pin(set(cpus[:1]))
+        results = [run(parts[0])]
+        while pending:
+            results.append(_collect(pending, label))
+    finally:
+        _pin(mask)
+        if pending:  # an error cut the run short: these results are no longer wanted
+            import signal
+
+            for _, pid, pipe in pending:
+                pipe.close()
+                try:
+                    os.kill(pid, signal.SIGKILL)
+                except ProcessLookupError:
+                    pass
+                os.waitpid(pid, 0)
+    return results
+
+
+def _pin(cpus: set[int]) -> None:
+    """Run this process on ``cpus`` (none: leave it be); a refusal leaves it be too."""
+    if cpus:
+        with suppress(OSError):
+            os.sched_setaffinity(0, cpus)
+
+
+def _fork(run: Callable[[_Part], object], part: _Part,
+          cpus: set[int]) -> tuple[int, BinaryIO]:
+    """Run ``run(part)`` on ``cpus`` in a forked child; return its pid and the read end of its pipe.
+
+    The child pipes back ``(None, result)``, or ``(error, None)`` if
+    ``run`` raised, pickled, and exits 0 only once all of it is written.
+    It leaves through ``os._exit``, so it never returns into the caller
+    or runs its atexit handlers or flushes its inherited buffers.
+    """
+    import pickle
+
+    read_fd, write_fd = os.pipe()
+    try:
+        pid = os.fork()
+    except OSError:
+        os.close(read_fd)
+        os.close(write_fd)
+        raise
+    if pid:
+        os.close(write_fd)
+        return pid, open(read_fd, "rb")
+    status = 1
+    try:
+        os.close(read_fd)
+        _pin(cpus)
+        try:
+            payload = pickle.dumps((None, run(part)), pickle.HIGHEST_PROTOCOL)
+        except BaseException as e:
+            payload = pickle.dumps((e, None), pickle.HIGHEST_PROTOCOL)
+        with open(write_fd, "wb") as pipe:
+            pipe.write(payload)
+        status = 0
+    finally:
+        os._exit(status)
+
+
+def _collect(pending: list, label: Callable[[_Part], str]) -> object:
+    """The result of the first pending child, or its error re-raised.
+
+    Reads the child's pipe as it streams in, reaps the child, and only
+    then drops it from ``pending`` and re-raises; a child that ends
+    without a result is a TrajfuseError naming ``label(part)``.  Should
+    the reading fail, the child stays in ``pending`` for the caller to
+    kill and reap.
+    """
+    import pickle
+    import signal
+
+    part, pid, pipe = pending[0]
+    with pipe:
+        try:
+            sent = pickle.load(pipe)
+        except (EOFError, pickle.UnpicklingError):  # the child's exit status says why
+            sent = None
+    code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+    del pending[0]
+    if code != 0 or sent is None:
+        how = (f"was killed by {signal.Signals(-code).name}" if code < 0
+               else f"exited with status {code}")
+        raise TrajfuseError(f"{label(part)} {how} without a result")
+    error, value = sent
+    if error is not None:
+        raise error
+    return value
+
+
+class _Rerun(Exception):
+    """A part of a dataset failed; the dataset runs again as one range."""
+
+
+def _sample_ranges(path: str, parts: int) -> list[SampleRange]:
+    """Up to ``parts`` ranges cut at the sample_ids of the lines at equal byte fractions of ``path``.
+
+    Fractions that fall in the file's first sample or in the same sample
+    give no cut or one, so no range is empty.  An empty or unreadable
+    file, a probed line that is not a record, or cuts out of order (the
+    file is not sorted by sample_id) give one range.
+    """
+    if parts < 2:
+        return [_WHOLE]
+    cuts: list[str] = []
+    try:
+        with open(path, "rb") as f:
+            size = os.fstat(f.fileno()).st_size
+            last = _line_at(f, 0)[1]
+            for i in range(1, parts):
+                sample_id = _line_at(f, size * i // parts)[1]
+                if sample_id is None or last is None:
+                    break
+                if sample_id < last:
+                    return [_WHOLE]
+                if sample_id > last:
+                    cuts.append(sample_id)
+                    last = sample_id
+    except (OSError, _Unsorted):
+        return [_WHOLE]
+    if not cuts:
+        return [_WHOLE]
+    bounds = [None, *cuts, None]
+    return [SampleRange(lo, hi) for lo, hi in zip(bounds, bounds[1:])]
+
+
+def map_sample_ranges(
+    manifest: DatasetManifest,
+    prediction_paths: Sequence[str],
+    ground_truth_path: str | None,
+    work: Callable[[list[Sample]], _Result],
+    threads: int,
+    what: str,
+) -> list[_Result]:
+    """``work(samples)`` over the dataset, split by sample id across up to ``threads`` processes.
+
+    The dataset splits into ``worker_count(threads, sample_count)``
+    contiguous sample-id ranges, cut at the sample_ids of the first
+    prediction file's lines at equal byte fractions (see
+    ``_sample_ranges``).  ``fork_map`` runs each range: it loads and
+    checks only its own lines of every file, then runs ``work`` on its
+    samples, whose result must pickle.  The results come back in range
+    order, so in sample order, and the whole-dataset rules are checked on
+    the summed counts.  Should a range fail for any reason in its data or
+    its files (an unsorted file among them), the dataset runs again as
+    one range in this process, so every error is the one a serial run
+    raises, and a file in any order gives the same results.  A worker
+    that ends without a result is a TrajfuseError naming ``what`` and its
+    range.
+    """
+    ranges = _sample_ranges(prediction_paths[0],
+                            worker_count(threads, manifest.sample_count))
+    if len(ranges) > 1:
+        def run(ids: SampleRange) -> tuple[tuple[int, int, int], _Result]:
+            try:
+                samples, counts = _load(manifest, prediction_paths, ground_truth_path, ids)
+                return counts, work(samples)
+            except (TrajfuseError, OSError):
+                raise _Rerun from None
+
+        try:
+            done = fork_map(run, ranges, lambda ids: f"{what} worker for sample ids {ids}")
+        except _Rerun:
+            pass
+        else:
+            predicted, labeled, unlabeled = map(sum, zip(*(counts for counts, _ in done)))
+            _check_count(manifest, predicted)
+            if ground_truth_path is not None:
+                _check_truth(predicted, labeled, unlabeled)
+            return [result for _, result in done]
+    return [work(load_samples(manifest, prediction_paths, ground_truth_path))]
 
 
 _FUSED_FIELDS = (

@@ -19,13 +19,13 @@ independently and runs are reproducible across platforms.
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass, replace
-from typing import TYPE_CHECKING, BinaryIO, Callable, Iterable, Iterator, Sequence
+from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Sequence
 
 from .core import Mode, ModelOutput, Sample, Trajectory, ade
-from .errors import InvalidInput, TrajfuseError
+from .errors import InvalidInput
 from .fusion import DEFAULT_TAU, STRATEGIES, FusedPrediction
+from .io import fork_map, worker_count
 from .metrics import DEFAULT_K_LIST, ErrorLedger, fuse_and_score, summary_table
 
 if TYPE_CHECKING:
@@ -49,7 +49,6 @@ __all__ = [
     "run_predictor",
     "generate_samples",
     "synth_experiment",
-    "usable_cpus",
     "pinned_config",
     "pinned_predictors",
     "PINNED_SEED",
@@ -354,89 +353,6 @@ def generate_samples(
 SampleHook = Callable[[Scenario, Sample, dict[str, FusedPrediction]], object]
 
 
-def usable_cpus() -> int:
-    """The CPUs this process may run on: its affinity mask where the platform has one."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # no affinity masks on this platform
-        return os.cpu_count() or 1
-
-
-def _worker_count(threads: int, sample_count: int) -> int:
-    """``threads`` capped by the usable CPUs and the sample count; 1 without ``os.fork``.
-
-    The cap is what keeps a huge ``threads`` from starting as many processes.
-    """
-    if not hasattr(os, "fork"):
-        return 1
-    return min(threads, usable_cpus(), sample_count)
-
-
-def _fork(run: Callable[[range], object], indices: range) -> tuple[int, BinaryIO]:
-    """Run ``run(indices)`` in a forked child; return its pid and the read end of its pipe.
-
-    The child pipes back ``(None, result)``, or ``(error, None)`` if
-    ``run`` raised, pickled, and exits 0 only once all of it is written.
-    It leaves through ``os._exit``, so it never returns into the caller
-    or runs its atexit handlers or flushes its inherited buffers.
-    """
-    import pickle
-
-    read_fd, write_fd = os.pipe()
-    try:
-        pid = os.fork()
-    except OSError:
-        os.close(read_fd)
-        os.close(write_fd)
-        raise
-    if pid:
-        os.close(write_fd)
-        return pid, open(read_fd, "rb")
-    status = 1
-    try:
-        os.close(read_fd)
-        try:
-            payload = pickle.dumps((None, run(indices)), pickle.HIGHEST_PROTOCOL)
-        except BaseException as e:
-            payload = pickle.dumps((e, None), pickle.HIGHEST_PROTOCOL)
-        with open(write_fd, "wb") as pipe:
-            pipe.write(payload)
-        status = 0
-    finally:
-        os._exit(status)
-
-
-def _collect(pending: list[tuple[range, int, BinaryIO]]) -> object:
-    """The result of the first pending worker, or its error re-raised.
-
-    Reads the worker's pipe as it streams in, reaps the worker, and only
-    then drops it from ``pending`` and re-raises; a worker that ends
-    without a result (a signal, out of memory) is a TrajfuseError naming
-    its range.  Should the reading fail, the worker stays in ``pending``
-    for the caller to kill and reap.
-    """
-    import pickle
-    import signal
-
-    indices, pid, pipe = pending[0]
-    with pipe:
-        try:
-            sent = pickle.load(pipe)
-        except (EOFError, pickle.UnpicklingError):  # the worker's exit status says why
-            sent = None
-    code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
-    del pending[0]
-    if code != 0 or sent is None:
-        how = (f"was killed by {signal.Signals(-code).name}" if code < 0
-               else f"exited with status {code}")
-        raise TrajfuseError(f"synth worker for samples [{indices.start}, {indices.stop}) "
-                            f"{how} without a result")
-    error, value = sent
-    if error is not None:
-        raise error
-    return value
-
-
 def synth_experiment(
     config: ScenarioConfig,
     predictors: Sequence[PredictorSpec],
@@ -458,9 +374,9 @@ def synth_experiment(
     synth`` encodes its dump and fused lines in that hook.
 
     ``threads`` caps the worker processes: the samples split into
-    ``min(threads, usable_cpus(), sample_count)`` contiguous index
-    ranges (one without ``os.fork``).  The first range runs here, each
-    other one in a forked child, and the children's ledger rows (added
+    ``io.worker_count(threads, sample_count)`` contiguous index ranges,
+    which ``io.fork_map``, the one fork helper, runs: the first here and
+    each other one in a forked child.  The children's ledger rows (added
     through ``ErrorLedger.add``) and hook results are merged in range
     order, so the result is the same for every ``threads``.  A hook
     called in a child keeps its side effects there; only its return
@@ -508,29 +424,14 @@ def synth_experiment(
                                 None if sample_hook is None else hook)
         return ledger, results
 
-    n, workers = config.sample_count, _worker_count(threads, config.sample_count)
+    n, workers = config.sample_count, worker_count(threads, config.sample_count)
     shards = [range(n * i // workers, n * (i + 1) // workers) for i in range(workers)]
-    pending = []  # (indices, pid, pipe) of each child not yet reaped, in range order
-    try:
-        for indices in shards[1:]:
-            pending.append((indices, *_fork(run, indices)))
-        ledger, hook_results = run(shards[0])
-        while pending:
-            part, results = _collect(pending)
-            for row in part:
-                ledger.add(*row)
-            hook_results += results
-    finally:
-        if pending:  # an error cut the run short: these results are no longer wanted
-            import signal
-
-            for _, pid, pipe in pending:
-                pipe.close()
-                try:
-                    os.kill(pid, signal.SIGKILL)
-                except ProcessLookupError:
-                    pass
-                os.waitpid(pid, 0)
+    (ledger, hook_results), *rest = fork_map(
+        run, shards, lambda part: f"synth worker for samples [{part.start}, {part.stop})")
+    for part, results in rest:
+        for row in part:
+            ledger.add(*row)
+        hook_results += results
     return ExperimentResult(
         config=config,
         predictor_names=tuple(names),

@@ -9,7 +9,7 @@ from dataclasses import dataclass
 import pytest
 from hypothesis import strategies as st
 
-from trajfuse import synth
+from trajfuse import io
 from trajfuse.core import Mode, ModelOutput, Sample, Trajectory
 from trajfuse.metrics import ErrorLedger
 from trajfuse.synth import (
@@ -116,8 +116,8 @@ def pinned_run() -> PinnedRun:
 
 @pytest.fixture
 def three_workers(monkeypatch) -> list[int]:
-    """Three usable CPUs for synth's worker count on any host, and the list of pids forked."""
-    monkeypatch.setattr(synth, "usable_cpus", lambda: 3)
+    """Three usable CPUs for the worker count on any host, and the list of pids forked."""
+    monkeypatch.setattr(io, "usable_cpus", lambda: 3)
     pids: list[int] = []
     fork = os.fork
 

@@ -16,11 +16,11 @@ import pytest
 from conftest import reaped
 
 import trajfuse
-from trajfuse import cli, fusion
+from trajfuse import cli, fusion, io
 from trajfuse.cli import OUT_DIR_ENV, main
 from trajfuse.errors import NumericalError
 from trajfuse.io import load_fused, load_manifest
-from trajfuse.synth import usable_cpus
+from trajfuse.io import usable_cpus
 
 
 SYNTH_ARGV = ["synth", "--samples", "30", "--horizon", "6", "--seed", "123",
@@ -358,21 +358,24 @@ class TestIncompleteDumps:
         ("sample", "predictions cover 29 samples, manifest declares 30"),
         ("record", "sample 's000000' has 2 of 3 manifest models (missing const_velocity)"),
     ], ids=["whole_sample", "one_record"])
-    def test_refused(self, dataset, tmp_path, capsys, command, damage, message):
+    def test_refused(self, dataset, tmp_path, capsys, three_workers, command, damage, message):
         # Records are sorted by (sample_id, model_id): the first three are
         # s000000 from const_turn_rate, const_velocity and noisy_oracle.
+        # At three workers the sample count is checked on the workers' summed
+        # counts, and the incomplete sample's error reruns the dump as one range.
         lines = (dataset / "predictions.ndjson").read_text().splitlines(keepends=True)
         cut = tmp_path / "predictions.ndjson"
         cut.write_text("".join(lines[3:] if damage == "sample" else lines[:1] + lines[2:]))
         out = tmp_path / "out"
         argv = [command, "--manifest", str(dataset / "manifest.json"),
-                "--predictions", str(cut), "--out", str(out)]
+                "--predictions", str(cut), "--out", str(out), "--threads", "3"]
         if command != "fuse":
             argv += ["--ground-truth", str(dataset / "ground_truth.ndjson")]
         assert main(argv) == 1
         payload = stderr_payload(capsys)
         assert payload == {"error": "InvalidInput", "message": message}
         assert not out.exists()
+        assert len(three_workers) == 2
 
 
     @pytest.mark.parametrize("command, message", [
@@ -391,6 +394,167 @@ class TestIncompleteDumps:
                      "--out", str(out)]) == 1
         assert stderr_payload(capsys) == {"error": "InvalidInput", "message": message}
         assert not out.exists()
+
+
+def _dump_argv(command: str, manifest: Path, predictions: list[Path], truth: Path,
+               out: Path, *extra: str) -> list[str]:
+    argv = [command, "--manifest", str(manifest),
+            "--predictions", *map(str, predictions), "--out", str(out), *extra]
+    if command == "eval":
+        argv += ["--strategy", "all", "--primary-model", "const_turn_rate"]
+    if command != "fuse":
+        argv += ["--ground-truth", str(truth)]
+    return argv
+
+
+def _reordered(lines: list[str], order: str) -> list[str]:
+    return {"sorted": lines, "reversed": lines[::-1],
+            "shuffled": lines[1::2] + lines[::2]}[order]
+
+
+class TestDumpWorkers:
+    """fuse, eval and overlap split the dataset by sample id over --threads workers."""
+
+    DUMP_COMMANDS = ("fuse", "eval", "overlap")
+
+    def outputs(self, tmp_path: Path, predictions: list[Path], truth: Path,
+                manifest: Path, threads: int) -> dict[str, bytes]:
+        got = {}
+        for command in self.DUMP_COMMANDS:
+            out = tmp_path / f"{command}-{threads}"
+            assert main(_dump_argv(command, manifest, predictions, truth, out,
+                                   "--threads", str(threads))) == 0
+            got[command] = out.read_bytes()
+        return got
+
+    @pytest.mark.parametrize("layout", [
+        "sorted", "shuffled_predictions", "shuffled_ground_truth", "per_model_sorted",
+        "per_model_in_different_orders",
+    ])
+    def test_same_bytes_at_one_two_and_three_workers(self, dataset, tmp_path, three_workers,
+                                                     layout):
+        predictions = (dataset / "predictions.ndjson").read_text().splitlines(keepends=True)
+        truth = (dataset / "ground_truth.ndjson").read_text().splitlines(keepends=True)
+        pred_paths = [tmp_path / "predictions.ndjson"]
+        if layout.startswith("per_model"):
+            # One file per model; the later ones reversed and interleaved.
+            orders = (("sorted",) * 3 if layout == "per_model_sorted"
+                      else ("sorted", "reversed", "shuffled"))
+            pred_paths = []
+            for model, order in zip(("const_turn_rate", "const_velocity", "noisy_oracle"),
+                                    orders):
+                path = tmp_path / f"predictions_{model}.ndjson"
+                path.write_text("".join(_reordered(
+                    [line for line in predictions if f'"model_id": "{model}"' in line], order)))
+                pred_paths.append(path)
+        else:
+            pred_paths[0].write_text("".join(_reordered(
+                predictions, "shuffled" if layout == "shuffled_predictions" else "sorted")))
+        (tmp_path / "ground_truth.ndjson").write_text("".join(_reordered(
+            truth, "shuffled" if layout == "shuffled_ground_truth" else "sorted")))
+        runs = [self.outputs(tmp_path, pred_paths, tmp_path / "ground_truth.ndjson",
+                             dataset / "manifest.json", threads) for threads in (1, 2, 3)]
+        assert runs[0]["fuse"] == (dataset / "fused_weighted.ndjson").read_bytes()
+        assert runs[0]["eval"] == (dataset / "summary.csv").read_bytes()
+        assert runs[0]["overlap"] == (dataset / "overlap.csv").read_bytes()
+        assert runs[1] == runs[0] and runs[2] == runs[0]
+        if layout != "shuffled_predictions":
+            # The first file is sorted, so it is cut: two and three workers
+            # fork one and two children for each command.
+            assert len(three_workers) == 3 * (1 + 2)
+        assert all(reaped(pid) for pid in three_workers)
+
+    @pytest.mark.parametrize("command", DUMP_COMMANDS)
+    def test_killed_worker_fails_cleanly(self, dataset, tmp_path, capsys, monkeypatch,
+                                         three_workers, command):
+        """A dump worker that dies is an error naming its sample ids; nothing is written."""
+        parent = os.getpid()
+        load = io.load_predictions
+
+        def dying(path, manifest, ids=io.SampleRange()):
+            if os.getpid() != parent and "s000015" in ids:
+                os.kill(os.getpid(), signal.SIGKILL)
+            return load(path, manifest, ids)
+
+        monkeypatch.setattr(io, "load_predictions", dying)
+        predictions = dataset / "predictions.ndjson"
+        dying_range, = [ids for ids in io._sample_ranges(str(predictions), 3)
+                        if "s000015" in ids]
+        assert dying_range.lo is not None and dying_range.hi is not None
+        out = tmp_path / "out"
+        assert main(_dump_argv(command, dataset / "manifest.json", [predictions],
+                               dataset / "ground_truth.ndjson", out, "--threads", "3")) == 1
+        assert stderr_payload(capsys) == {
+            "error": "TrajfuseError",
+            "message": f"{command} worker for sample ids "
+                       f"['{dying_range.lo}', '{dying_range.hi}') was killed by SIGKILL "
+                       "without a result"}
+        assert not out.exists()
+        assert len(three_workers) == 2
+        assert all(reaped(pid) for pid in three_workers)
+
+    @pytest.mark.parametrize("command", DUMP_COMMANDS)
+    def test_malformed_line_in_the_last_range(self, dataset, tmp_path, capsys, three_workers,
+                                              command):
+        """The error names the line as the whole file numbers it, at any worker count."""
+        lines = (dataset / "predictions.ndjson").read_text().splitlines(keepends=True)
+        lines[-2] = lines[-2].replace('"modes"', '"modez"')
+        broken = tmp_path / "predictions.ndjson"
+        broken.write_text("".join(lines))
+        errors = []
+        for threads in ("1", "2", "3"):
+            out = tmp_path / f"out-{threads}"
+            assert main(_dump_argv(command, dataset / "manifest.json", [broken],
+                                   dataset / "ground_truth.ndjson", out,
+                                   "--threads", threads)) == 1
+            errors.append(stderr_payload(capsys))
+            assert not out.exists()
+        assert errors == [{"error": "ParseError",
+                           "message": f"{broken}: line {len(lines) - 1}: field 'modes': "
+                                      "missing required field"}] * 3
+        assert len(three_workers) == 1 + 2
+        assert all(reaped(pid) for pid in three_workers)
+
+    @pytest.mark.parametrize("command", DUMP_COMMANDS)
+    @pytest.mark.parametrize("case", ["no_samples_declared", "empty_first_file",
+                                      "fewer_samples_than_workers", "one_sample_of_30"])
+    def test_edge_cases_run_as_one_range(self, dataset, tmp_path, capsys, three_workers,
+                                         command, case):
+        manifest = json.loads((dataset / "manifest.json").read_text())
+        lines = (dataset / "predictions.ndjson").read_text().splitlines(keepends=True)
+        truth = (dataset / "ground_truth.ndjson").read_text().splitlines(keepends=True)
+        # First file, and the manifest's sample_count, for each case.
+        first, manifest["sample_count"] = {
+            "no_samples_declared": ([], 0),
+            "empty_first_file": ([], 1),
+            "fewer_samples_than_workers": (lines[:3], 1),
+            "one_sample_of_30": (lines[:3], 30),
+        }[case]
+        pred_paths = [tmp_path / "first.ndjson"]
+        pred_paths[0].write_text("".join(first))
+        if case == "empty_first_file":
+            pred_paths.append(tmp_path / "second.ndjson")
+            pred_paths[1].write_text("".join(lines[:3]))
+        (tmp_path / "ground_truth.ndjson").write_text("".join(truth[:manifest["sample_count"]]))
+        (tmp_path / "manifest.json").write_text(json.dumps(manifest))
+        results = []
+        for threads in ("1", "2"):
+            out = tmp_path / f"out-{threads}"
+            code = main(_dump_argv(command, tmp_path / "manifest.json", pred_paths,
+                                   tmp_path / "ground_truth.ndjson", out, "--threads", threads))
+            err = capsys.readouterr().err
+            results.append((code, err, out.read_bytes() if out.exists() else None))
+        assert results[0] == results[1]
+        message = {"no_samples_declared": "no samples to evaluate" if command == "eval"
+                   else "no samples to analyze" if command == "overlap" else None,
+                   "one_sample_of_30": "predictions cover 1 samples, manifest declares 30",
+                   }.get(case)
+        if message is None:
+            assert results[0][0] == 0
+        else:
+            assert results[0][:2] == (1, json.dumps({"error": "InvalidInput",
+                                                     "message": message}) + "\n")
+        assert three_workers == []
 
 
 _HUGE = 10 ** 400  # a JSON integer no float can hold

@@ -21,10 +21,12 @@ from trajfuse.errors import (
     ZeroConfidenceWarning,
 )
 from trajfuse.fusion import fuse_threshold, fuse_weighted
+from trajfuse import io
 from trajfuse.io import (
     FORMAT_VERSION,
     DatasetManifest,
     GroundTruthRecord,
+    SampleRange,
     load_fused,
     load_ground_truth,
     load_manifest,
@@ -289,6 +291,64 @@ class TestPredictions:
             list(load_predictions(path, MANIFEST))
         assert exc.value.line == 2
         assert exc.value.path == path
+
+
+class TestSampleRanges:
+    """A dump sorted by sample_id splits into ranges that each read only their own lines."""
+
+    def dump(self, tmp_path, sizes: list[int]) -> tuple[str, list[ModelOutput]]:
+        """A dump with ``sizes[i]`` modes for sample i, from both manifest models."""
+        outputs = [output(mid, f"s{i:03d}", *[[(i, k), (k, i)] for k in range(n)])
+                   for i, n in enumerate(sizes) for mid in MANIFEST.model_ids]
+        path = str(tmp_path / "pred.ndjson")
+        write_predictions(path, outputs)
+        return path, outputs
+
+    @settings(max_examples=40, deadline=None)
+    @given(sizes=st.lists(st.integers(min_value=1, max_value=6), max_size=25),
+           parts=st.integers(min_value=1, max_value=6))
+    def test_ranges_partition_the_records(self, tmp_path_factory, sizes, parts):
+        path, _ = self.dump(tmp_path_factory.mktemp("ranges"), sizes)
+        ranges = io._sample_ranges(path, parts)
+        assert 1 <= len(ranges) <= max(1, min(parts, len(sizes)))
+        cuts = [r.lo for r in ranges[1:]]
+        assert cuts == sorted(set(cuts)) and ranges[0].lo is None and ranges[-1].hi is None
+        assert all(a.hi == b.lo for a, b in zip(ranges, ranges[1:]))
+        whole = list(load_predictions(path, MANIFEST))
+        by_range = [list(load_predictions(path, MANIFEST, ids)) for ids in ranges]
+        assert [out for part in by_range for out in part] == whole
+        assert all(by_range) or not sizes  # no range is empty
+        assert all(out.sample_id in ids for ids, part in zip(ranges, by_range) for out in part)
+
+    def test_record_outside_its_range_is_refused(self, tmp_path):
+        path, outputs = self.dump(tmp_path, [1] * 6)
+        with open(path, encoding="utf-8") as f:
+            lines = f.readlines()
+        with open(path, "w", encoding="utf-8") as f:
+            f.writelines(lines[6:] + lines[:6])  # s003..s005, then s000..s002
+        assert io._sample_ranges(path, 2) == [SampleRange()]
+        # Each line lies in one range's bytes, so some range meets a stranger.
+        refused = 0
+        for ids in (SampleRange(None, "s003"), SampleRange("s003", None)):
+            try:
+                list(load_predictions(path, MANIFEST, ids))
+            except TrajfuseError as e:
+                assert "outside" in str(e)
+                refused += 1
+        assert refused
+        assert len(list(load_predictions(path, MANIFEST))) == len(outputs)
+
+    def test_unreadable_or_empty_file_is_one_range(self, tmp_path):
+        assert io._sample_ranges(str(tmp_path / "missing.ndjson"), 4) == [SampleRange()]
+        (tmp_path / "empty.ndjson").write_text("")
+        assert io._sample_ranges(str(tmp_path / "empty.ndjson"), 4) == [SampleRange()]
+        (tmp_path / "junk.ndjson").write_text("[1]\n" * 100)
+        assert io._sample_ranges(str(tmp_path / "junk.ndjson"), 4) == [SampleRange()]
+
+    def test_str_names_the_ids(self):
+        assert str(SampleRange()) == "[start, end)"
+        assert str(SampleRange("s1", "s2")) == "['s1', 's2')"
+        assert "s1" in SampleRange("s1", "s2") and "s2" not in SampleRange("s1", "s2")
 
 
 class TestGroundTruth:

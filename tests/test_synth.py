@@ -10,7 +10,7 @@ import pytest
 from conftest import reaped
 from scipy import stats
 
-from trajfuse import synth
+from trajfuse import io
 from trajfuse.core import ade, fde, select_most_likely
 from trajfuse.errors import InvalidInput, TrajfuseError
 from trajfuse.metrics import ensemble_method_id
@@ -404,6 +404,36 @@ class TestSynthExperiment:
         assert len(three_workers) == 2
         assert all(reaped(pid) for pid in three_workers)
 
+    @pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="no CPU affinity")
+    @pytest.mark.parametrize("fails", [False, True], ids=["success", "error"])
+    def test_caller_cpu_set_restored(self, three_workers, fails):
+        mask = os.sched_getaffinity(0)
+        seen = []
+
+        def hook(scenario, sample, fused):
+            seen.append(os.sched_getaffinity(0))
+            if fails:
+                raise InvalidInput("refused")
+
+        try:
+            synth_experiment(small_config(sample_count=6), self.bank(), threads=3,
+                             sample_hook=hook)
+        except InvalidInput:
+            assert fails
+        assert os.sched_getaffinity(0) == mask
+        # The first range ran here, on one CPU.
+        assert seen and len(seen[0]) == 1
+        assert all(reaped(pid) for pid in three_workers)
+
+    def test_runs_unpinned_without_cpu_affinity(self, monkeypatch, three_workers):
+        config = small_config(sample_count=9)
+        serial = synth_experiment(config, self.bank(), threads=1)
+        monkeypatch.delattr(os, "sched_setaffinity", raising=False)
+        forked = synth_experiment(config, self.bank(), threads=3)
+        assert forked.summary == serial.summary
+        assert len(three_workers) == 2
+        assert all(reaped(pid) for pid in three_workers)
+
     def test_unpicklable_hook_result_is_an_error(self, three_workers):
         with pytest.raises(Exception, match="pickle"):
             synth_experiment(small_config(sample_count=6), self.bank(), threads=3,
@@ -421,26 +451,27 @@ class TestWorkerCount:
         monkeypatch.setattr(os, "fork", refuse)
 
     def test_capped_by_usable_cpus_and_samples(self, monkeypatch):
-        monkeypatch.setattr(synth, "usable_cpus", lambda: 2)
-        assert synth._worker_count(100_000, 10_000) == 2
-        assert synth._worker_count(1, 10_000) == 1
-        assert synth._worker_count(100_000, 1) == 1
+        monkeypatch.setattr(io, "usable_cpus", lambda: 2)
+        assert io.worker_count(100_000, 10_000) == 2
+        assert io.worker_count(1, 10_000) == 1
+        assert io.worker_count(100_000, 1) == 1
+        assert io.worker_count(100_000, 0) == 1
         config = small_config(sample_count=1)
         result = synth_experiment(config, TestSynthExperiment().bank(), threads=100_000)
         assert len(result.ledger) == 4
 
     def test_one_worker_without_fork(self, monkeypatch):
         monkeypatch.delattr(os, "fork")
-        assert synth._worker_count(8, 100) == 1
+        assert io.worker_count(8, 100) == 1
 
     def test_usable_cpus(self, monkeypatch):
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 3, 5}, raising=False)
-        assert synth.usable_cpus() == 3
+        assert io.usable_cpus() == 3
         monkeypatch.delattr(os, "sched_getaffinity")
         monkeypatch.setattr(os, "cpu_count", lambda: 5)
-        assert synth.usable_cpus() == 5
+        assert io.usable_cpus() == 5
         monkeypatch.setattr(os, "cpu_count", lambda: None)
-        assert synth.usable_cpus() == 1
+        assert io.usable_cpus() == 1
 
 
 class TestPinnedSetup:

@@ -16,9 +16,11 @@ way ``eval`` and ``overlap`` score a loaded one; its sample hook encodes
 each sample's dump and fused lines in the worker that made the sample,
 and the parent writes them.  ``fuse``, ``eval`` and ``overlap`` run
 through ``io.map_sample_ranges``: each worker loads, fuses and scores
-one sample-id range of the dump and sends back only its ledger rows or
-encoded fused lines, which the parent merges and writes.  ``flags``
-streams its one file and runs serially.
+one sample-id range of the dump, whatever the line order of its files,
+and sends back only its ledger rows or encoded fused lines, which the
+parent merges (``metrics._merged``) and writes.  A worker's warnings
+are shown by the parent in range order.  ``flags`` streams its one file
+and runs serially.
 
 Configuration precedence is flags > --config JSON file > built-in
 defaults; config values are checked like flags.  The TRAJFUSE_OUT_DIR
@@ -59,6 +61,7 @@ from .metrics import (
     DEFAULT_K_LIST,
     DEFAULT_OVERLAP_K,
     ErrorLedger,
+    _merged,
     fuse_and_score,
     overlap_report,
     summary_table,
@@ -178,15 +181,6 @@ def _check_primary(args: argparse.Namespace, manifest: DatasetManifest) -> None:
 
 def _note(path: str) -> None:
     print(f"wrote {path}")
-
-
-def _merged(ledgers: Sequence[ErrorLedger]) -> ErrorLedger:
-    """The first ledger, with every row of the others added to it in order."""
-    first, *rest = ledgers
-    for ledger in rest:
-        for row in ledger:
-            first.add(*row)
-    return first
 
 
 def cmd_fuse(args: argparse.Namespace) -> int:

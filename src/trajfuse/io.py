@@ -13,15 +13,16 @@ before any element is read.  Coordinates that decode as floats skip
 the loader reports that as a ParseError for the record's ``points``.
 Any malformed input, non-UTF-8 bytes and over-deep nesting included, is
 a ParseError (or a HorizonMismatch) with file and line context, never
-another exception.  ``load_samples`` holds the whole-dataset rules: a
-dataset that is not whole is refused.
+another exception; so is a JSON object that repeats a member name.
+``load_samples`` holds the whole-dataset rules: a dataset that is not
+whole is refused.
 
-A dataset whose files are sorted by sample_id, as every writer here
-sorts them, can be read in parts: ``map_sample_ranges`` cuts it into
-contiguous sample-id ranges (``SampleRange``), and ``fork_map``, the
-package's one fork helper, runs each range in its own process, which
-reads only that range's lines of each file.  A file in any other order
-is detected and read whole.
+A dataset can be read in parts, its files in any line order:
+``map_sample_ranges`` cuts it into contiguous sample-id ranges
+(``SampleRange``), and ``fork_map``, the package's one fork helper, runs
+each range in its own process.  That process reads every line of each
+file but decodes only those whose sample_id, found by a byte search for
+the encoders' spelling of it, falls in its range.
 
 Each record kind has one encoder (``prediction_line``,
 ``ground_truth_line``, ``fused_line``) that turns a record into its sort
@@ -42,6 +43,7 @@ import json
 import math
 import os
 import reprlib
+import warnings
 from contextlib import contextmanager, suppress
 from dataclasses import asdict, dataclass
 from itertools import chain
@@ -121,8 +123,18 @@ def _reject_constant(token: str):
     raise ValueError(f"non-finite JSON token '{token}'")
 
 
+def _object(pairs: list[tuple[str, object]]) -> dict:
+    """A decoded JSON object; a repeated member name makes it ambiguous, so it is refused."""
+    obj = dict(pairs)
+    if len(obj) != len(pairs):
+        names = [name for name, _ in pairs]
+        repeated = next(name for name in names if names.count(name) > 1)
+        raise ValueError(f"member name '{repeated}' repeats in one JSON object")
+    return obj
+
+
 # One decoder for every line: json.loads with parse_constant builds a new one per call.
-_DECODER = json.JSONDecoder(parse_constant=_reject_constant)
+_DECODER = json.JSONDecoder(parse_constant=_reject_constant, object_pairs_hook=_object)
 
 
 def _decode(raw: bytes, path: str, line: int | None) -> dict:
@@ -227,8 +239,7 @@ class SampleRange:
     """The sample ids ``lo <= sample_id < hi`` of one part of a dataset.
 
     ``None`` leaves that end open, so ``SampleRange()`` is the whole
-    dataset.  In a file sorted by sample_id the range is one run of whole
-    lines, found by ``byte_span``.
+    dataset.
     """
 
     lo: str | None = None
@@ -242,62 +253,40 @@ class SampleRange:
         return (f"[{'start' if self.lo is None else repr(self.lo)}, "
                 f"{'end' if self.hi is None else repr(self.hi)})")
 
-    def byte_span(self, f: BinaryIO) -> tuple[int, int | None]:
-        """The offsets of the range's first line and of the line after its last.
-
-        Each end is a binary search over byte offsets that decodes one
-        line per probe; an open end is the start or the end (None) of the
-        file.
-        """
-        return (0 if self.lo is None else _first_at_or_after(f, self.lo),
-                None if self.hi is None else _first_at_or_after(f, self.hi))
-
 
 _WHOLE = SampleRange()
 
 
-class _Unsorted(TrajfuseError):
-    """A part of a dataset met a record outside its sample ids, or a line it could not place."""
+class _Misread(TrajfuseError):
+    """A line the sample-id scan placed in a part decoded to a sample outside it."""
 
 
-def _line_at(f: BinaryIO, offset: int) -> tuple[int, str | None]:
-    """The offset and sample_id of the first line starting at or after ``offset``.
+# json.dumps(payload, sort_keys=True) without a new encoder per record.  The
+# encoders' payloads are fresh trees, so the cycle check has nothing to find.
+_encode = json.JSONEncoder(sort_keys=True, check_circular=False).encode
 
-    The sample_id is None at the end of the file; a line that is not a
-    JSON object with a string sample_id is ``_Unsorted``.
+# The encoders' spelling of a sample_id's start, b'"sample_id": "'; they escape
+# every quote inside a string, so it occurs in their lines only as a member name.
+_ID_PREFIX = _encode({"sample_id": ""})[1:-2].encode()
+
+
+def _scanned_id(raw: bytes) -> str | None:
+    """The id between a line's first ``_ID_PREFIX`` and the next quote, found without decoding.
+
+    None where that finds no id it can read as text: another JSON
+    spelling, an escape in the id, bytes that are not UTF-8, a truncated line.
     """
-    f.seek(max(offset - 1, 0))
-    if offset:
-        f.readline()  # the rest of the line that holds byte offset - 1
-    start = f.tell()
-    raw = f.readline()
-    if not raw:
-        return start, None
+    start = raw.find(_ID_PREFIX)
+    if start < 0:
+        return None
+    start += len(_ID_PREFIX)
+    end = raw.find(b'"', start)
+    if end < 0 or b"\\" in raw[start:end]:
+        return None
     try:
-        sample_id = _decode(raw, "", None).get("sample_id")
-    except ParseError:
-        sample_id = None
-    if not isinstance(sample_id, str):
-        raise _Unsorted(f"no sample_id at byte {start}")
-    return start, sample_id
-
-
-def _first_at_or_after(f: BinaryIO, sample_id: str) -> int:
-    """The offset of the first line whose sample_id is >= ``sample_id``, or the file size.
-
-    Binary search, so the file must be sorted by sample_id; a file that
-    is not can give any offset, and ``_records`` then meets a record
-    outside its range.
-    """
-    lo, hi = 0, os.fstat(f.fileno()).st_size
-    while lo < hi:
-        mid = (lo + hi) // 2
-        start, found = _line_at(f, mid)
-        if found is None or found >= sample_id:
-            hi = mid
-        else:  # no line starts in [mid, start], so none of them is the answer
-            lo = start + 1
-    return _line_at(f, lo)[0]
+        return raw[start:end].decode("utf-8")
+    except UnicodeDecodeError:
+        return None
 
 
 def _records(path: str, fields: tuple[str, ...], what: str, *key_fields: str,
@@ -308,37 +297,32 @@ def _records(path: str, fields: tuple[str, ...], what: str, *key_fields: str,
     ``fields``; its key is the tuple of its ``key_fields`` values, each a
     nonempty string, and no key may repeat (``what`` names the record in
     that error).  The first key field is the sample_id.  A part of the
-    dataset reads only its own lines of a file sorted by sample_id, and a
-    record outside ``ids`` is ``_Unsorted``.  Its line numbers count from
-    its first line: ``map_sample_ranges`` reports no error of a part, it
-    reruns the dataset as one range, so every error message names a line
-    the way the whole file numbers it.
+    dataset decodes only the lines whose ``_scanned_id`` is in ``ids``,
+    or that have none, and keeps those whose decoded sample_id is in
+    ``ids``; a line scanned in ``ids`` but decoded outside is
+    ``_Misread``, never dropped.
     """
     seen: set[tuple[str, ...]] = set()
     with open(path, "rb") as f:
-        start, stop = ids.byte_span(f)
-        f.seek(start)
-        left = math.inf if stop is None else stop - start
         for line, raw in enumerate(f, start=1):
-            if left <= 0:
-                break
-            left -= len(raw)
+            found = None if ids is _WHOLE else _scanned_id(raw)
+            if found is not None and found not in ids:
+                continue
             if raw.isspace():
                 raise ParseError("blank line", path=path, line=line)
             obj = _decode(raw, path, line)
             _check_keys(obj, fields, path, line)
             key = tuple(_string(obj[k], path, line, k) for k in key_fields)
+            if key[0] not in ids:
+                if found is not None:
+                    raise _Misread(f"{path}: line {line}: the scan read sample '{found}', "
+                                   f"the decoder '{key[0]}'")
+                continue
             if key in seen:
                 raise ParseError(f"duplicate {what} for {_describe(key)}", path=path, line=line)
-            if ids is not _WHOLE and key[0] not in ids:
-                raise _Unsorted(f"{path}: sample '{key[0]}' is outside {ids}")
             seen.add(key)
             yield line, obj, key
 
-
-# json.dumps(payload, sort_keys=True) without a new encoder per record.  The
-# encoders' payloads are fresh trees, so the cycle check has nothing to find.
-_encode = json.JSONEncoder(sort_keys=True, check_circular=False).encode
 
 # A record's sort key, (sample_id,) or (sample_id, model_id), and its NDJSON line.
 Line = tuple[tuple[str, ...], str]
@@ -426,7 +410,7 @@ def load_predictions(path: str, manifest: DatasetManifest,
     Each line holds one (sample_id, model_id) record with all of that
     model's modes.  Unknown model ids and duplicate (sample, model)
     pairs are ParseErrors; a horizon that disagrees with the manifest is
-    a HorizonMismatch.  ``ids`` reads one part of a sorted dump.
+    a HorizonMismatch.  ``ids`` reads one part of the dump.
     """
     known = set(manifest.model_ids)
     for line, obj, (sample_id, model_id) in _records(
@@ -471,7 +455,7 @@ def load_ground_truth(path: str, manifest: DatasetManifest,
                       ids: SampleRange = _WHOLE) -> Iterator[GroundTruthRecord]:
     """Stream ground-truth records, enforcing the manifest horizon.
 
-    ``ids`` reads one part of a sorted file.
+    ``ids`` reads one part of the file.
     """
     for line, obj, (sample_id,) in _records(path, ("sample_id", "points"), "ground truth",
                                             "sample_id", ids=ids):
@@ -601,8 +585,11 @@ def fork_map(run: Callable[[_Part], _Result], parts: Sequence[_Part],
     a child that ends without a result (a signal, out of memory) is a
     TrajfuseError that names it by ``label(part)``.  Once an error cuts
     the run short, every child left is killed and reaped.  A child keeps
-    its side effects; a lock another thread holds at the fork stays held
-    in the child, so fork from a process that runs one thread.
+    its side effects, but the warnings it would show come back with its
+    result and are shown here as its part is collected, so they appear in
+    part order, as a serial run shows them.  A lock another thread holds
+    at the fork stays held in the child, so fork from a process that runs
+    one thread.
 
     Each process runs on its own usable CPU, part i on the i-th (modulo
     their count), and this process gets its own CPU set back at the end:
@@ -646,8 +633,10 @@ def _fork(run: Callable[[_Part], object], part: _Part,
           cpus: set[int]) -> tuple[int, BinaryIO]:
     """Run ``run(part)`` on ``cpus`` in a forked child; return its pid and the read end of its pipe.
 
-    The child pipes back ``(None, result)``, or ``(error, None)`` if
-    ``run`` raised, pickled, and exits 0 only once all of it is written.
+    The child pipes back ``(None, result, warnings)``, the warnings it
+    would have shown as (message, category, filename, lineno), or
+    ``(error, None, [])`` if ``run`` raised, pickled, and exits 0 only
+    once all of it is written.
     It leaves through ``os._exit``, so it never returns into the caller
     or runs its atexit handlers or flushes its inherited buffers.
     """
@@ -668,9 +657,12 @@ def _fork(run: Callable[[_Part], object], part: _Part,
         os.close(read_fd)
         _pin(cpus)
         try:
-            payload = pickle.dumps((None, run(part)), pickle.HIGHEST_PROTOCOL)
+            with warnings.catch_warnings(record=True) as caught:
+                result = run(part)
+            shown = [(str(w.message), w.category, w.filename, w.lineno) for w in caught]
+            payload = pickle.dumps((None, result, shown), pickle.HIGHEST_PROTOCOL)
         except BaseException as e:
-            payload = pickle.dumps((e, None), pickle.HIGHEST_PROTOCOL)
+            payload = pickle.dumps((e, None, []), pickle.HIGHEST_PROTOCOL)
         with open(write_fd, "wb") as pipe:
             pipe.write(payload)
         status = 0
@@ -682,7 +674,8 @@ def _collect(pending: list, label: Callable[[_Part], str]) -> object:
     """The result of the first pending child, or its error re-raised.
 
     Reads the child's pipe as it streams in, reaps the child, and only
-    then drops it from ``pending`` and re-raises; a child that ends
+    then drops it from ``pending`` and re-raises, or shows the child's
+    warnings through ``warnings.warn_explicit``; a child that ends
     without a result is a TrajfuseError naming ``label(part)``.  Should
     the reading fail, the child stays in ``pending`` for the caller to
     kill and reap.
@@ -702,9 +695,11 @@ def _collect(pending: list, label: Callable[[_Part], str]) -> object:
         how = (f"was killed by {signal.Signals(-code).name}" if code < 0
                else f"exited with status {code}")
         raise TrajfuseError(f"{label(part)} {how} without a result")
-    error, value = sent
+    error, value, shown = sent
     if error is not None:
         raise error
+    for message, category, filename, lineno in shown:
+        warnings.warn_explicit(message, category, filename, lineno)
     return value
 
 
@@ -713,33 +708,32 @@ class _Rerun(Exception):
 
 
 def _sample_ranges(path: str, parts: int) -> list[SampleRange]:
-    """Up to ``parts`` ranges cut at the sample_ids of the lines at equal byte fractions of ``path``.
+    """Up to ``parts`` ranges cut at quantiles of the sample_ids probed in ``path``.
 
-    Fractions that fall in the file's first sample or in the same sample
-    give no cut or one, so no range is empty.  An empty or unreadable
-    file, a probed line that is not a record, or cuts out of order (the
-    file is not sorted by sample_id) give one range.
+    32 probes per part, at equal byte fractions of the file, each scan the
+    first line that starts at or after it.  A cut at the smallest id found
+    or at the previous cut is dropped, so no range is empty.  A file where
+    no probe finds an id, or that cannot be read, gives one range.
     """
     if parts < 2:
         return [_WHOLE]
-    cuts: list[str] = []
+    probes = 32 * parts
+    found = []
     try:
         with open(path, "rb") as f:
             size = os.fstat(f.fileno()).st_size
-            last = _line_at(f, 0)[1]
-            for i in range(1, parts):
-                sample_id = _line_at(f, size * i // parts)[1]
-                if sample_id is None or last is None:
-                    break
-                if sample_id < last:
-                    return [_WHOLE]
-                if sample_id > last:
-                    cuts.append(sample_id)
-                    last = sample_id
-    except (OSError, _Unsorted):
+            for i in range(probes):
+                offset = size * i // probes
+                f.seek(max(offset - 1, 0))
+                if offset:
+                    f.readline()  # the rest of the line that holds byte offset - 1
+                found.append(_scanned_id(f.readline()))
+    except OSError:
         return [_WHOLE]
-    if not cuts:
+    ids = sorted(sample_id for sample_id in found if sample_id is not None)
+    if not ids:
         return [_WHOLE]
+    cuts = sorted({ids[len(ids) * i // parts] for i in range(1, parts)} - {ids[0]})
     bounds = [None, *cuts, None]
     return [SampleRange(lo, hi) for lo, hi in zip(bounds, bounds[1:])]
 
@@ -754,17 +748,16 @@ def map_sample_ranges(
 ) -> list[_Result]:
     """``work(samples)`` over the dataset, split by sample id across up to ``threads`` processes.
 
-    The dataset splits into ``worker_count(threads, sample_count)``
-    contiguous sample-id ranges, cut at the sample_ids of the first
-    prediction file's lines at equal byte fractions (see
-    ``_sample_ranges``).  ``fork_map`` runs each range: it loads and
-    checks only its own lines of every file, then runs ``work`` on its
-    samples, whose result must pickle.  The results come back in range
-    order, so in sample order, and the whole-dataset rules are checked on
-    the summed counts.  Should a range fail for any reason in its data or
-    its files (an unsorted file among them), the dataset runs again as
-    one range in this process, so every error is the one a serial run
-    raises, and a file in any order gives the same results.  A worker
+    The dataset splits into up to ``worker_count(threads, sample_count)``
+    contiguous sample-id ranges, cut at quantiles of the sample_ids
+    probed in the first prediction file (see ``_sample_ranges``).
+    ``fork_map`` runs each range: it loads and checks only its own
+    records of every file, whatever their line order, then runs ``work``
+    on its samples, whose result must pickle.  The results come back in
+    range order, so in sample order, and the whole-dataset rules are
+    checked on the summed counts.  Should a range fail for any reason in
+    its data or its files, the dataset runs again as one range in this
+    process, so every error is the one a serial run raises.  A worker
     that ends without a result is a TrajfuseError naming ``what`` and its
     range.
     """

@@ -106,6 +106,15 @@ class ErrorLedger:
                 yield method_id, sample_id, ade_m, fde_m
 
 
+def _merged(ledgers: Sequence[ErrorLedger]) -> ErrorLedger:
+    """The first ledger, with every row of the others (a dataset's other parts) added in order."""
+    first, *rest = ledgers
+    for ledger in rest:
+        for row in ledger:
+            first.add(*row)
+    return first
+
+
 @dataclass(frozen=True, slots=True)
 class TopKResult:
     """The hardest K% of one method's samples under one metric."""

@@ -26,7 +26,7 @@ from .core import Mode, ModelOutput, Sample, Trajectory, ade
 from .errors import InvalidInput
 from .fusion import DEFAULT_TAU, STRATEGIES, FusedPrediction
 from .io import fork_map, worker_count
-from .metrics import DEFAULT_K_LIST, ErrorLedger, fuse_and_score, summary_table
+from .metrics import DEFAULT_K_LIST, ErrorLedger, _merged, fuse_and_score, summary_table
 
 if TYPE_CHECKING:
     import numpy as np
@@ -426,12 +426,10 @@ def synth_experiment(
 
     n, workers = config.sample_count, worker_count(threads, config.sample_count)
     shards = [range(n * i // workers, n * (i + 1) // workers) for i in range(workers)]
-    (ledger, hook_results), *rest = fork_map(
+    done = fork_map(
         run, shards, lambda part: f"synth worker for samples [{part.start}, {part.stop})")
-    for part, results in rest:
-        for row in part:
-            ledger.add(*row)
-        hook_results += results
+    ledger = _merged([part for part, _ in done])
+    hook_results = [result for _, results in done for result in results]
     return ExperimentResult(
         config=config,
         predictor_names=tuple(names),

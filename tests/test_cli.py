@@ -10,10 +10,13 @@ import os
 import signal
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
 from conftest import reaped
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import trajfuse
 from trajfuse import cli, fusion, io
@@ -419,11 +422,18 @@ class TestDumpWorkers:
 
     def outputs(self, tmp_path: Path, predictions: list[Path], truth: Path,
                 manifest: Path, threads: int) -> dict[str, bytes]:
+        """Each command's output at ``threads``; beyond one, a serial rerun is a failure."""
+        def no_rerun(*args):
+            raise AssertionError("the dataset was read again as one range")
+
         got = {}
         for command in self.DUMP_COMMANDS:
             out = tmp_path / f"{command}-{threads}"
-            assert main(_dump_argv(command, manifest, predictions, truth, out,
-                                   "--threads", str(threads))) == 0
+            with pytest.MonkeyPatch.context() as patch:
+                if threads > 1:
+                    patch.setattr(io, "load_samples", no_rerun)
+                assert main(_dump_argv(command, manifest, predictions, truth, out,
+                                       "--threads", str(threads))) == 0
             got[command] = out.read_bytes()
         return got
 
@@ -458,10 +468,9 @@ class TestDumpWorkers:
         assert runs[0]["eval"] == (dataset / "summary.csv").read_bytes()
         assert runs[0]["overlap"] == (dataset / "overlap.csv").read_bytes()
         assert runs[1] == runs[0] and runs[2] == runs[0]
-        if layout != "shuffled_predictions":
-            # The first file is sorted, so it is cut: two and three workers
-            # fork one and two children for each command.
-            assert len(three_workers) == 3 * (1 + 2)
+        # In any line order, two and three workers fork one and two children
+        # for each command.
+        assert len(three_workers) == 3 * (1 + 2)
         assert all(reaped(pid) for pid in three_workers)
 
     @pytest.mark.parametrize("command", DUMP_COMMANDS)
@@ -493,12 +502,9 @@ class TestDumpWorkers:
         assert len(three_workers) == 2
         assert all(reaped(pid) for pid in three_workers)
 
-    @pytest.mark.parametrize("command", DUMP_COMMANDS)
-    def test_malformed_line_in_the_last_range(self, dataset, tmp_path, capsys, three_workers,
-                                              command):
-        """The error names the line as the whole file numbers it, at any worker count."""
-        lines = (dataset / "predictions.ndjson").read_text().splitlines(keepends=True)
-        lines[-2] = lines[-2].replace('"modes"', '"modez"')
+    def errors(self, dataset: Path, tmp_path: Path, capsys, command: str,
+               lines: list[str]) -> tuple[Path, list[dict]]:
+        """The error of ``command`` on a predictions file of ``lines``, at 1, 2 and 3 workers."""
         broken = tmp_path / "predictions.ndjson"
         broken.write_text("".join(lines))
         errors = []
@@ -509,6 +515,15 @@ class TestDumpWorkers:
                                    "--threads", threads)) == 1
             errors.append(stderr_payload(capsys))
             assert not out.exists()
+        return broken, errors
+
+    @pytest.mark.parametrize("command", DUMP_COMMANDS)
+    def test_malformed_line_in_the_last_range(self, dataset, tmp_path, capsys, three_workers,
+                                              command):
+        """The error names the line as the whole file numbers it, at any worker count."""
+        lines = (dataset / "predictions.ndjson").read_text().splitlines(keepends=True)
+        lines[-2] = lines[-2].replace('"modes"', '"modez"')
+        broken, errors = self.errors(dataset, tmp_path, capsys, command, lines)
         assert errors == [{"error": "ParseError",
                            "message": f"{broken}: line {len(lines) - 1}: field 'modes': "
                                       "missing required field"}] * 3
@@ -555,6 +570,106 @@ class TestDumpWorkers:
             assert results[0][:2] == (1, json.dumps({"error": "InvalidInput",
                                                      "message": message}) + "\n")
         assert three_workers == []
+
+    @pytest.mark.parametrize("command", DUMP_COMMANDS)
+    def test_decoy_sample_id_gives_the_serial_error(self, dataset, tmp_path, capsys,
+                                                    three_workers, command):
+        """A mode object's "sample_id", before the record's own, misleads the scan.
+
+        The range of the decoy's id decodes the line, finds it belongs
+        elsewhere and refuses it, so the dataset runs again as one range.
+        """
+        lines = (dataset / "predictions.ndjson").read_text().splitlines(keepends=True)
+        at = next(i for i, line in enumerate(lines) if '"sample_id": "s000025"' in line)
+        lines[at] = lines[at].replace('{"confidence"', '{"sample_id": "s000000", "confidence"', 1)
+        broken, errors = self.errors(dataset, tmp_path, capsys, command, lines)
+        assert errors == [{"error": "ParseError",
+                           "message": f"{broken}: line {at + 1}: unknown field(s): sample_id"}] * 3
+        assert len(three_workers) == 1 + 2
+        assert all(reaped(pid) for pid in three_workers)
+
+    def test_worker_warnings_in_sample_order(self, dataset, tmp_path, capsys, three_workers):
+        """Zero-confidence warnings from every range reach stderr as a serial run prints them."""
+        lines = []
+        for line in (dataset / "predictions.ndjson").read_text().splitlines():
+            record = json.loads(line)
+            for mode in record["modes"]:
+                mode["confidence"] = 0.0
+            lines.append(json.dumps(record, sort_keys=True) + "\n")
+        predictions = tmp_path / "predictions.ndjson"
+        predictions.write_text("".join(lines))
+
+        def show(message, category, filename, lineno, file=None, line=None):
+            sys.stderr.write(warnings.formatwarning(message, category, filename, lineno, line))
+
+        errs = []
+        for threads in ("1", "3"):
+            with warnings.catch_warnings():
+                warnings.simplefilter("default")
+                warnings.showwarning = show
+                assert main(_dump_argv("fuse", dataset / "manifest.json", [predictions],
+                                       dataset / "ground_truth.ndjson",
+                                       tmp_path / f"fused-{threads}", "--threads", threads)) == 0
+            errs.append(capsys.readouterr().err)
+        assert errs[0] == errs[1]
+        warned = [line.split("'")[1] for line in errs[0].splitlines()
+                  if "all member confidences are zero" in line]
+        assert warned == [f"s{i:06d}" for i in range(30)]
+        assert len(three_workers) == 2
+
+    @pytest.mark.parametrize("target", ["predictions", "ground_truth"])
+    @pytest.mark.parametrize("mutation", ["drop", "duplicate", "swap", "truncate", "crlf", "bom",
+                                          "blank"])
+    @settings(max_examples=3, deadline=None, derandomize=True,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(data=st.data())
+    def test_mutated_dump_same_at_one_and_three_workers(self, dataset, tmp_path_factory,
+                                                        capsys, three_workers, target,
+                                                        mutation, data):
+        """A damaged or reordered file gives the same exit code, stderr and output bytes.
+
+        A mutation that keeps every record gives the unmutated outputs.
+        """
+        lines = (dataset / f"{target}.ndjson").read_bytes().splitlines(keepends=True)
+        i = data.draw(st.integers(0, len(lines) - 1), label="line")
+        if mutation == "drop":
+            del lines[i]
+        elif mutation == "duplicate":
+            lines.insert(i, lines[i])
+        elif mutation == "swap":
+            j = data.draw(st.integers(0, len(lines) - 1), label="other line")
+            lines[i], lines[j] = lines[j], lines[i]
+        elif mutation == "truncate":
+            lines[i] = lines[i][:data.draw(st.integers(0, len(lines[i]) - 2), label="byte")] + b"\n"
+        elif mutation == "crlf":
+            lines = [line.replace(b"\n", b"\r\n") for line in lines]
+        elif mutation == "bom":
+            lines[0] = b"\xef\xbb\xbf" + lines[0]
+        else:
+            lines.insert(i, b"\n")
+        work = tmp_path_factory.mktemp("mutated")
+        paths = {name: dataset / f"{name}.ndjson" for name in ("predictions", "ground_truth")}
+        paths[target] = work / f"{target}.ndjson"
+        paths[target].write_bytes(b"".join(lines))
+        for command in self.DUMP_COMMANDS:
+            results = []
+            for threads in ("1", "3"):
+                out = work / f"{command}-{threads}"
+                code = main(_dump_argv(command, dataset / "manifest.json",
+                                       [paths["predictions"]], paths["ground_truth"], out,
+                                       "--threads", threads))
+                results.append((code, capsys.readouterr().err,
+                                out.read_bytes() if out.exists() else None))
+            assert results[0] == results[1]
+            code, err, written = results[0]
+            assert code in (0, 1) and (code == 0) == (written is not None)
+            if code:
+                assert json.loads(err)["error"] in ("ParseError", "InvalidInput")
+            if mutation in ("swap", "crlf"):
+                expected = {"fuse": "fused_weighted.ndjson", "eval": "summary.csv",
+                            "overlap": "overlap.csv"}[command]
+                assert results[0] == (0, "", (dataset / expected).read_bytes())
+        assert all(reaped(pid) for pid in three_workers)
 
 
 _HUGE = 10 ** 400  # a JSON integer no float can hold

@@ -6,6 +6,7 @@ import copy
 import json
 import os
 import stat
+from operator import attrgetter
 from pathlib import Path
 
 import pytest
@@ -293,8 +294,38 @@ class TestPredictions:
         assert exc.value.path == path
 
 
+class TestRepeatedMemberName:
+    """A JSON object that names a member twice is ambiguous, so it is refused."""
+
+    def write(self, tmp_path, text: str) -> str:
+        path = str(tmp_path / "file.json")
+        with open(path, "w", encoding="utf-8") as f:
+            f.write(text + "\n")
+        return path
+
+    def test_prediction_line(self, tmp_path):
+        path = self.write(tmp_path, '{"sample_id": "s0", "model_id": "cv", "modes": '
+                                    '[{"confidence": 1.0, "points": [[0.0, 0.0], [1.0, 0.0]]}], '
+                                    '"sample_id": "s5"}')
+        with pytest.raises(ParseError, match=f"{path}: line 1: member name 'sample_id' "
+                                             "repeats in one JSON object"):
+            list(load_predictions(path, MANIFEST))
+
+    def test_ground_truth_line(self, tmp_path):
+        path = self.write(tmp_path, '{"sample_id": "s0", "points": [[0.0, 0.0], [1.0, 0.0]], '
+                                    '"points": [[0.0, 0.0], [2.0, 0.0]]}')
+        with pytest.raises(ParseError, match="line 1: member name 'points' repeats"):
+            list(load_ground_truth(path, MANIFEST))
+
+    def test_manifest(self, tmp_path):
+        text = json.dumps(TestManifest().base_payload())
+        path = self.write(tmp_path, text[:-1] + ', "horizon": 3}')
+        with pytest.raises(ParseError, match="member name 'horizon' repeats"):
+            load_manifest(path)
+
+
 class TestSampleRanges:
-    """A dump sorted by sample_id splits into ranges that each read only their own lines."""
+    """A dump in any line order splits into ranges that each read only their own records."""
 
     def dump(self, tmp_path, sizes: list[int]) -> tuple[str, list[ModelOutput]]:
         """A dump with ``sizes[i]`` modes for sample i, from both manifest models."""
@@ -304,11 +335,18 @@ class TestSampleRanges:
         write_predictions(path, outputs)
         return path, outputs
 
+    def reorder(self, path: str, order) -> None:
+        with open(path, encoding="utf-8") as f:
+            lines = f.readlines()
+        with open(path, "w", encoding="utf-8") as f:
+            f.writelines(lines[i] for i in order)
+
     @settings(max_examples=40, deadline=None)
     @given(sizes=st.lists(st.integers(min_value=1, max_value=6), max_size=25),
-           parts=st.integers(min_value=1, max_value=6))
-    def test_ranges_partition_the_records(self, tmp_path_factory, sizes, parts):
-        path, _ = self.dump(tmp_path_factory.mktemp("ranges"), sizes)
+           parts=st.integers(min_value=1, max_value=6), data=st.data())
+    def test_ranges_partition_the_records(self, tmp_path_factory, sizes, parts, data):
+        path, outputs = self.dump(tmp_path_factory.mktemp("ranges"), sizes)
+        self.reorder(path, data.draw(st.permutations(range(len(outputs))), label="order"))
         ranges = io._sample_ranges(path, parts)
         assert 1 <= len(ranges) <= max(1, min(parts, len(sizes)))
         cuts = [r.lo for r in ranges[1:]]
@@ -316,27 +354,60 @@ class TestSampleRanges:
         assert all(a.hi == b.lo for a, b in zip(ranges, ranges[1:]))
         whole = list(load_predictions(path, MANIFEST))
         by_range = [list(load_predictions(path, MANIFEST, ids)) for ids in ranges]
-        assert [out for part in by_range for out in part] == whole
+        # Each range keeps the file's line order; together they read every record once.
+        assert [out for out in whole if out in by_range[0]] == by_range[0]
+        key = attrgetter("sample_id", "model_id")
+        assert (sorted((out for part in by_range for out in part), key=key)
+                == sorted(outputs, key=key))
         assert all(by_range) or not sizes  # no range is empty
         assert all(out.sample_id in ids for ids, part in zip(ranges, by_range) for out in part)
 
-    def test_record_outside_its_range_is_refused(self, tmp_path):
+    def test_unsorted_dump_splits_and_each_record_is_read_once(self, tmp_path):
         path, outputs = self.dump(tmp_path, [1] * 6)
+        self.reorder(path, [*range(6, 12), *range(6)])  # s003..s005, then s000..s002
+        ranges = io._sample_ranges(path, 2)
+        assert len(ranges) == 2
+        read = [(out.sample_id, out.model_id)
+                for ids in ranges for out in load_predictions(path, MANIFEST, ids)]
+        assert sorted(read) == sorted((out.sample_id, out.model_id) for out in outputs)
+
+    def test_misread_line_is_refused(self, tmp_path):
+        """A line the scan places in a range but that decodes outside it is not dropped."""
+        path, _ = self.dump(tmp_path, [1] * 4)
         with open(path, encoding="utf-8") as f:
             lines = f.readlines()
+        # A decoy sample_id in the mode object, before the record's own.
+        lines[-1] = lines[-1].replace('{"confidence"', '{"sample_id": "s000", "confidence"', 1)
         with open(path, "w", encoding="utf-8") as f:
-            f.writelines(lines[6:] + lines[:6])  # s003..s005, then s000..s002
-        assert io._sample_ranges(path, 2) == [SampleRange()]
-        # Each line lies in one range's bytes, so some range meets a stranger.
-        refused = 0
-        for ids in (SampleRange(None, "s003"), SampleRange("s003", None)):
-            try:
-                list(load_predictions(path, MANIFEST, ids))
-            except TrajfuseError as e:
-                assert "outside" in str(e)
-                refused += 1
-        assert refused
-        assert len(list(load_predictions(path, MANIFEST))) == len(outputs)
+            f.writelines(lines)
+        with pytest.raises(io._Misread, match=f"{path}: line {len(lines)}: the scan read "
+                                              "sample 's000', the decoder 's003'"):
+            list(load_predictions(path, MANIFEST, SampleRange(None, "s002")))
+        assert len(list(load_predictions(path, MANIFEST, SampleRange("s002", None)))) == 3
+        with pytest.raises(ParseError, match="unknown field"):
+            list(load_predictions(path, MANIFEST))
+
+    @settings(max_examples=200, deadline=None)
+    @given(sample_id=st.text(min_size=1), model_id=st.text(min_size=1))
+    def test_scanned_id_is_none_or_the_decoded_id(self, sample_id, model_id):
+        trajectory = Trajectory(((0.0, 0.0), (1.0, 0.0)), dt=MANIFEST.dt)
+        for _, line in (
+                io.prediction_line(ModelOutput(model_id, sample_id, (Mode(trajectory, 1.0),))),
+                io.ground_truth_line(GroundTruthRecord(sample_id, trajectory))):
+            assert io._scanned_id(line.encode()) in (None, json.loads(line)["sample_id"])
+
+    @given(sample_id=st.text(st.characters(min_codepoint=0x20, max_codepoint=0x7e,
+                                           blacklist_characters='"\\'), min_size=1))
+    def test_scan_finds_every_plain_ascii_id(self, sample_id):
+        _, line = io.ground_truth_line(GroundTruthRecord(
+            sample_id, Trajectory(((0.0, 0.0), (1.0, 0.0)), dt=MANIFEST.dt)))
+        assert io._scanned_id(line.encode()) == sample_id
+
+    @given(raw=st.binary() | st.builds(lambda a, b: a + io._ID_PREFIX + b, st.binary(),
+                                       st.binary()))
+    def test_scan_never_raises(self, raw):
+        found = io._scanned_id(raw)
+        assert found is None or isinstance(found, str)
 
     def test_unreadable_or_empty_file_is_one_range(self, tmp_path):
         assert io._sample_ranges(str(tmp_path / "missing.ndjson"), 4) == [SampleRange()]

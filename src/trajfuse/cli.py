@@ -18,9 +18,10 @@ and the parent writes them.  ``fuse``, ``eval`` and ``overlap`` run
 through ``io.map_sample_ranges``: each worker loads, fuses and scores
 one sample-id range of the dump, whatever the line order of its files,
 and sends back only its ledger rows or encoded fused lines, which the
-parent merges (``metrics._merged``) and writes.  A worker's warnings
-are shown by the parent in range order.  ``flags`` streams its one file
-and runs serially.
+parent merges (``metrics._merged``) and writes.  The workers'
+warnings are shown by the parent in range order once every range has
+succeeded.  With one worker, the command runs in its own process.
+``flags`` streams its one file and runs serially.
 
 Configuration precedence is flags > --config JSON file > built-in
 defaults; config values are checked like flags.  The TRAJFUSE_OUT_DIR

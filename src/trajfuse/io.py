@@ -14,15 +14,15 @@ the loader reports that as a ParseError for the record's ``points``.
 Any malformed input, non-UTF-8 bytes and over-deep nesting included, is
 a ParseError (or a HorizonMismatch) with file and line context, never
 another exception; so is a JSON object that repeats a member name.
-``load_samples`` holds the whole-dataset rules: a dataset that is not
-whole is refused.
 
-A dataset can be read in parts, its files in any line order:
+A dataset is read in parts, its files in any line order:
 ``map_sample_ranges`` cuts it into contiguous sample-id ranges
 (``SampleRange``), and ``fork_map``, the package's one fork helper, runs
-each range in its own process.  That process reads every line of each
-file but decodes only those whose sample_id, found by a byte search for
-the encoders' spelling of it, falls in its range.
+one range here or each range in its own process.  That process reads
+every line of each file but decodes only those whose sample_id, found
+by a byte search for the encoders' spelling of it, falls in its range.
+A dataset that is not whole is refused: the whole-dataset rules are
+checked once, on the parts' summed counts.
 
 Each record kind has one encoder (``prediction_line``,
 ``ground_truth_line``, ``fused_line``) that turns a record into its sort
@@ -488,7 +488,7 @@ def load_samples(
     manifest model, the sample count must equal ``sample_count``, and
     ground truth must cover exactly the predicted samples.
     """
-    return _load(manifest, prediction_paths, ground_truth_path, _WHOLE)[0]
+    return map_sample_ranges(manifest, prediction_paths, ground_truth_path, list, 1, "load")[0]
 
 
 def _load(
@@ -497,12 +497,9 @@ def _load(
     ground_truth_path: str | None,
     ids: SampleRange,
 ) -> tuple[list[Sample], tuple[int, int, int]]:
-    """The Samples in ``ids``, and their counts: predicted, labeled, unlabeled.
+    """The Samples in ``ids``, each one whole, and their counts: predicted, labeled, unlabeled.
 
-    Every sample must be whole.  The whole dataset also checks the
-    whole-dataset rules, each where a serial reader meets it; a part
-    leaves them to ``_check_count`` and ``_check_truth`` on every part's
-    counts.
+    The whole-dataset rules are ``_check_whole``'s, on every part's counts.
     """
     by_sample: dict[str, dict[str, ModelOutput]] = {}
     for path in prediction_paths:
@@ -519,35 +516,30 @@ def _load(
             missing = ", ".join(m for m in manifest.model_ids if m not in per_model)
             raise InvalidInput(f"sample '{sample_id}' has {len(per_model)} of "
                                f"{len(manifest.model_ids)} manifest models (missing {missing})")
-    whole = ids is _WHOLE
-    if whole:
-        _check_count(manifest, len(by_sample))
     gt_by_sample: dict[str, Trajectory] = {}
-    unlabeled = 0
     if ground_truth_path is not None:
         for rec in load_ground_truth(ground_truth_path, manifest, ids):
             gt_by_sample[rec.sample_id] = rec.trajectory
-        unlabeled = len(by_sample.keys() - gt_by_sample.keys())
-        if whole:
-            _check_truth(len(by_sample), len(gt_by_sample), unlabeled)
     samples = [
         Sample(sample_id=sample_id, ground_truth=gt_by_sample.get(sample_id),
                outputs=tuple(by_sample[sample_id][mid] for mid in manifest.model_ids))
         for sample_id in sorted(by_sample)
     ]
+    unlabeled = len(by_sample.keys() - gt_by_sample.keys())
     return samples, (len(by_sample), len(gt_by_sample), unlabeled)
 
 
-def _check_count(manifest: DatasetManifest, predicted: int) -> None:
-    """Whole-dataset rule: the predicted samples are as many as the manifest declares."""
+def _check_whole(manifest: DatasetManifest, labeled_too: bool, predicted: int, labeled: int,
+                 unlabeled: int) -> None:
+    """The whole-dataset rules, on the counts summed over its parts.
+
+    The predicted samples are as many as the manifest declares, and,
+    where ``labeled_too``, ground truth covers exactly them.
+    """
     if predicted != manifest.sample_count:
         raise InvalidInput(f"predictions cover {predicted} samples, "
                            f"manifest declares {manifest.sample_count}")
-
-
-def _check_truth(predicted: int, labeled: int, unlabeled: int) -> None:
-    """Whole-dataset rule: ground truth covers exactly the predicted samples."""
-    if unlabeled or labeled != predicted:
+    if labeled_too and (unlabeled or labeled != predicted):
         raise InvalidInput(f"ground truth has {labeled} samples for "
                            f"{predicted} predicted; {unlabeled} predicted "
                            "samples have no ground truth")
@@ -577,66 +569,55 @@ _Result = TypeVar("_Result")
 
 def fork_map(run: Callable[[_Part], _Result], parts: Sequence[_Part],
              label: Callable[[_Part], str]) -> list[_Result]:
-    """``[run(part) for part in parts]``, the first part here and each other one in a forked child.
+    """``[run(part) for part in parts]``: one part here, or every part in a forked child.
 
-    The children start before the first part runs, and their results
-    come back pickled, in part order, so ``run``'s results must pickle.
-    The lowest part's error is re-raised, as a serial run would raise it;
-    a child that ends without a result (a signal, out of memory) is a
-    TrajfuseError that names it by ``label(part)``.  Once an error cuts
-    the run short, every child left is killed and reaped.  A child keeps
-    its side effects, but the warnings it would show come back with its
-    result and are shown here as its part is collected, so they appear in
-    part order, as a serial run shows them.  A lock another thread holds
-    at the fork stays held in the child, so fork from a process that runs
-    one thread.
-
-    Each process runs on its own usable CPU, part i on the i-th (modulo
-    their count), and this process gets its own CPU set back at the end:
-    left to itself, the scheduler can keep a just-forked child on its
-    parent's CPU for the whole of a short part.
+    One part runs in this process, its warnings shown as they arise.  Of
+    two or more, part i runs in a child on the i-th usable CPU (modulo
+    their count): left to itself, the scheduler can keep a just-forked
+    child on its parent's CPU for the whole of a short part.  This
+    process only collects.  The results come back pickled, in part
+    order, so ``run``'s results must pickle.  The lowest part's error is
+    re-raised, as a serial run would raise it; a child that ends without
+    a result (a signal, out of memory) is a TrajfuseError that names it
+    by ``label(part)``.  Once an error cuts the run short, every child
+    left is killed and reaped.  A child keeps its side effects, but the
+    warnings it would show come back with its result, and only once
+    every part has succeeded are they shown here, in part order, as a
+    serial run shows them; a run that fails shows none of them.  A lock
+    another thread holds at the fork stays held in the child, so fork
+    from a process that runs one thread.
     """
-    mask = (os.sched_getaffinity(0)
-            if len(parts) > 1 and hasattr(os, "sched_setaffinity") else set())
-    cpus = sorted(mask)
+    if len(parts) == 1:
+        return [run(parts[0])]
+    cpus = sorted(os.sched_getaffinity(0)) if hasattr(os, "sched_setaffinity") else []
     pending = []  # (part, pid, pipe) of each child not yet reaped, in part order
     try:
-        for i, part in enumerate(parts[1:], start=1):
-            pending.append((part, *_fork(run, part, {cpus[i % len(cpus)]} if cpus else set())))
-        _pin(set(cpus[:1]))
-        results = [run(parts[0])]
-        while pending:
-            results.append(_collect(pending, label))
+        for i, part in enumerate(parts):
+            pending.append((part, *_fork(run, part, cpus[i % len(cpus)] if cpus else None)))
+        done = [_collect(pending, label) for _ in parts]
     finally:
-        _pin(mask)
         if pending:  # an error cut the run short: these results are no longer wanted
             import signal
 
             for _, pid, pipe in pending:
                 pipe.close()
-                try:
+                with suppress(ProcessLookupError):
                     os.kill(pid, signal.SIGKILL)
-                except ProcessLookupError:
-                    pass
                 os.waitpid(pid, 0)
-    return results
+    for _, shown in done:
+        for message, category, filename, lineno in shown:
+            warnings.warn_explicit(message, category, filename, lineno)
+    return [value for value, _ in done]
 
 
-def _pin(cpus: set[int]) -> None:
-    """Run this process on ``cpus`` (none: leave it be); a refusal leaves it be too."""
-    if cpus:
-        with suppress(OSError):
-            os.sched_setaffinity(0, cpus)
-
-
-def _fork(run: Callable[[_Part], object], part: _Part,
-          cpus: set[int]) -> tuple[int, BinaryIO]:
-    """Run ``run(part)`` on ``cpus`` in a forked child; return its pid and the read end of its pipe.
+def _fork(run: Callable[[_Part], object], part: _Part, cpu: int | None) -> tuple[int, BinaryIO]:
+    """Run ``run(part)`` on ``cpu`` in a forked child; return its pid and the read end of its pipe.
 
     The child pipes back ``(None, result, warnings)``, the warnings it
     would have shown as (message, category, filename, lineno), or
     ``(error, None, [])`` if ``run`` raised, pickled, and exits 0 only
-    once all of it is written.
+    once all of it is written.  Without a ``cpu``, or refused it, the
+    child runs where the scheduler puts it.
     It leaves through ``os._exit``, so it never returns into the caller
     or runs its atexit handlers or flushes its inherited buffers.
     """
@@ -655,7 +636,9 @@ def _fork(run: Callable[[_Part], object], part: _Part,
     status = 1
     try:
         os.close(read_fd)
-        _pin(cpus)
+        if cpu is not None:
+            with suppress(OSError):
+                os.sched_setaffinity(0, {cpu})
         try:
             with warnings.catch_warnings(record=True) as caught:
                 result = run(part)
@@ -670,12 +653,11 @@ def _fork(run: Callable[[_Part], object], part: _Part,
         os._exit(status)
 
 
-def _collect(pending: list, label: Callable[[_Part], str]) -> object:
-    """The result of the first pending child, or its error re-raised.
+def _collect(pending: list, label: Callable[[_Part], str]) -> tuple[object, list]:
+    """The result of the first pending child and the warnings it recorded, or its error re-raised.
 
     Reads the child's pipe as it streams in, reaps the child, and only
-    then drops it from ``pending`` and re-raises, or shows the child's
-    warnings through ``warnings.warn_explicit``; a child that ends
+    then drops it from ``pending`` and re-raises; a child that ends
     without a result is a TrajfuseError naming ``label(part)``.  Should
     the reading fail, the child stays in ``pending`` for the caller to
     kill and reap.
@@ -698,9 +680,7 @@ def _collect(pending: list, label: Callable[[_Part], str]) -> object:
     error, value, shown = sent
     if error is not None:
         raise error
-    for message, category, filename, lineno in shown:
-        warnings.warn_explicit(message, category, filename, lineno)
-    return value
+    return value, shown
 
 
 class _Rerun(Exception):
@@ -754,34 +734,34 @@ def map_sample_ranges(
     ``fork_map`` runs each range: it loads and checks only its own
     records of every file, whatever their line order, then runs ``work``
     on its samples, whose result must pickle.  The results come back in
-    range order, so in sample order, and the whole-dataset rules are
-    checked on the summed counts.  Should a range fail for any reason in
-    its data or its files, the dataset runs again as one range in this
-    process, so every error is the one a serial run raises.  A worker
-    that ends without a result is a TrajfuseError naming ``what`` and its
-    range.
+    range order, so in sample order.  Should one of several ranges fail
+    for any reason in its data or its files, the dataset runs again as
+    one range in this process, so every error is the one a serial run
+    raises.  Then, however many ranges ran, the whole-dataset rules are
+    checked once, on the summed counts (``_check_whole``).  A worker
+    that ends without a result is a TrajfuseError naming ``what`` and
+    its range.
     """
-    ranges = _sample_ranges(prediction_paths[0],
-                            worker_count(threads, manifest.sample_count))
-    if len(ranges) > 1:
-        def run(ids: SampleRange) -> tuple[tuple[int, int, int], _Result]:
-            try:
-                samples, counts = _load(manifest, prediction_paths, ground_truth_path, ids)
-                return counts, work(samples)
-            except (TrajfuseError, OSError):
-                raise _Rerun from None
+    def run(ids: SampleRange) -> tuple[tuple[int, int, int], _Result]:
+        samples, counts = _load(manifest, prediction_paths, ground_truth_path, ids)
+        return counts, work(samples)
 
+    def part(ids: SampleRange) -> tuple[tuple[int, int, int], _Result]:
         try:
-            done = fork_map(run, ranges, lambda ids: f"{what} worker for sample ids {ids}")
-        except _Rerun:
-            pass
-        else:
-            predicted, labeled, unlabeled = map(sum, zip(*(counts for counts, _ in done)))
-            _check_count(manifest, predicted)
-            if ground_truth_path is not None:
-                _check_truth(predicted, labeled, unlabeled)
-            return [result for _, result in done]
-    return [work(load_samples(manifest, prediction_paths, ground_truth_path))]
+            return run(ids)
+        except (TrajfuseError, OSError):
+            raise _Rerun from None
+
+    ranges = (_sample_ranges(prediction_paths[0], worker_count(threads, manifest.sample_count))
+              if prediction_paths else [_WHOLE])
+    try:
+        done = fork_map(part if len(ranges) > 1 else run, ranges,
+                        lambda ids: f"{what} worker for sample ids {ids}")
+    except _Rerun:
+        done = [run(_WHOLE)]
+    _check_whole(manifest, ground_truth_path is not None,
+                 *map(sum, zip(*(counts for counts, _ in done))))
+    return [result for _, result in done]
 
 
 _FUSED_FIELDS = (

@@ -375,8 +375,8 @@ def synth_experiment(
 
     ``threads`` caps the worker processes: the samples split into
     ``io.worker_count(threads, sample_count)`` contiguous index ranges,
-    which ``io.fork_map``, the one fork helper, runs: the first here and
-    each other one in a forked child.  The children's ledger rows (added
+    which ``io.fork_map``, the one fork helper, runs: one range here, or
+    each of several in a forked child.  The children's ledger rows (added
     through ``ErrorLedger.add``) and hook results are merged in range
     order, so the result is the same for every ``threads``.  A hook
     called in a child keeps its side effects there; only its return

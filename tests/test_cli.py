@@ -7,6 +7,7 @@ import gc
 import json
 import math
 import os
+import re
 import signal
 import subprocess
 import sys
@@ -109,7 +110,7 @@ class TestSynth:
             "error": "TrajfuseError",
             "message": "synth worker for samples [10, 20) was killed by SIGKILL without a result"}
         assert not out.exists()
-        assert len(three_workers) == 2
+        assert len(three_workers) == 3
         assert all(reaped(pid) for pid in three_workers)
 
     def test_threads_default_to_usable_cpus(self):
@@ -378,7 +379,7 @@ class TestIncompleteDumps:
         payload = stderr_payload(capsys)
         assert payload == {"error": "InvalidInput", "message": message}
         assert not out.exists()
-        assert len(three_workers) == 2
+        assert len(three_workers) == 3
 
 
     @pytest.mark.parametrize("command, message", [
@@ -415,6 +416,21 @@ def _reordered(lines: list[str], order: str) -> list[str]:
             "shuffled": lines[1::2] + lines[::2]}[order]
 
 
+def _zero_confidence(predictions: Path) -> list[str]:
+    """The lines of ``predictions`` with every mode's confidence set to 0."""
+    lines = []
+    for line in predictions.read_text().splitlines():
+        record = json.loads(line)
+        for mode in record["modes"]:
+            mode["confidence"] = 0.0
+        lines.append(json.dumps(record, sort_keys=True) + "\n")
+    return lines
+
+
+# A number token of an encoded record: each follows "[" or a space.
+_NUMBER = re.compile(rb"(?<=[\[ ])-?[0-9][0-9.eE+-]*")
+
+
 class TestDumpWorkers:
     """fuse, eval and overlap split the dataset by sample id over --threads workers."""
 
@@ -423,15 +439,19 @@ class TestDumpWorkers:
     def outputs(self, tmp_path: Path, predictions: list[Path], truth: Path,
                 manifest: Path, threads: int) -> dict[str, bytes]:
         """Each command's output at ``threads``; beyond one, a serial rerun is a failure."""
-        def no_rerun(*args):
-            raise AssertionError("the dataset was read again as one range")
+        load = io._load
+
+        def no_rerun(manifest, prediction_paths, ground_truth_path, ids):
+            if ids is io._WHOLE:
+                raise AssertionError("the dataset was read again as one range")
+            return load(manifest, prediction_paths, ground_truth_path, ids)
 
         got = {}
         for command in self.DUMP_COMMANDS:
             out = tmp_path / f"{command}-{threads}"
             with pytest.MonkeyPatch.context() as patch:
                 if threads > 1:
-                    patch.setattr(io, "load_samples", no_rerun)
+                    patch.setattr(io, "_load", no_rerun)
                 assert main(_dump_argv(command, manifest, predictions, truth, out,
                                        "--threads", str(threads))) == 0
             got[command] = out.read_bytes()
@@ -468,9 +488,9 @@ class TestDumpWorkers:
         assert runs[0]["eval"] == (dataset / "summary.csv").read_bytes()
         assert runs[0]["overlap"] == (dataset / "overlap.csv").read_bytes()
         assert runs[1] == runs[0] and runs[2] == runs[0]
-        # In any line order, two and three workers fork one and two children
+        # In any line order, two and three workers fork two and three children
         # for each command.
-        assert len(three_workers) == 3 * (1 + 2)
+        assert len(three_workers) == 3 * (2 + 3)
         assert all(reaped(pid) for pid in three_workers)
 
     @pytest.mark.parametrize("command", DUMP_COMMANDS)
@@ -499,7 +519,7 @@ class TestDumpWorkers:
                        f"['{dying_range.lo}', '{dying_range.hi}') was killed by SIGKILL "
                        "without a result"}
         assert not out.exists()
-        assert len(three_workers) == 2
+        assert len(three_workers) == 3
         assert all(reaped(pid) for pid in three_workers)
 
     def errors(self, dataset: Path, tmp_path: Path, capsys, command: str,
@@ -527,7 +547,7 @@ class TestDumpWorkers:
         assert errors == [{"error": "ParseError",
                            "message": f"{broken}: line {len(lines) - 1}: field 'modes': "
                                       "missing required field"}] * 3
-        assert len(three_workers) == 1 + 2
+        assert len(three_workers) == 2 + 3
         assert all(reaped(pid) for pid in three_workers)
 
     @pytest.mark.parametrize("command", DUMP_COMMANDS)
@@ -585,20 +605,12 @@ class TestDumpWorkers:
         broken, errors = self.errors(dataset, tmp_path, capsys, command, lines)
         assert errors == [{"error": "ParseError",
                            "message": f"{broken}: line {at + 1}: unknown field(s): sample_id"}] * 3
-        assert len(three_workers) == 1 + 2
+        assert len(three_workers) == 2 + 3
         assert all(reaped(pid) for pid in three_workers)
 
-    def test_worker_warnings_in_sample_order(self, dataset, tmp_path, capsys, three_workers):
-        """Zero-confidence warnings from every range reach stderr as a serial run prints them."""
-        lines = []
-        for line in (dataset / "predictions.ndjson").read_text().splitlines():
-            record = json.loads(line)
-            for mode in record["modes"]:
-                mode["confidence"] = 0.0
-            lines.append(json.dumps(record, sort_keys=True) + "\n")
-        predictions = tmp_path / "predictions.ndjson"
-        predictions.write_text("".join(lines))
-
+    def fuse_stderr(self, dataset: Path, tmp_path: Path, capsys, predictions: Path,
+                    code: int) -> list[str]:
+        """``fuse``'s stderr, every warning shown, at 1 and 3 workers; each run exits ``code``."""
         def show(message, category, filename, lineno, file=None, line=None):
             sys.stderr.write(warnings.formatwarning(message, category, filename, lineno, line))
 
@@ -609,17 +621,98 @@ class TestDumpWorkers:
                 warnings.showwarning = show
                 assert main(_dump_argv("fuse", dataset / "manifest.json", [predictions],
                                        dataset / "ground_truth.ndjson",
-                                       tmp_path / f"fused-{threads}", "--threads", threads)) == 0
+                                       tmp_path / f"fused-{threads}", "--threads", threads)) == code
             errs.append(capsys.readouterr().err)
+        return errs
+
+    def test_worker_warnings_in_sample_order(self, dataset, tmp_path, capsys, three_workers):
+        """Zero-confidence warnings from every range reach stderr as a serial run prints them."""
+        predictions = tmp_path / "predictions.ndjson"
+        predictions.write_text("".join(_zero_confidence(dataset / "predictions.ndjson")))
+        errs = self.fuse_stderr(dataset, tmp_path, capsys, predictions, 0)
         assert errs[0] == errs[1]
         warned = [line.split("'")[1] for line in errs[0].splitlines()
                   if "all member confidences are zero" in line]
         assert warned == [f"s{i:06d}" for i in range(30)]
-        assert len(three_workers) == 2
+        assert len(three_workers) == 3
+
+    def test_failed_range_shows_no_worker_warnings(self, dataset, tmp_path, capsys,
+                                                   three_workers):
+        """A failed range discards every range's warnings; the serial rerun's error comes alone.
+
+        The dump's confidences are all zero, so every fused sample warns,
+        and its last line is malformed, so the serial loader fails before
+        anything is fused.
+        """
+        lines = _zero_confidence(dataset / "predictions.ndjson")
+        lines[-1] = lines[-1].replace('"modes"', '"modez"')
+        predictions = tmp_path / "predictions.ndjson"
+        predictions.write_text("".join(lines))
+        errs = self.fuse_stderr(dataset, tmp_path, capsys, predictions, 1)
+        assert errs[0] == errs[1]
+        assert json.loads(errs[0]) == {
+            "error": "ParseError",
+            "message": f"{predictions}: line {len(lines)}: field 'modes': missing required field"}
+        assert len(three_workers) == 3
+        assert all(reaped(pid) for pid in three_workers)
+
+    @pytest.mark.parametrize("command", ["eval", "overlap"])
+    def test_file_defect_before_whole_dataset_rule(self, dataset, tmp_path, capsys,
+                                                   three_workers, command):
+        """A malformed line is reported before a wrong sample count, at any worker count."""
+        manifest = json.loads((dataset / "manifest.json").read_text())
+        manifest["sample_count"] += 1
+        (tmp_path / "manifest.json").write_text(json.dumps(manifest))
+        truth = (dataset / "ground_truth.ndjson").read_text().splitlines(keepends=True)
+        truth[10] = truth[10].replace('"points"', '"pointz"')
+        broken = tmp_path / "ground_truth.ndjson"
+        broken.write_text("".join(truth))
+        errors = []
+        for threads in ("1", "3"):
+            out = tmp_path / f"out-{threads}"
+            assert main(_dump_argv(command, tmp_path / "manifest.json",
+                                   [dataset / "predictions.ndjson"], broken, out,
+                                   "--threads", threads)) == 1
+            errors.append(stderr_payload(capsys))
+            assert not out.exists()
+        assert errors == [{"error": "ParseError",
+                           "message": f"{broken}: line 11: field 'points': "
+                                      "missing required field"}] * 2
+        assert len(three_workers) == 3
+        assert all(reaped(pid) for pid in three_workers)
+
+    def assert_same_at_one_and_three_workers(self, dataset: Path, work: Path, manifest: Path,
+                                             paths: dict[str, Path], capsys,
+                                             keeps_records: bool) -> None:
+        """Every command gives the same exit code, stderr and output bytes at 1 and 3 workers.
+
+        A failure is one JSON error of a documented kind and writes no
+        output; where ``keeps_records``, the outputs are the unmutated ones.
+        """
+        for command in self.DUMP_COMMANDS:
+            results = []
+            for threads in ("1", "3"):
+                out = work / f"{command}-{threads}"
+                code = main(_dump_argv(command, manifest, [paths["predictions"]],
+                                       paths["ground_truth"], out, "--threads", threads))
+                results.append((code, capsys.readouterr().err,
+                                out.read_bytes() if out.exists() else None))
+            assert results[0] == results[1]
+            code, err, written = results[0]
+            assert code in (0, 1) and (code == 0) == (written is not None)
+            if code:
+                assert json.loads(err)["error"] in ("ParseError", "InvalidInput",
+                                                    "HorizonMismatch")
+            if keeps_records:
+                expected = {"fuse": "fused_weighted.ndjson", "eval": "summary.csv",
+                            "overlap": "overlap.csv"}[command]
+                assert results[0] == (0, "", (dataset / expected).read_bytes())
 
     @pytest.mark.parametrize("target", ["predictions", "ground_truth"])
-    @pytest.mark.parametrize("mutation", ["drop", "duplicate", "swap", "truncate", "crlf", "bom",
-                                          "blank"])
+    @pytest.mark.parametrize("mutation", [
+        "drop", "duplicate", "swap", "truncate", "crlf", "bom", "blank", "no_final_newline",
+        "0xff", "token_nan", "token_infinity", "token_1e999", "token_true", "token_string",
+    ])
     @settings(max_examples=3, deadline=None, derandomize=True,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(data=st.data())
@@ -631,44 +724,61 @@ class TestDumpWorkers:
         A mutation that keeps every record gives the unmutated outputs.
         """
         lines = (dataset / f"{target}.ndjson").read_bytes().splitlines(keepends=True)
-        i = data.draw(st.integers(0, len(lines) - 1), label="line")
+
+        def line(label: str = "line") -> int:
+            return data.draw(st.integers(0, len(lines) - 1), label=label)
+
         if mutation == "drop":
-            del lines[i]
+            del lines[line()]
         elif mutation == "duplicate":
+            i = line()
             lines.insert(i, lines[i])
         elif mutation == "swap":
-            j = data.draw(st.integers(0, len(lines) - 1), label="other line")
+            i, j = line(), line("other line")
             lines[i], lines[j] = lines[j], lines[i]
         elif mutation == "truncate":
+            i = line()
             lines[i] = lines[i][:data.draw(st.integers(0, len(lines[i]) - 2), label="byte")] + b"\n"
         elif mutation == "crlf":
-            lines = [line.replace(b"\n", b"\r\n") for line in lines]
+            lines = [raw.replace(b"\n", b"\r\n") for raw in lines]
         elif mutation == "bom":
             lines[0] = b"\xef\xbb\xbf" + lines[0]
+        elif mutation == "blank":
+            lines.insert(line(), b"\n")
+        elif mutation == "no_final_newline":
+            lines[-1] = lines[-1].rstrip(b"\n")
+        elif mutation == "0xff":
+            i = line()
+            at = data.draw(st.integers(0, len(lines[i]) - 1), label="byte")
+            lines[i] = lines[i][:at] + b"\xff" + lines[i][at:]
         else:
-            lines.insert(i, b"\n")
+            i = line()
+            numbers = list(_NUMBER.finditer(lines[i]))
+            number = numbers[data.draw(st.integers(0, len(numbers) - 1), label="number")]
+            token = {"token_nan": b"NaN", "token_infinity": b"Infinity",
+                     "token_1e999": b"1e999", "token_true": b"true",
+                     "token_string": b'"x"'}[mutation]
+            lines[i] = lines[i][:number.start()] + token + lines[i][number.end():]
         work = tmp_path_factory.mktemp("mutated")
         paths = {name: dataset / f"{name}.ndjson" for name in ("predictions", "ground_truth")}
         paths[target] = work / f"{target}.ndjson"
         paths[target].write_bytes(b"".join(lines))
-        for command in self.DUMP_COMMANDS:
-            results = []
-            for threads in ("1", "3"):
-                out = work / f"{command}-{threads}"
-                code = main(_dump_argv(command, dataset / "manifest.json",
-                                       [paths["predictions"]], paths["ground_truth"], out,
-                                       "--threads", threads))
-                results.append((code, capsys.readouterr().err,
-                                out.read_bytes() if out.exists() else None))
-            assert results[0] == results[1]
-            code, err, written = results[0]
-            assert code in (0, 1) and (code == 0) == (written is not None)
-            if code:
-                assert json.loads(err)["error"] in ("ParseError", "InvalidInput")
-            if mutation in ("swap", "crlf"):
-                expected = {"fuse": "fused_weighted.ndjson", "eval": "summary.csv",
-                            "overlap": "overlap.csv"}[command]
-                assert results[0] == (0, "", (dataset / expected).read_bytes())
+        self.assert_same_at_one_and_three_workers(
+            dataset, work, dataset / "manifest.json", paths, capsys,
+            keeps_records=mutation in ("swap", "crlf", "no_final_newline"))
+        assert all(reaped(pid) for pid in three_workers)
+
+    @pytest.mark.parametrize("field", ["sample_count", "horizon"])
+    @pytest.mark.parametrize("delta", [-1, 1])
+    def test_mutated_manifest_same_at_one_and_three_workers(self, dataset, tmp_path, capsys,
+                                                            three_workers, field, delta):
+        """A manifest one off in its sample count or horizon: the same error at 1 and 3 workers."""
+        manifest = json.loads((dataset / "manifest.json").read_text())
+        manifest[field] += delta
+        (tmp_path / "manifest.json").write_text(json.dumps(manifest))
+        paths = {name: dataset / f"{name}.ndjson" for name in ("predictions", "ground_truth")}
+        self.assert_same_at_one_and_three_workers(dataset, tmp_path, tmp_path / "manifest.json",
+                                                  paths, capsys, keeps_records=False)
         assert all(reaped(pid) for pid in three_workers)
 
 

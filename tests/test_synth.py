@@ -367,7 +367,7 @@ class TestSynthExperiment:
         result = synth_experiment(
             config, self.bank(), threads=3,
             sample_hook=lambda sc, sa, fu: (sc.sample_id, sa.sample_id, sorted(fu)))
-        assert len(three_workers) == 2
+        assert len(three_workers) == 3
         assert result.hook_results == [(f"s{i:06d}", f"s{i:06d}", ["simple", "weighted"])
                                        for i in range(25)]
 
@@ -387,7 +387,7 @@ class TestSynthExperiment:
                 synth_experiment(small_config(), self.bank(), threads=threads, sample_hook=hook)
             errors.append((type(caught.value), str(caught.value)))
         assert errors == [(InvalidInput, "hook refused s000020")] * 2
-        assert len(three_workers) == 2
+        assert len(three_workers) == 3
         assert all(reaped(pid) for pid in three_workers)
 
     def test_killed_worker_names_its_range(self, three_workers):
@@ -401,28 +401,36 @@ class TestSynthExperiment:
             synth_experiment(small_config(), self.bank(), threads=3, sample_hook=hook)
         assert str(caught.value) == ("synth worker for samples [13, 26) was killed by SIGKILL "
                                      "without a result")
-        assert len(three_workers) == 2
+        assert len(three_workers) == 3
         assert all(reaped(pid) for pid in three_workers)
 
     @pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="no CPU affinity")
     @pytest.mark.parametrize("fails", [False, True], ids=["success", "error"])
-    def test_caller_cpu_set_restored(self, three_workers, fails):
+    def test_caller_cpu_set_restored(self, monkeypatch, three_workers, fails):
+        """The caller's CPU set never changes: every range runs, and is pinned, in a worker."""
         mask = os.sched_getaffinity(0)
-        seen = []
+        setaffinity = os.sched_setaffinity
+        pinned, seen = [], []
+
+        def recording_setaffinity(pid, cpus):
+            pinned.append(cpus)
+            setaffinity(pid, cpus)
 
         def hook(scenario, sample, fused):
-            seen.append(os.sched_getaffinity(0))
+            seen.append(sample.sample_id)
             if fails:
                 raise InvalidInput("refused")
 
+        monkeypatch.setattr(os, "sched_setaffinity", recording_setaffinity)
         try:
             synth_experiment(small_config(sample_count=6), self.bank(), threads=3,
                              sample_hook=hook)
         except InvalidInput:
             assert fails
         assert os.sched_getaffinity(0) == mask
-        # The first range ran here, on one CPU.
-        assert seen and len(seen[0]) == 1
+        # Only the workers pinned themselves, and no hook ran here.
+        assert pinned == [] and seen == []
+        assert len(three_workers) == 3
         assert all(reaped(pid) for pid in three_workers)
 
     def test_runs_unpinned_without_cpu_affinity(self, monkeypatch, three_workers):
@@ -431,7 +439,7 @@ class TestSynthExperiment:
         monkeypatch.delattr(os, "sched_setaffinity", raising=False)
         forked = synth_experiment(config, self.bank(), threads=3)
         assert forked.summary == serial.summary
-        assert len(three_workers) == 2
+        assert len(three_workers) == 3
         assert all(reaped(pid) for pid in three_workers)
 
     def test_unpicklable_hook_result_is_an_error(self, three_workers):

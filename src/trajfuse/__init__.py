@@ -47,7 +47,6 @@ from .metrics import (
     OverlapReport,
     TopKResult,
     build_ledger,
-    cross_evaluate,
     ensemble_method_id,
     overlap_report,
     summary_table,
@@ -78,7 +77,7 @@ __all__ = [
     "fuse_weighted", "fuse_simple", "fuse_threshold", "flag_low_confidence",
     "DEFAULT_K_LIST", "DEFAULT_OVERLAP_K", "ErrorLedger", "TopKResult",
     "OverlapReport", "ensemble_method_id", "build_ledger", "top_k_error",
-    "overlap_report", "cross_evaluate", "summary_table",
+    "overlap_report", "summary_table",
     "ScenarioConfig", "PredictorSpec", "Scenario", "ExperimentResult",
     "maneuver_trajectory", "run_predictor",
     "synth_experiment", "pinned_config", "pinned_predictors",

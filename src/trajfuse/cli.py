@@ -8,20 +8,18 @@ rules once in ``_resolve``, all before any input is read or output
 written; the commands then take the parsed namespace as it is.  Outputs
 replace their destinations atomically.  Every command is deterministic:
 rerunning with identical inputs, seeds, and flags writes byte-identical
-files.  ``--threads`` is the worker-process count of ``synth``,
-``fuse``, ``eval`` and ``overlap`` (default: the usable CPU count,
-capped by it and by the sample count).  ``synth`` runs
-``synth.synth_experiment``, which scores the generated samples the same
-way ``eval`` and ``overlap`` score a loaded one; its sample hook encodes
-each sample's dump and fused lines in the worker that made the sample,
-and the parent writes them.  ``fuse``, ``eval`` and ``overlap`` run
-through ``io.map_sample_ranges``: each worker loads, fuses and scores
-one sample-id range of the dump, whatever the line order of its files,
-and sends back only its ledger rows or encoded fused lines, which the
-parent merges (``metrics._merged``) and writes.  The workers'
-warnings are shown by the parent in range order once every range has
-succeeded.  With one worker, the command runs in its own process.
-``flags`` streams its one file and runs serially.
+files.  ``--threads`` caps the worker processes of ``synth``, ``fuse``,
+``eval`` and ``overlap`` (default: the usable CPU count); each cuts its
+samples into parts, and ``io.fork_map`` runs them under its worker
+contract (see there).  ``synth`` runs ``synth.synth_experiment``, which
+cuts the sample indices evenly and scores the generated samples the
+same way ``eval`` and ``overlap`` score a loaded one; its sample hook
+encodes each sample's dump and fused lines in the worker that made the
+sample, and the parent writes them.  ``fuse``, ``eval`` and ``overlap``
+run through ``io.map_sample_ranges``, which cuts the dump into
+sample-id ranges; each worker sends back only its ledger rows or
+encoded fused lines, which the parent merges (``metrics._merged``) and
+writes.  ``flags`` takes no ``--threads``: it streams its one file.
 
 Configuration precedence is flags > --config JSON file > built-in
 defaults; config values are checked like flags.  The TRAJFUSE_OUT_DIR
@@ -308,12 +306,15 @@ _SHARED_FLAGS = {
                         help="difficulty-set size in percent, in (0, 100] "
                              f"(default {DEFAULT_OVERLAP_K:g})"),
     "--format": dict(choices=["csv", "json"], default="csv"),
+    "--threads": dict(type=int, default=usable_cpus(),
+                      help="worker processes, capped by the usable CPUs and the sample "
+                           "count (default: the usable CPU count, %(default)s)"),
 }
 
 
 def _add_common(parser: argparse.ArgumentParser, out_help: str, default_out: str,
                 *shared: str) -> None:
-    """--config, --out and --threads, plus the named ``_SHARED_FLAGS``.
+    """--config and --out, plus the named ``_SHARED_FLAGS``.
 
     ``default_out`` names the output under $TRAJFUSE_OUT_DIR (or the
     current directory) when --out is not given; ``<format>`` stands for
@@ -323,10 +324,6 @@ def _add_common(parser: argparse.ArgumentParser, out_help: str, default_out: str
         parser.add_argument(flag, **_SHARED_FLAGS[flag])
     parser.add_argument("--config", help="JSON file of flag defaults (flags still win)")
     parser.add_argument("--out", help=f"{out_help} (default: {default_out})")
-    parser.add_argument("--threads", type=int, default=usable_cpus(),
-                        help="worker processes of synth, fuse, eval and overlap, capped by "
-                             "the usable CPUs and the sample count (default: the usable CPU "
-                             "count, %(default)s); flags runs serially")
     parser.set_defaults(default_out=default_out)
 
 
@@ -359,18 +356,19 @@ def build_parser() -> tuple[_Parser, dict[str, dict[str, argparse.Action]]]:
     p = sub.add_parser("fuse", help="fuse prediction dumps into one trajectory per sample")
     _add_dataset_inputs(p, ground_truth=False)
     _add_strategy(p, allow_all=False)
-    _add_common(p, "output NDJSON path", "fused.ndjson")
+    _add_common(p, "output NDJSON path", "fused.ndjson", "--threads")
 
     p = sub.add_parser("eval", help="score members and fused strategies, write summary table")
     _add_dataset_inputs(p, ground_truth=True)
     _add_strategy(p, allow_all=True)
     p.add_argument("--sort-by-ade", action="store_true",
                    help="rank Top-K sets by ADE only; FDE column averages over that set")
-    _add_common(p, "report path", "summary.<format>", "--k-list", "--format")
+    _add_common(p, "report path", "summary.<format>", "--k-list", "--format", "--threads")
 
     p = sub.add_parser("overlap", help="Venn analysis of the models' hardest-sample sets")
     _add_dataset_inputs(p, ground_truth=True)
-    _add_common(p, "report path", "overlap.<format>", "--overlap-k", "--format")
+    _add_common(p, "report path", "overlap.<format>", "--overlap-k", "--format",
+                "--threads")
 
     pinned = pinned_config()
     p = sub.add_parser("synth", help="run the synthetic end-to-end experiment")
@@ -382,7 +380,8 @@ def build_parser() -> tuple[_Parser, dict[str, dict[str, argparse.Action]]]:
     p.add_argument("--seed", type=int, default=pinned.seed)
     _add_strategy(p, allow_all=True)
     p.set_defaults(strategy="all", sort_by_ade=False)
-    _add_common(p, "output directory", "synth_out", "--k-list", "--overlap-k", "--format")
+    _add_common(p, "output directory", "synth_out", "--k-list", "--overlap-k", "--format",
+                "--threads")
 
     p = sub.add_parser("flags", help="list samples whose fused confidence is below a floor")
     p.add_argument("--fused", help="fused NDJSON from the fuse command (required)")

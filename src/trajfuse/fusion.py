@@ -83,15 +83,8 @@ class Weights:
             raise InvalidInput(f"weights must sum to 1 within {_WEIGHT_SUM_TOL}, got {total!r}")
 
     @property
-    def model_ids(self) -> tuple[str, ...]:
-        return tuple(model_id for model_id, _ in self.entries)
-
-    @property
     def values(self) -> tuple[float, ...]:
         return tuple(w for _, w in self.entries)
-
-    def as_dict(self) -> dict[str, float]:
-        return dict(self.entries)
 
     def __len__(self) -> int:
         return len(self.entries)
@@ -146,10 +139,6 @@ class CovarianceSummary:
                    xy=(float(matrix[0][1]) + float(matrix[1][0])) / 2.0,
                    yy=float(matrix[1][1]))
 
-    @property
-    def matrix(self) -> tuple[tuple[float, float], tuple[float, float]]:
-        return ((self.xx, self.xy), (self.xy, self.yy))
-
 
 @dataclass(frozen=True, slots=True)
 class FusedPrediction:
@@ -173,15 +162,11 @@ class FusedPrediction:
             )
 
 
-def normalize_confidences(
-    confidences: Sequence[float],
-    model_ids: Sequence[str] | None = None,
-) -> Weights:
-    """Scale nonnegative confidences so they sum to one.
+def normalize_confidences(confidences: Sequence[float], model_ids: Sequence[str]) -> Weights:
+    """Scale nonnegative confidences so they sum to one, keyed by the matching ``model_ids``.
 
     Raises ZeroConfidence when every entry is zero (callers decide the
-    fallback) and InvalidInput for negative or non-finite entries.  When
-    ``model_ids`` is omitted, entries are keyed m0, m1, ...
+    fallback) and InvalidInput for negative or non-finite entries.
     """
     if len(confidences) < 1:
         raise InvalidInput("confidences must have at least one entry")
@@ -190,9 +175,7 @@ def normalize_confidences(
             raise InvalidInput(f"confidence must be finite, got {c}")
         if c < 0:
             raise InvalidInput(f"confidence must be >= 0, got {c}")
-    if model_ids is None:
-        model_ids = tuple(f"m{i}" for i in range(len(confidences)))
-    elif len(model_ids) != len(confidences):
+    if len(model_ids) != len(confidences):
         raise InvalidInput(
             f"{len(model_ids)} model_ids for {len(confidences)} confidences"
         )

@@ -66,7 +66,6 @@ __all__ = [
     "load_ground_truth",
     "ground_truth_line",
     "write_ground_truth",
-    "load_samples",
     "SampleRange",
     "map_sample_ranges",
     "fork_map",
@@ -475,22 +474,6 @@ def write_ground_truth(path: str, records: Iterable[GroundTruthRecord]) -> None:
     write_lines(path, map(ground_truth_line, records), "ground truth")
 
 
-def load_samples(
-    manifest: DatasetManifest,
-    prediction_paths: Sequence[str],
-    ground_truth_path: str | None,
-) -> list[Sample]:
-    """Group prediction dumps (and optional ground truth) into Samples.
-
-    Samples are ordered by sample_id; each sample's outputs follow the
-    manifest's model order.  A dataset that is not whole is refused,
-    never scored as if it were: every sample needs a record from every
-    manifest model, the sample count must equal ``sample_count``, and
-    ground truth must cover exactly the predicted samples.
-    """
-    return map_sample_ranges(manifest, prediction_paths, ground_truth_path, list, 1, "load")[0]
-
-
 def _load(
     manifest: DatasetManifest,
     prediction_paths: Sequence[str],
@@ -540,9 +523,10 @@ def _check_whole(manifest: DatasetManifest, labeled_too: bool, predicted: int, l
         raise InvalidInput(f"predictions cover {predicted} samples, "
                            f"manifest declares {manifest.sample_count}")
     if labeled_too and (unlabeled or labeled != predicted):
-        raise InvalidInput(f"ground truth has {labeled} samples for "
-                           f"{predicted} predicted; {unlabeled} predicted "
-                           "samples have no ground truth")
+        message = f"ground truth has {labeled} samples for {predicted} predicted"
+        if unlabeled:
+            message += f"; {unlabeled} predicted samples have no ground truth"
+        raise InvalidInput(message)
 
 
 def usable_cpus() -> int:
@@ -571,6 +555,7 @@ def fork_map(run: Callable[[_Part], _Result], parts: Sequence[_Part],
              label: Callable[[_Part], str]) -> list[_Result]:
     """``[run(part) for part in parts]``: one part here, or every part in a forked child.
 
+    This is the worker contract of every command that takes ``--threads``.
     One part runs in this process, its warnings shown as they arise.  Of
     two or more, part i runs in a child on the i-th usable CPU (modulo
     their count): left to itself, the scheduler can keep a just-forked
@@ -730,17 +715,15 @@ def map_sample_ranges(
 
     The dataset splits into up to ``worker_count(threads, sample_count)``
     contiguous sample-id ranges, cut at quantiles of the sample_ids
-    probed in the first prediction file (see ``_sample_ranges``).
-    ``fork_map`` runs each range: it loads and checks only its own
-    records of every file, whatever their line order, then runs ``work``
-    on its samples, whose result must pickle.  The results come back in
-    range order, so in sample order.  Should one of several ranges fail
-    for any reason in its data or its files, the dataset runs again as
-    one range in this process, so every error is the one a serial run
-    raises.  Then, however many ranges ran, the whole-dataset rules are
-    checked once, on the summed counts (``_check_whole``).  A worker
-    that ends without a result is a TrajfuseError naming ``what`` and
-    its range.
+    probed in the first prediction file (see ``_sample_ranges``).  Each
+    range loads and checks only its own records of every file, whatever
+    their line order, then runs ``work`` on its samples.  ``fork_map``
+    runs the ranges under its worker contract (see there); ``what`` and
+    the range name a worker.  Should one of several ranges fail for any
+    reason in its data or its files, the dataset runs again as one range
+    in this process, so every error is the one a serial run raises.
+    Then, however many ranges ran, the whole-dataset rules are checked
+    once, on the summed counts (``_check_whole``).
     """
     def run(ids: SampleRange) -> tuple[tuple[int, int, int], _Result]:
         samples, counts = _load(manifest, prediction_paths, ground_truth_path, ids)

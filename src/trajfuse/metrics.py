@@ -2,11 +2,11 @@
 
 The long-tail view asks: how bad is each method on the hardest slice of
 the data, where "hardest" is defined by that method's own error
-distribution?  A ledger of per-sample ADE/FDE rows feeds Top-K% means,
-cross-method difficulty transfer, and Venn-style overlap reports over
-the methods' hardest-sample sets.  ``fuse_and_score`` is the one
-fuse-and-score pass over a dataset, loaded or generated; it returns the
-ledger, and fused records leave it only through its ``sample_hook``.
+distribution?  A ledger of per-sample ADE/FDE rows feeds Top-K% means
+and Venn-style overlap reports over the methods' hardest-sample sets.
+``fuse_and_score`` is the one fuse-and-score pass over a dataset,
+loaded or generated; it returns the ledger, and fused records leave it
+only through its ``sample_hook``.
 Both ledger builders refuse input that would score a method on fewer
 samples than the others, since that method's tail would then be cut
 from a different sample set.
@@ -34,7 +34,6 @@ __all__ = [
     "fuse_and_score",
     "top_k_error",
     "overlap_report",
-    "cross_evaluate",
     "summary_table",
 ]
 
@@ -358,24 +357,6 @@ def overlap_report(sets: Mapping[str, frozenset[str] | set[str]]) -> OverlapRepo
         union_size=len(membership),
         regions=regions,
     )
-
-
-def cross_evaluate(
-    ledger: ErrorLedger,
-    difficulty_of: str,
-    evaluate: str,
-    k_percent: float,
-    metric: str = "ade",
-) -> tuple[float, float]:
-    """Mean (ade, fde) of one method on another method's hardest samples.
-
-    The difficulty set is ``difficulty_of``'s top-K% under ``metric``;
-    ``evaluate`` must have a ledger row for every sample in that set.
-    With evaluate == difficulty_of this reduces to top_k_error.
-    """
-    top = top_k_error(ledger, difficulty_of, metric, k_percent)
-    rows = [ledger.row(evaluate, sid) for sid in top.sample_ids]
-    return (_mean([a for a, _ in rows]), _mean([f for _, f in rows]))
 
 
 def _k_label(k_percent: float) -> str:

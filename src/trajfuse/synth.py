@@ -321,9 +321,7 @@ class ExperimentResult:
     sample, in sample order (empty without a hook).
     """
 
-    config: ScenarioConfig
     predictor_names: tuple[str, ...]
-    strategies: tuple[str, ...]
     ledger: ErrorLedger
     summary: list[dict[str, object]]
     hook_results: list[object]
@@ -332,15 +330,13 @@ class ExperimentResult:
 def generate_samples(
     config: ScenarioConfig,
     predictors: Sequence[PredictorSpec],
-    indices: Iterable[int] | None = None,
+    indices: Iterable[int],
 ) -> Iterator[tuple[Scenario, Sample]]:
-    """Yield each scenario with the predictor bank's outputs for it, in index order.
+    """Yield the scenario at each of ``indices`` with the predictor bank's outputs for it.
 
-    ``indices`` picks the samples (default: all of them, in sample
-    order).  Predictor j draws from the derived seed (config.seed,
-    index, 1 + j).
+    Predictor j draws from the derived seed (config.seed, index, 1 + j).
     """
-    for index in range(config.sample_count) if indices is None else indices:
+    for index in indices:
         scenario = scenario_at(config, index)
         outputs = tuple(
             run_predictor(spec, scenario, (config.seed, index, 1 + j))
@@ -375,19 +371,14 @@ def synth_experiment(
 
     ``threads`` caps the worker processes: the samples split into
     ``io.worker_count(threads, sample_count)`` contiguous index ranges,
-    which ``io.fork_map``, the one fork helper, runs: one range here, or
-    each of several in a forked child.  The children's ledger rows (added
-    through ``ErrorLedger.add``) and hook results are merged in range
-    order, so the result is the same for every ``threads``.  A hook
-    called in a child keeps its side effects there; only its return
-    values, which must pickle, come back.  The lowest range's error is
-    re-raised, as a serial run would raise it; a worker that ends
-    without a result (a signal, out of memory) is a TrajfuseError naming
-    its range.  A lock another thread holds at the fork stays held in
-    the child, so ``trajfuse synth`` forks before it imports numpy.
-    OpenBLAS (numpy's, scipy's) stops its pools in a ``pthread_atfork``
-    handler, so a caller that imported numpy forks no OpenBLAS thread;
-    threads the caller started itself still run at the fork.
+    and ``io.fork_map`` runs them under its worker contract (see there).
+    The ranges' ledger rows (added through ``ErrorLedger.add``) and hook
+    results are merged in range order, so the result is the same for
+    every ``threads``.  ``trajfuse synth`` forks before it imports
+    numpy.  OpenBLAS (numpy's, scipy's) stops its pools in a
+    ``pthread_atfork`` handler, so a caller that imported numpy forks no
+    OpenBLAS thread; threads the caller started itself still run at the
+    fork.
     """
     if len(predictors) < 2:
         raise InvalidInput(f"need >= 2 predictors, got {len(predictors)}")
@@ -431,9 +422,7 @@ def synth_experiment(
     ledger = _merged([part for part, _ in done])
     hook_results = [result for _, results in done for result in results]
     return ExperimentResult(
-        config=config,
         predictor_names=tuple(names),
-        strategies=tuple(strategies),
         ledger=ledger,
         summary=summary_table(ledger, k_list),
         hook_results=hook_results,

@@ -170,8 +170,8 @@ def test_criterion_2_fusion_invariants():
                 Sample(sample_id=sample.sample_id, ground_truth=None,
                        outputs=tuple(shuffled))
             )
-            want = fused.weights.as_dict()
-            got = permuted.weights.as_dict()
+            want = dict(fused.weights.entries)
+            got = dict(permuted.weights.entries)
             assert got.keys() == want.keys()
             assert all(abs(got[k] - want[k]) <= 1e-9 for k in want)
             for (gx, gy), (wx, wy) in zip(permuted.trajectory.coords, fused.trajectory.coords):

@@ -295,16 +295,31 @@ class TestEval:
         assert main(argv) == 1
         assert "no ground truth" in stderr_payload(capsys)["message"]
 
-    def test_extra_ground_truth_record(self, dataset, tmp_path, capsys):
+    @staticmethod
+    def with_extra_ground_truth(dataset: Path, tmp_path: Path, *extra: str) -> list[str]:
+        """eval argv whose ground truth also labels a sample, s999999, that has no predictions."""
         extended = tmp_path / "gt.ndjson"
         text = (dataset / "ground_truth.ndjson").read_text()
         last = json.loads(text.splitlines()[-1])
         last["sample_id"] = "s999999"
         extended.write_text(text + json.dumps(last) + "\n")
-        argv = eval_argv(dataset, str(tmp_path / "s.csv"))
+        argv = eval_argv(dataset, str(tmp_path / "s.csv"), *extra)
         argv[argv.index("--ground-truth") + 1] = str(extended)
-        assert main(argv) == 1
+        return argv
+
+    def test_extra_ground_truth_record(self, dataset, tmp_path, capsys):
+        assert main(self.with_extra_ground_truth(dataset, tmp_path)) == 1
         assert "ground truth has 31 samples for 30 predicted" in stderr_payload(capsys)["message"]
+
+    @pytest.mark.parametrize("threads", ["1", "3"])
+    def test_extra_ground_truth_message_names_no_unlabeled_samples(self, dataset, tmp_path,
+                                                                   capsys, three_workers,
+                                                                   threads):
+        argv = self.with_extra_ground_truth(dataset, tmp_path, "--threads", threads)
+        assert main(argv) == 1
+        assert stderr_payload(capsys) == {
+            "error": "InvalidInput", "message": "ground truth has 31 samples for 30 predicted"}
+        assert len(three_workers) == (3 if threads == "3" else 0)
 
     def test_threads_flag_does_not_change_output(self, dataset, tmp_path):
         a = tmp_path / "a.csv"
@@ -966,6 +981,7 @@ _MISSING_INPUTS = {
     "flags": ("--fused", "{missing}"),
 }
 _THRESHOLD = ("--strategy", "threshold", "--primary-model", "const_velocity", "--tau", "-1")
+_THREADED = ("fuse", "eval", "overlap", "synth")
 
 
 class TestBadFlagsRefusedFirst:
@@ -986,11 +1002,11 @@ class TestBadFlagsRefusedFirst:
         (("synth", "--mix", "1e308,1e308,0"), "--mix"),
         (("synth", "--seed", "-1"), "--seed"),
         (("eval", "--k-list", ","), "--k-list"),
-        *(((command, "--threads", "0"), "--threads") for command in _MISSING_INPUTS),
+        *(((command, "--threads", "0"), "--threads") for command in _THREADED),
     ], ids=["synth-overlap-k-0", "synth-overlap-k-nan", "synth-tau", "fuse-tau", "eval-tau",
             "eval-primary", "flags-floor-nan", "synth-horizon", "synth-samples", "synth-dt",
             "synth-mix-sum", "synth-mix-text", "synth-mix-sum-overflow", "synth-seed", "eval-k-list-empty",
-            *(f"{c}-threads" for c in _MISSING_INPUTS)])
+            *(f"{c}-threads" for c in _THREADED)])
     def test_refused(self, dataset, tmp_path, capsys, argv, named):
         # A --manifest in argv comes after the missing one, so it wins.
         paths = {"missing": tmp_path / "missing.ndjson", "manifest": dataset / "manifest.json"}
@@ -1000,6 +1016,19 @@ class TestBadFlagsRefusedFirst:
         payload = stderr_payload(capsys)
         assert payload["error"] == "InvalidInput"
         assert named in payload["message"]
+        assert not out.exists()
+
+    def test_flags_takes_no_threads(self, dataset, tmp_path, capsys):
+        fused = ["flags", "--fused", str(dataset / "fused_weighted.ndjson")]
+        out = tmp_path / "out"
+        assert main([*fused, "--threads", "1", "--out", str(out)]) == 1
+        payload = stderr_payload(capsys)
+        assert payload["error"] == "UsageError"
+        assert "--threads" in payload["message"]
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"threads": 1}))
+        assert main([*fused, "--config", str(config), "--out", str(out)]) == 1
+        assert "unknown key(s) threads" in stderr_payload(capsys)["message"]
         assert not out.exists()
 
 

@@ -71,9 +71,7 @@ def agreement_samples(draw) -> Sample:
 class TestWeights:
     def test_basic_accessors(self):
         w = Weights((("a", 0.25), ("b", 0.75)))
-        assert w.model_ids == ("a", "b")
         assert w.values == (0.25, 0.75)
-        assert w.as_dict() == {"a": 0.25, "b": 0.75}
         assert len(w) == 2
 
     def test_must_sum_to_one(self):
@@ -99,40 +97,37 @@ class TestWeights:
 
 class TestNormalizeConfidences:
     def test_proportional_shares(self):
-        assert normalize_confidences([1.0, 1.0, 2.0]).values == (0.25, 0.25, 0.5)
-        assert normalize_confidences([2.0, 2.0, 4.0]).values == (0.25, 0.25, 0.5)
+        assert normalize_confidences([1.0, 1.0, 2.0], "abc").values == (0.25, 0.25, 0.5)
+        assert normalize_confidences([2.0, 2.0, 4.0], "abc").values == (0.25, 0.25, 0.5)
 
     def test_sum_past_the_float_range_is_a_numerical_error(self):
         with pytest.raises(NumericalError, match="confidences"):
-            normalize_confidences([1e308, 1e308])
-
-    def test_default_ids(self):
-        assert normalize_confidences([1.0, 3.0]).model_ids == ("m0", "m1")
+            normalize_confidences([1e308, 1e308], "ab")
 
     def test_explicit_ids(self):
         w = normalize_confidences([1.0, 3.0], ["cv", "ctr"])
-        assert w.as_dict() == {"cv": 0.25, "ctr": 0.75}
+        assert w.entries == (("cv", 0.25), ("ctr", 0.75))
 
     def test_singleton(self):
-        assert normalize_confidences([5.0]).values == (1.0,)
+        assert normalize_confidences([5.0], "a").values == (1.0,)
 
     def test_all_zero_raises(self):
         with pytest.raises(ZeroConfidence):
-            normalize_confidences([0.0, 0.0, 0.0])
+            normalize_confidences([0.0, 0.0, 0.0], "abc")
 
     def test_negative_raises(self):
         with pytest.raises(InvalidInput):
-            normalize_confidences([0.5, -0.1])
+            normalize_confidences([0.5, -0.1], "ab")
 
     def test_non_finite_raises(self):
         with pytest.raises(InvalidInput):
-            normalize_confidences([0.5, float("nan")])
+            normalize_confidences([0.5, float("nan")], "ab")
         with pytest.raises(InvalidInput):
-            normalize_confidences([0.5, float("inf")])
+            normalize_confidences([0.5, float("inf")], "ab")
 
     def test_empty_raises(self):
         with pytest.raises(InvalidInput):
-            normalize_confidences([])
+            normalize_confidences([], [])
 
     def test_id_count_mismatch_raises(self):
         with pytest.raises(InvalidInput):
@@ -147,8 +142,9 @@ class TestNormalizeConfidences:
     @settings(max_examples=200)
     def test_scale_invariance(self, confs, k):
         """Multiplying every confidence by the same factor changes nothing."""
-        base = normalize_confidences(confs).values
-        scaled = normalize_confidences([k * c for c in confs]).values
+        ids = [f"m{i}" for i in range(len(confs))]
+        base = normalize_confidences(confs, ids).values
+        scaled = normalize_confidences([k * c for c in confs], ids).values
         for a, b in zip(base, scaled):
             assert abs(a - b) <= 1e-9
 
@@ -210,8 +206,8 @@ class TestCovarianceSummary:
 
     def test_matrix_roundtrip(self):
         cov = CovarianceSummary(xx=2.0, xy=0.5, yy=1.0)
-        assert cov.matrix == ((2.0, 0.5), (0.5, 1.0))
-        assert CovarianceSummary.from_matrix(cov.matrix) == cov
+        assert (cov.xx, cov.xy, cov.yy) == (2.0, 0.5, 1.0)
+        assert CovarianceSummary.from_matrix(((2.0, 0.5), (0.5, 1.0))) == cov
 
     def test_tiny_negative_determinant_clamped(self):
         cov = CovarianceSummary(xx=1e-5, xy=1.0000000001e-5, yy=1e-5)
@@ -254,7 +250,7 @@ class TestAggregateOverHorizon:
         b = traj((-1, -1), (-2, 0))
         w = uniform_weights(["a", "b"])
         cov = ensemble_covariance([a, b], w, weighted_average([a, b], w))
-        assert cov.matrix == ((2.5, 0.5), (0.5, 0.5))
+        assert (cov.xx, cov.xy, cov.yy) == (2.5, 0.5, 0.5)
         assert cov.det == 1.0
 
     def test_single_step_identity(self):
@@ -264,7 +260,7 @@ class TestAggregateOverHorizon:
         fused = weighted_average(members, w)
         assert fused.coords == ((0.0, 1.0),)
         cov = ensemble_covariance(members, w, fused)
-        assert cov.matrix == ((2.0, 0.0), (0.0, 1.0))
+        assert (cov.xx, cov.xy, cov.yy) == (2.0, 0.0, 1.0)
         assert ensemble_confidence(cov) == 1.0 / 3.0
 
     @pytest.mark.parametrize("a, b", [
@@ -291,7 +287,7 @@ class TestEnsembleCovariance:
         fused = weighted_average([a, b], w)
         assert fused.coords == ((0.0, 0.0), (0.0, 0.0))
         cov = ensemble_covariance([a, b], w, fused)
-        assert cov.matrix == ((0.5, 0.0), (0.0, 0.5))
+        assert (cov.xx, cov.xy, cov.yy) == (0.5, 0.0, 0.5)
         assert cov.det == 0.25
         assert ensemble_confidence(cov) == 0.8
 
@@ -300,7 +296,7 @@ class TestEnsembleCovariance:
         b = traj((-1, 0))
         w = uniform_weights(["a", "b"])
         cov = ensemble_covariance([a, b, ], w, weighted_average([a, b], w))
-        assert cov.matrix == ((1.0, 0.0), (0.0, 0.0))
+        assert (cov.xx, cov.xy, cov.yy) == (1.0, 0.0, 0.0)
         assert cov.det == 0.0
         assert ensemble_confidence(cov) == 1.0
 
@@ -352,9 +348,9 @@ class TestFuseWeighted:
         # members are collinear so the determinant collapses to zero.
         sample = one_mode_sample(("a", traj((0, 0)), 1.0), ("b", traj((4, 0)), 3.0))
         fused = fuse_weighted(sample)
-        assert fused.weights.as_dict() == {"a": 0.25, "b": 0.75}
+        assert fused.weights.entries == (("a", 0.25), ("b", 0.75))
         assert fused.trajectory.coords == ((3.0, 0.0),)
-        assert fused.covariance.matrix == ((3.0, 0.0), (0.0, 0.0))
+        assert (fused.covariance.xx, fused.covariance.xy, fused.covariance.yy) == (3.0, 0.0, 0.0)
         assert fused.confidence == 1.0
         assert fused.strategy == "weighted"
         assert fused.sample_id == "s0"
@@ -369,7 +365,7 @@ class TestFuseWeighted:
         ))
         fused = fuse_weighted(sample)
         # Weight for b comes from its best mode: 0.8 / 1.8.
-        assert fused.weights.as_dict()["b"] == pytest.approx(0.8 / 1.8, abs=1e-15)
+        assert fused.weights.entries[1] == ("b", pytest.approx(0.8 / 1.8, abs=1e-15))
         assert fused.trajectory.coords[0][1] == 0.0
 
     def test_symmetric_biases_cancel(self):
@@ -379,8 +375,7 @@ class TestFuseWeighted:
                                  ("right", base.translated(0, -2), 0.7))
         fused = fuse_weighted(sample)
         assert fused.trajectory == base
-        assert fused.covariance.matrix == ((0.0, 0.0), (0.0, 4.0))
-        assert fused.covariance.yy == 4.0
+        assert (fused.covariance.xx, fused.covariance.xy, fused.covariance.yy) == (0.0, 0.0, 4.0)
 
     def test_all_zero_confidences_fall_back_to_uniform(self):
         sample = one_mode_sample(("a", traj((0, 0)), 0.0), ("b", traj((2, 0)), 0.0))
@@ -429,7 +424,7 @@ class TestFuseWeighted:
         flipped = Sample(sample.sample_id, None, tuple(reversed(sample.outputs)))
         a = fuse_weighted(sample)
         b = fuse_weighted(flipped)
-        assert a.weights.as_dict() == b.weights.as_dict()
+        assert sorted(a.weights.entries) == sorted(b.weights.entries)
         for (ax, ay), (bx, by) in zip(a.trajectory.coords, b.trajectory.coords):
             assert abs(ax - bx) <= 1e-9
             assert abs(ay - by) <= 1e-9

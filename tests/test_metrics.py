@@ -22,7 +22,6 @@ from trajfuse.metrics import (
     ErrorLedger,
     TopKResult,
     build_ledger,
-    cross_evaluate,
     ensemble_method_id,
     fuse_and_score,
     overlap_report,
@@ -256,8 +255,7 @@ class TestTopKError:
     lambda ledger: top_k_error(ledger, "m", "ade", 100),
     lambda ledger: summary_table(ledger, (100,)),
     lambda ledger: summary_table(ledger, (100,), sort_by_ade=True),
-    lambda ledger: cross_evaluate(ledger, "m", "m", 100),
-], ids=["top_k_error", "summary_table", "summary_table_sort_by_ade", "cross_evaluate"])
+], ids=["top_k_error", "summary_table", "summary_table_sort_by_ade"])
 def test_mean_past_the_float_range_is_a_numerical_error(mean):
     # Each error is finite; the sum of the two is not.
     ledger = ledger_from("m", {"s0": (1.6e308, 1.6e308), "s1": (1.6e308, 1.6e308)})
@@ -343,48 +341,6 @@ class TestOverlapReport:
         for m, s in (("A", a), ("B", b), ("C", c)):
             in_regions = sum(count for sig, count in report.regions.items() if m in sig)
             assert in_regions == len(s)
-
-
-class TestCrossEvaluate:
-    def two_methods(self) -> ErrorLedger:
-        ledger = ErrorLedger()
-        rows = {
-            "s0": ((10.0, 20.0), (2.0, 3.0)),
-            "s1": ((1.0, 2.0), (8.0, 9.0)),
-            "s2": ((5.0, 6.0), (4.0, 5.0)),
-            "s3": ((0.5, 1.0), (6.0, 7.0)),
-        }
-        for sid, (m1, m2) in rows.items():
-            ledger.add("m1", sid, *m1)
-            ledger.add("m2", sid, *m2)
-        return ledger
-
-    def test_hand_example(self):
-        # m1's hardest half by ADE is {s0, s2}; m2 averages (2+4)/2 and (3+5)/2 there.
-        ledger = self.two_methods()
-        assert cross_evaluate(ledger, "m1", "m2", 50) == (3.0, 4.0)
-
-    def test_self_restriction_matches_top_k(self):
-        ledger = self.two_methods()
-        for k in (25, 50, 100):
-            top = top_k_error(ledger, "m1", "ade", k)
-            ade_mean, _ = cross_evaluate(ledger, "m1", "m1", k)
-            assert ade_mean == pytest.approx(top.mean_error, abs=1e-12)
-
-    def test_missing_row_rejected(self):
-        ledger = self.two_methods()
-        ledger.add("m3", "other", 1.0, 1.0)
-        with pytest.raises(InvalidInput):
-            cross_evaluate(ledger, "m1", "m3", 50)
-
-    def test_metric_picks_difficulty_ranking(self):
-        ledger = ErrorLedger()
-        ledger.add("m1", "s0", 10.0, 1.0)
-        ledger.add("m1", "s1", 1.0, 10.0)
-        ledger.add("m2", "s0", 7.0, 7.0)
-        ledger.add("m2", "s1", 3.0, 3.0)
-        assert cross_evaluate(ledger, "m1", "m2", 50, metric="ade") == (7.0, 7.0)
-        assert cross_evaluate(ledger, "m1", "m2", 50, metric="fde") == (3.0, 3.0)
 
 
 class TestSummaryTable:
@@ -504,7 +460,7 @@ class TestSummaryTableMatchesPerKCalls:
 
 def synth_samples(count: int = 60, horizon: int = 6) -> list[Sample]:
     config = replace(pinned_config(count), horizon=horizon, seed=11)
-    return [sample for _, sample in generate_samples(config, pinned_predictors())]
+    return [sample for _, sample in generate_samples(config, pinned_predictors(), range(count))]
 
 
 def recorded(samples: list[Sample]) -> tuple[ErrorLedger, dict[str, list[fusion.FusedPrediction]]]:

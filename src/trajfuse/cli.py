@@ -6,10 +6,11 @@ stderr so wrappers can consume them.  Each flag is checked where it is
 declared (its argparse type or choices), numeric bounds and cross-flag
 rules once in ``_resolve``, all before any input is read or output
 written; the commands then take the parsed namespace as it is.  Outputs
-replace their destinations atomically.  Every command is deterministic:
-rerunning with identical inputs, seeds, and flags writes byte-identical
-files.  ``--threads`` caps the worker processes of ``synth``, ``fuse``,
-``eval`` and ``overlap`` (default: the usable CPU count); each cuts its
+replace their destinations atomically, and ``synth``'s replace theirs as
+one set.  Every command is deterministic: rerunning with identical
+inputs, seeds, and flags writes byte-identical files.  ``--threads``
+caps the worker processes of ``synth``, ``fuse``, ``eval`` and
+``overlap`` (default: the usable CPU count); each cuts its
 samples into parts, and ``io.fork_map`` runs them under its worker
 contract (see there).  ``synth`` runs ``synth.synth_experiment``, which
 cuts the sample indices evenly and scores the generated samples the
@@ -44,12 +45,14 @@ from .fusion import DEFAULT_TAU, STRATEGIES, decide, flag_low_confidence
 from .io import (
     DatasetManifest,
     GroundTruthRecord,
+    Held,
     fused_line,
     ground_truth_line,
     load_fused,
     load_manifest,
     map_sample_ranges,
     prediction_line,
+    replacing_together,
     usable_cpus,
     write_flags,
     write_lines,
@@ -199,12 +202,12 @@ def cmd_fuse(args: argparse.Namespace) -> int:
 
 
 def _write_overlap(args: argparse.Namespace, ledger: ErrorLedger, model_ids: Sequence[str],
-                   path: str) -> None:
+                   path: str, held: Held | None = None) -> None:
     sets = {
         model_id: top_k_error(ledger, model_id, "ade", args.overlap_k).sample_ids
         for model_id in model_ids
     }
-    write_report(path, overlap_report(sets), args.format)
+    write_report(path, overlap_report(sets), args.format, held=held)
 
 
 def cmd_eval(args: argparse.Namespace) -> int:
@@ -257,10 +260,8 @@ def cmd_synth(args: argparse.Namespace) -> int:
     lines = result.hook_results
 
     os.makedirs(args.out, exist_ok=True)
-    for i, strategy in enumerate(args.strategies):
-        fused_path = os.path.join(args.out, f"fused_{strategy}.ndjson")
-        write_lines(fused_path, (fused[i] for _, _, fused in lines), "fused prediction")
-        _note(fused_path)
+    fused_paths = [os.path.join(args.out, f"fused_{strategy}.ndjson")
+                   for strategy in args.strategies]
     paths = {
         "manifest": os.path.join(args.out, "manifest.json"),
         "predictions": os.path.join(args.out, "predictions.ndjson"),
@@ -268,13 +269,20 @@ def cmd_synth(args: argparse.Namespace) -> int:
         "summary": os.path.join(args.out, f"summary.{args.format}"),
         "overlap": os.path.join(args.out, f"overlap.{args.format}"),
     }
-    write_manifest(paths["manifest"], manifest)
-    write_lines(paths["predictions"], chain.from_iterable(outputs for outputs, _, _ in lines),
-                "output")
-    write_lines(paths["ground_truth"], (truth for _, truth, _ in lines), "ground truth")
-    write_report(paths["summary"], result.summary, args.format, k_list=args.k_list)
-    _write_overlap(args, result.ledger, manifest.model_ids, paths["overlap"])
-    for path in paths.values():
+    # One dataset: a failed write must not leave it half old, half new.
+    with replacing_together() as held:
+        for i, fused_path in enumerate(fused_paths):
+            write_lines(fused_path, (fused[i] for _, _, fused in lines), "fused prediction",
+                        held=held)
+        write_manifest(paths["manifest"], manifest, held=held)
+        write_lines(paths["predictions"],
+                    chain.from_iterable(outputs for outputs, _, _ in lines), "output", held=held)
+        write_lines(paths["ground_truth"], (truth for _, truth, _ in lines), "ground truth",
+                    held=held)
+        write_report(paths["summary"], result.summary, args.format, k_list=args.k_list,
+                     held=held)
+        _write_overlap(args, result.ledger, manifest.model_ids, paths["overlap"], held)
+    for path in [*fused_paths, *paths.values()]:
         _note(path)
     return 0
 

@@ -34,15 +34,20 @@ sample and write in the parent.  Every writer replaces its destination
 atomically: it writes a temporary file in the same directory, fsyncs
 it, renames it over the destination and fsyncs the directory, so a
 failed write leaves the previous file (or none) and no partial one.
+Writers given the list that ``replacing_together`` yields hold their
+renames back until every file of the set is written, so a set of files
+is replaced as a whole or not at all.
 """
 
 from __future__ import annotations
 
 import csv
+import errno
 import json
 import math
 import os
 import reprlib
+import stat
 import warnings
 from contextlib import contextmanager, suppress
 from dataclasses import asdict, dataclass
@@ -75,6 +80,7 @@ __all__ = [
     "fused_line",
     "write_fused",
     "write_lines",
+    "replacing_together",
     "write_report",
     "write_flags",
 ]
@@ -327,31 +333,58 @@ def _records(path: str, fields: tuple[str, ...], what: str, *key_fields: str,
 Line = tuple[tuple[str, ...], str]
 
 
-def write_lines(path: str, lines: Iterable[Line], what: str) -> None:
+# The (temporary file, destination) of each file whose rename a writer held back.
+Held = list[tuple[str, str]]
+
+
+def write_lines(path: str, lines: Iterable[Line], what: str, *,
+                held: Held | None = None) -> None:
     """The one NDJSON writer: each encoded record on its own line, sorted by key.
 
     A repeated key is an InvalidInput (``what`` names the record).
+    ``held`` comes from ``replacing_together``.
     """
     by_key: dict[tuple[str, ...], str] = {}
     for key, line in lines:
         if key in by_key:
             raise InvalidInput(f"duplicate {what} for {_describe(key)}")
         by_key[key] = line
-    with _replacing(path, newline="\n") as f:
+    with _replacing(path, newline="\n", held=held) as f:
         for key in sorted(by_key):
             f.write(by_key[key])
             f.write("\n")
 
 
 @contextmanager
-def _replacing(path: str, newline: str) -> Iterator[TextIO]:
-    """Open a temporary file beside ``path``; on success it replaces ``path``.
+def replacing_together() -> Iterator[Held]:
+    """A ``held`` list for the writers: the files they write replace their destinations together.
+
+    A writer given the list writes and fsyncs its temporary file as
+    always, but its rename waits for the block to end.  Then every
+    file is renamed over its destination and the directories synced.
+    Should the block fail, or a destination be a directory, every
+    temporary file is removed and no destination changes.
+    """
+    held: Held = []
+    try:
+        yield held
+        for _, path in held:  # before any rename, so that no destination has changed
+            if os.path.isdir(path):
+                raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)
+    except BaseException:
+        _discard(tmp for tmp, _ in held)
+        raise
+    _rename(held)
+
+
+@contextmanager
+def _replacing(path: str, newline: str, held: Held | None = None) -> Iterator[TextIO]:
+    """Open a temporary file beside ``path``; on success it replaces ``path``, or joins ``held``.
 
     The temporary file gets the mode plain ``open(path, "w")`` would give
     (unlike ``mkstemp``'s 0600), is flushed to disk before the rename, and
-    is removed if the write fails.  The directory is synced after the
-    rename, so the new file is what survives a power loss.  An error about
-    the temporary file names ``path``, the file the caller asked for.
+    is removed if the write fails.  An error about the temporary file
+    names ``path``, the file the caller asked for.
     """
     tmp = f"{path}.{os.getpid()}.tmp"
     try:
@@ -359,18 +392,43 @@ def _replacing(path: str, newline: str) -> Iterator[TextIO]:
             yield f
             f.flush()
             os.fsync(f.fileno())
-        os.replace(tmp, path)
     except BaseException as e:
-        with suppress(FileNotFoundError):
-            os.remove(tmp)
+        _discard([tmp])
         if isinstance(e, OSError) and e.filename == tmp:
             raise OSError(e.errno, e.strerror, path) from None
         raise
-    fd = os.open(os.path.dirname(path) or ".", os.O_RDONLY)
-    try:
-        os.fsync(fd)
-    finally:
-        os.close(fd)
+    if held is None:
+        _rename([(tmp, path)])
+    else:
+        held.append((tmp, path))
+
+
+def _rename(written: Held) -> None:
+    """Rename each temporary file over its destination, then sync their directories.
+
+    The sync makes the new files what survives a power loss.  A failed
+    rename removes the temporary files not yet renamed, and its error
+    names the destination.
+    """
+    for i, (tmp, path) in enumerate(written):
+        try:
+            os.replace(tmp, path)
+        except OSError as e:
+            _discard(tmp for tmp, _ in written[i:])
+            raise OSError(e.errno, e.strerror, path) from None
+    for directory in dict.fromkeys(os.path.dirname(path) or "." for _, path in written):
+        fd = os.open(directory, os.O_RDONLY)
+        try:
+            os.fsync(fd)
+        finally:
+            os.close(fd)
+
+
+def _discard(temporaries: Iterable[str]) -> None:
+    """Remove temporary files; a failure here never hides the error that called for it."""
+    for tmp in temporaries:
+        with suppress(OSError):
+            os.remove(tmp)
 
 
 _MANIFEST_FIELDS = ("format_version", "dataset_name", "horizon", "dt", "model_ids",
@@ -398,8 +456,8 @@ def load_manifest(path: str) -> DatasetManifest:
         raise ParseError(str(e), path=path) from None
 
 
-def write_manifest(path: str, manifest: DatasetManifest) -> None:
-    _write_json(path, asdict(manifest))
+def write_manifest(path: str, manifest: DatasetManifest, *, held: Held | None = None) -> None:
+    _write_json(path, asdict(manifest), held=held)
 
 
 def load_predictions(path: str, manifest: DatasetManifest,
@@ -659,8 +717,12 @@ def _collect(pending: list, label: Callable[[_Part], str]) -> tuple[object, list
     code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
     del pending[0]
     if code != 0 or sent is None:
-        how = (f"was killed by {signal.Signals(-code).name}" if code < 0
-               else f"exited with status {code}")
+        how = f"exited with status {code}"
+        if code < 0:
+            try:
+                how = f"was killed by {signal.Signals(-code).name}"
+            except ValueError:  # a real-time signal, which the enum does not name
+                how = f"was killed by signal {-code}"
         raise TrajfuseError(f"{label(part)} {how} without a result")
     error, value, shown = sent
     if error is not None:
@@ -703,6 +765,14 @@ def _sample_ranges(path: str, parts: int) -> list[SampleRange]:
     return [SampleRange(lo, hi) for lo, hi in zip(bounds, bounds[1:])]
 
 
+def _regular(path: str) -> bool:
+    """Whether ``path`` is a regular file; stat-ing it opens nothing, so a FIFO stays unread."""
+    try:
+        return stat.S_ISREG(os.stat(path).st_mode)
+    except OSError:  # the serial run reports it
+        return False
+
+
 def map_sample_ranges(
     manifest: DatasetManifest,
     prediction_paths: Sequence[str],
@@ -715,7 +785,9 @@ def map_sample_ranges(
 
     The dataset splits into up to ``worker_count(threads, sample_count)``
     contiguous sample-id ranges, cut at quantiles of the sample_ids
-    probed in the first prediction file (see ``_sample_ranges``).  Each
+    probed in the first prediction file (see ``_sample_ranges``); into
+    one unless every file is a regular file, since every range reads
+    every file and a pipe can be read only once.  Each
     range loads and checks only its own records of every file, whatever
     their line order, then runs ``work`` on its samples.  ``fork_map``
     runs the ranges under its worker contract (see there); ``what`` and
@@ -735,8 +807,10 @@ def map_sample_ranges(
         except (TrajfuseError, OSError):
             raise _Rerun from None
 
+    regular = all(_regular(path) for path in [*prediction_paths, ground_truth_path]
+                  if path is not None)
     ranges = (_sample_ranges(prediction_paths[0], worker_count(threads, manifest.sample_count))
-              if prediction_paths else [_WHOLE])
+              if prediction_paths and regular else [_WHOLE])
     try:
         done = fork_map(part if len(ranges) > 1 else run, ranges,
                         lambda ids: f"{what} worker for sample ids {ids}")
@@ -840,20 +914,23 @@ def write_report(
     report: Sequence[Mapping[str, object]] | OverlapReport,
     fmt: str = "csv",
     k_list: Sequence[float] = DEFAULT_K_LIST,
+    *,
+    held: Held | None = None,
 ) -> None:
     """Write a summary table or overlap report as CSV (2 decimals) or JSON.
 
     CSV is for eyeballs and spreadsheets, so errors are rounded the way
     result tables usually print them; JSON keeps full float precision
     for downstream tooling.  An empty summary yields a header-only CSV.
-    ``k_list`` only matters for that empty-summary header.
+    ``k_list`` only matters for that empty-summary header.  ``held``
+    comes from ``replacing_together``.
     """
     _check_format(fmt)
     if isinstance(report, OverlapReport):
         if fmt == "json":
-            _write_json(path, report.as_dict())
+            _write_json(path, report.as_dict(), held=held)
             return
-        with _replacing(path, newline="") as f:
+        with _replacing(path, newline="", held=held) as f:
             writer = csv.writer(f)
             writer.writerow(["kind", "models", "count", "pct_of_each"])
             writer.writerow(["union", "|".join(report.model_ids), report.union_size, ""])
@@ -875,10 +952,10 @@ def write_report(
 
     rows = list(report)
     if fmt == "json":
-        _write_json(path, rows)
+        _write_json(path, rows, held=held)
         return
     header = list(rows[0].keys()) if rows else _report_header(k_list)
-    with _replacing(path, newline="") as f:
+    with _replacing(path, newline="", held=held) as f:
         writer = csv.writer(f)
         writer.writerow(header)
         for row in rows:
@@ -922,7 +999,7 @@ def _check_format(fmt: str) -> None:
         raise InvalidInput(f"format must be 'csv' or 'json', got '{fmt}'")
 
 
-def _write_json(path: str, payload: object) -> None:
-    with _replacing(path, newline="\n") as f:
+def _write_json(path: str, payload: object, held: Held | None = None) -> None:
+    with _replacing(path, newline="\n", held=held) as f:
         f.write(json.dumps(payload, indent=2, sort_keys=True))
         f.write("\n")

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import csv
+import errno
 import gc
 import json
 import math
@@ -60,6 +61,13 @@ def stderr_payload(capsys) -> dict:
     return json.loads(err[-1])
 
 
+# Signals that kill a worker, each with how the error names it: one the enum
+# names, and on Linux a real-time one that it does not.
+DEATHS = [(signal.SIGKILL, "SIGKILL")]
+if hasattr(signal, "SIGRTMIN"):
+    DEATHS.append((signal.SIGRTMIN + 1, f"signal {signal.SIGRTMIN + 1}"))
+
+
 class TestSynth:
     def test_writes_the_full_file_set(self, dataset):
         assert {p.name for p in dataset.iterdir()} == SYNTH_FILES
@@ -93,25 +101,54 @@ class TestSynth:
             assert (serial / name).read_bytes() == (dataset / name).read_bytes(), name
 
     def test_killed_worker_fails_cleanly(self, tmp_path, capsys, monkeypatch, three_workers):
-        """A worker that dies is an error naming its samples; nothing is written."""
+        """A worker that dies is an error naming its samples and signal; nothing is written."""
         parent = os.getpid()
         encode = cli.prediction_line
+        death = {}
 
         def dying(out):
             if os.getpid() != parent and out.sample_id == "s000015":
-                os.kill(os.getpid(), signal.SIGKILL)
+                os.kill(os.getpid(), death["signal"])
             return encode(out)
 
         monkeypatch.setattr(cli, "prediction_line", dying)
         out = tmp_path / "o"
-        assert main(["synth", "--samples", "30", "--horizon", "6", "--threads", "3",
-                     "--out", str(out)]) == 1
+        for runs, (sig, name) in enumerate(DEATHS, start=1):
+            death["signal"] = sig
+            assert main(["synth", "--samples", "30", "--horizon", "6", "--threads", "3",
+                         "--out", str(out)]) == 1
+            assert stderr_payload(capsys) == {
+                "error": "TrajfuseError",
+                "message": f"synth worker for samples [10, 20) was killed by {name} "
+                           "without a result"}
+            assert not out.exists()
+            assert len(three_workers) == 3 * runs
+            assert all(reaped(pid) for pid in three_workers)
+
+    @pytest.mark.parametrize("blocked", ["ground_truth.ndjson.{pid}.tmp", "overlap.csv"],
+                             ids=["temporary_file", "destination"])
+    def test_failed_write_keeps_the_previous_set(self, tmp_path, capsys, blocked):
+        """A synth whose one write fails changes no file of the set already there.
+
+        A directory stands where a file of the set, or its temporary file,
+        would go.  Any error names the destination, never a temporary file.
+        """
+        out = tmp_path / "o"
+        argv = ["synth", "--samples", "30", "--horizon", "6", "--threads", "1", "--out", str(out)]
+        assert main([*argv, "--seed", "1"]) == 0
+        block = out / blocked.format(pid=os.getpid())
+        if block.exists():
+            block.unlink()
+        block.mkdir()
+        before = {path.name: path.read_bytes() for path in out.iterdir() if path.is_file()}
+        capsys.readouterr()
+        assert main([*argv, "--seed", "2"]) == 2
+        destination = out / blocked.removesuffix(".{pid}.tmp")
         assert stderr_payload(capsys) == {
-            "error": "TrajfuseError",
-            "message": "synth worker for samples [10, 20) was killed by SIGKILL without a result"}
-        assert not out.exists()
-        assert len(three_workers) == 3
-        assert all(reaped(pid) for pid in three_workers)
+            "error": "IOError",
+            "message": f"[Errno {errno.EISDIR}] {os.strerror(errno.EISDIR)}: '{destination}'"}
+        assert {path.name for path in out.iterdir()} == {*before, block.name}
+        assert all((out / name).read_bytes() == data for name, data in before.items())
 
     def test_threads_default_to_usable_cpus(self):
         parser, _ = cli.build_parser()
@@ -473,7 +510,7 @@ class TestDumpWorkers:
         return got
 
     @pytest.mark.parametrize("layout", [
-        "sorted", "shuffled_predictions", "shuffled_ground_truth", "per_model_sorted",
+        "sorted", "shuffled_predictions", "shuffled_ground_truth", "reversed", "per_model_sorted",
         "per_model_in_different_orders",
     ])
     def test_same_bytes_at_one_two_and_three_workers(self, dataset, tmp_path, three_workers,
@@ -493,10 +530,10 @@ class TestDumpWorkers:
                     [line for line in predictions if f'"model_id": "{model}"' in line], order)))
                 pred_paths.append(path)
         else:
-            pred_paths[0].write_text("".join(_reordered(
-                predictions, "shuffled" if layout == "shuffled_predictions" else "sorted")))
-        (tmp_path / "ground_truth.ndjson").write_text("".join(_reordered(
-            truth, "shuffled" if layout == "shuffled_ground_truth" else "sorted")))
+            pred_paths[0].write_text("".join(_reordered(predictions, {
+                "shuffled_predictions": "shuffled", "reversed": "reversed"}.get(layout, "sorted"))))
+        (tmp_path / "ground_truth.ndjson").write_text("".join(_reordered(truth, {
+            "shuffled_ground_truth": "shuffled", "reversed": "reversed"}.get(layout, "sorted"))))
         runs = [self.outputs(tmp_path, pred_paths, tmp_path / "ground_truth.ndjson",
                              dataset / "manifest.json", threads) for threads in (1, 2, 3)]
         assert runs[0]["fuse"] == (dataset / "fused_weighted.ndjson").read_bytes()
@@ -511,13 +548,14 @@ class TestDumpWorkers:
     @pytest.mark.parametrize("command", DUMP_COMMANDS)
     def test_killed_worker_fails_cleanly(self, dataset, tmp_path, capsys, monkeypatch,
                                          three_workers, command):
-        """A dump worker that dies is an error naming its sample ids; nothing is written."""
+        """A dump worker that dies is an error naming its ids and signal; nothing is written."""
         parent = os.getpid()
         load = io.load_predictions
+        death = {}
 
         def dying(path, manifest, ids=io.SampleRange()):
             if os.getpid() != parent and "s000015" in ids:
-                os.kill(os.getpid(), signal.SIGKILL)
+                os.kill(os.getpid(), death["signal"])
             return load(path, manifest, ids)
 
         monkeypatch.setattr(io, "load_predictions", dying)
@@ -526,16 +564,18 @@ class TestDumpWorkers:
                         if "s000015" in ids]
         assert dying_range.lo is not None and dying_range.hi is not None
         out = tmp_path / "out"
-        assert main(_dump_argv(command, dataset / "manifest.json", [predictions],
-                               dataset / "ground_truth.ndjson", out, "--threads", "3")) == 1
-        assert stderr_payload(capsys) == {
-            "error": "TrajfuseError",
-            "message": f"{command} worker for sample ids "
-                       f"['{dying_range.lo}', '{dying_range.hi}') was killed by SIGKILL "
-                       "without a result"}
-        assert not out.exists()
-        assert len(three_workers) == 3
-        assert all(reaped(pid) for pid in three_workers)
+        for runs, (sig, name) in enumerate(DEATHS, start=1):
+            death["signal"] = sig
+            assert main(_dump_argv(command, dataset / "manifest.json", [predictions],
+                                   dataset / "ground_truth.ndjson", out, "--threads", "3")) == 1
+            assert stderr_payload(capsys) == {
+                "error": "TrajfuseError",
+                "message": f"{command} worker for sample ids "
+                           f"['{dying_range.lo}', '{dying_range.hi}') was killed by {name} "
+                           "without a result"}
+            assert not out.exists()
+            assert len(three_workers) == 3 * runs
+            assert all(reaped(pid) for pid in three_workers)
 
     def errors(self, dataset: Path, tmp_path: Path, capsys, command: str,
                lines: list[str]) -> tuple[Path, list[dict]]:

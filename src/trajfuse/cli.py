@@ -10,8 +10,8 @@ replace their destinations atomically, and ``synth``'s replace theirs as
 one set.  Every command is deterministic: rerunning with identical
 inputs, seeds, and flags writes byte-identical files.  ``--threads``
 caps the worker processes of ``synth``, ``fuse``, ``eval`` and
-``overlap`` (default: the usable CPU count); each cuts its
-samples into parts, and ``io.fork_map`` runs them under its worker
+``overlap`` (default: the usable CPU count when the command runs); each
+cuts its samples into parts, and ``io.fork_map`` runs them under its worker
 contract (see there).  ``synth`` runs ``synth.synth_experiment``, which
 cuts the sample indices evenly and scores the generated samples the
 same way ``eval`` and ``overlap`` score a loaded one; its sample hook
@@ -26,6 +26,16 @@ Configuration precedence is flags > --config JSON file > built-in
 defaults; config values are checked like flags.  The TRAJFUSE_OUT_DIR
 environment variable supplies the directory for default output paths
 when --out is not given.
+
+Start-up is a large share of a command's time, so this module imports
+only the standard library, ``errors`` and the package's constants, and
+each ``cmd_*`` imports the modules it runs.  ``--help``, a command's
+``--help`` and a usage error load no other package module; ``fuse``,
+``eval``, ``overlap`` and ``flags`` load ``core``, ``fusion``,
+``metrics`` and ``io``, never ``synth`` or numpy; ``synth`` loads
+``synth`` too, and numpy when it first draws a number.  The defaults
+that need package code, ``--threads``'s CPU count and ``synth``'s
+pinned config, are filled in by ``_resolve``.
 """
 
 from __future__ import annotations
@@ -36,40 +46,15 @@ import json
 import math
 import os
 import sys
-from dataclasses import replace
 from itertools import chain
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
+from . import DEFAULT_K_LIST, DEFAULT_OVERLAP_K, DEFAULT_TAU, PINNED_PRIMARY, STRATEGIES
 from .errors import InvalidInput, TrajfuseError
-from .fusion import DEFAULT_TAU, STRATEGIES, decide, flag_low_confidence
-from .io import (
-    DatasetManifest,
-    GroundTruthRecord,
-    Held,
-    fused_line,
-    ground_truth_line,
-    load_fused,
-    load_manifest,
-    map_sample_ranges,
-    prediction_line,
-    replacing_together,
-    usable_cpus,
-    write_flags,
-    write_lines,
-    write_manifest,
-    write_report,
-)
-from .metrics import (
-    DEFAULT_K_LIST,
-    DEFAULT_OVERLAP_K,
-    ErrorLedger,
-    _merged,
-    fuse_and_score,
-    overlap_report,
-    summary_table,
-    top_k_error,
-)
-from .synth import PINNED_PRIMARY, pinned_config, pinned_predictors, synth_experiment
+
+if TYPE_CHECKING:
+    from .io import DatasetManifest, Held
+    from .metrics import ErrorLedger
 
 __all__ = ["main"]
 
@@ -130,7 +115,8 @@ _BOUNDS = {
 _REQUIRED_INPUTS = ("manifest", "predictions", "ground_truth", "fused")
 
 # The synth flags and the ScenarioConfig field each one sets.  The field
-# checks its own bounds, and pinned_config() gives the flag's default.
+# checks its own bounds; a flag that neither the command line nor --config
+# sets keeps pinned_config()'s value.
 _SCENARIO_FIELDS = {"samples": "sample_count", "horizon": "horizon", "dt": "dt", "mix": "mix",
                     "seed": "seed"}
 
@@ -140,7 +126,8 @@ def _resolve(args: argparse.Namespace) -> None:
 
     Runs before any input is read or output written.  Sets
     ``args.strategies`` on the commands that fuse, ``args.scenario`` (the
-    ``ScenarioConfig``) on synth, and ``args.out``.
+    ``ScenarioConfig``) on synth, ``args.threads`` where it was not given,
+    and ``args.out``.
     """
     missing = [f"--{dest.replace('_', '-')}" for dest in _REQUIRED_INPUTS
                if getattr(args, dest, "") is None]
@@ -150,13 +137,23 @@ def _resolve(args: argparse.Namespace) -> None:
         value = getattr(args, dest, None)
         if value is not None and not ok(value):
             raise InvalidInput(f"--{dest.replace('_', '-')} must be {rule}, got {value}")
+    if hasattr(args, "threads") and args.threads is None:
+        from .io import usable_cpus
+
+        args.threads = usable_cpus()
     if args.command == "synth":
+        from dataclasses import replace
+
+        from .synth import pinned_config
+
         args.scenario = pinned_config()
         for dest, name in _SCENARIO_FIELDS.items():
-            try:
-                args.scenario = replace(args.scenario, **{name: getattr(args, dest)})
-            except InvalidInput as e:
-                raise InvalidInput(f"--{dest}: {e}") from None
+            value = getattr(args, dest)
+            if value is not None:
+                try:
+                    args.scenario = replace(args.scenario, **{name: value})
+                except InvalidInput as e:
+                    raise InvalidInput(f"--{dest}: {e}") from None
     if hasattr(args, "strategy"):
         args.strategies = STRATEGIES if args.strategy == "all" else (args.strategy,)
         if "threshold" not in args.strategies:
@@ -186,6 +183,9 @@ def _note(path: str) -> None:
 
 
 def cmd_fuse(args: argparse.Namespace) -> int:
+    from .fusion import decide
+    from .io import fused_line, load_manifest, map_sample_ranges, write_lines
+
     manifest = load_manifest(args.manifest)
     _check_primary(args, manifest)
     strategy = args.strategies[0]
@@ -203,6 +203,9 @@ def cmd_fuse(args: argparse.Namespace) -> int:
 
 def _write_overlap(args: argparse.Namespace, ledger: ErrorLedger, model_ids: Sequence[str],
                    path: str, held: Held | None = None) -> None:
+    from .io import write_report
+    from .metrics import overlap_report, top_k_error
+
     sets = {
         model_id: top_k_error(ledger, model_id, "ade", args.overlap_k).sample_ids
         for model_id in model_ids
@@ -211,6 +214,9 @@ def _write_overlap(args: argparse.Namespace, ledger: ErrorLedger, model_ids: Seq
 
 
 def cmd_eval(args: argparse.Namespace) -> int:
+    from .io import load_manifest, map_sample_ranges, write_report
+    from .metrics import _merged, fuse_and_score, summary_table
+
     manifest = load_manifest(args.manifest)
     _check_primary(args, manifest)
     ledger = _merged(map_sample_ranges(
@@ -226,6 +232,9 @@ def cmd_eval(args: argparse.Namespace) -> int:
 
 
 def cmd_overlap(args: argparse.Namespace) -> int:
+    from .io import load_manifest, map_sample_ranges
+    from .metrics import _merged, fuse_and_score
+
     manifest = load_manifest(args.manifest)
     if len(manifest.model_ids) < 2:
         raise InvalidInput("overlap needs at least 2 models in the manifest")
@@ -239,6 +248,11 @@ def cmd_overlap(args: argparse.Namespace) -> int:
 
 
 def cmd_synth(args: argparse.Namespace) -> int:
+    from .io import (DatasetManifest, GroundTruthRecord, fused_line, ground_truth_line,
+                     prediction_line, replacing_together, write_lines, write_manifest,
+                     write_report)
+    from .synth import pinned_predictors, synth_experiment
+
     config = args.scenario
     predictors = pinned_predictors()
     manifest = DatasetManifest(
@@ -288,6 +302,9 @@ def cmd_synth(args: argparse.Namespace) -> int:
 
 
 def cmd_flags(args: argparse.Namespace) -> int:
+    from .fusion import flag_low_confidence
+    from .io import load_fused, write_flags
+
     flagged = [
         (pred.sample_id, pred.confidence)
         for pred in load_fused(args.fused)
@@ -314,9 +331,10 @@ _SHARED_FLAGS = {
                         help="difficulty-set size in percent, in (0, 100] "
                              f"(default {DEFAULT_OVERLAP_K:g})"),
     "--format": dict(choices=["csv", "json"], default="csv"),
-    "--threads": dict(type=int, default=usable_cpus(),
+    "--threads": dict(type=int, default=None,
                       help="worker processes, capped by the usable CPUs and the sample "
-                           "count (default: the usable CPU count, %(default)s)"),
+                           "count (default: the usable CPU count, read when the command "
+                           "runs)"),
 }
 
 
@@ -378,14 +396,13 @@ def build_parser() -> tuple[_Parser, dict[str, dict[str, argparse.Action]]]:
     _add_common(p, "report path", "overlap.<format>", "--overlap-k", "--format",
                 "--threads")
 
-    pinned = pinned_config()
     p = sub.add_parser("synth", help="run the synthetic end-to-end experiment")
-    p.add_argument("--samples", type=int, default=pinned.sample_count)
-    p.add_argument("--horizon", type=int, default=pinned.horizon)
-    p.add_argument("--dt", type=float, default=pinned.dt)
-    p.add_argument("--mix", type=_parse_mix, default=pinned.mix,
+    p.add_argument("--samples", type=int)
+    p.add_argument("--horizon", type=int)
+    p.add_argument("--dt", type=float)
+    p.add_argument("--mix", type=_parse_mix,
                    help="straight,constant_turn,lane_change proportions")
-    p.add_argument("--seed", type=int, default=pinned.seed)
+    p.add_argument("--seed", type=int)
     _add_strategy(p, allow_all=True)
     p.set_defaults(strategy="all", sort_by_ade=False)
     _add_common(p, "output directory", "synth_out", "--k-list", "--overlap-k", "--format",

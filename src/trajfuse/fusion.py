@@ -22,6 +22,7 @@ import warnings
 from dataclasses import dataclass, field, replace
 from typing import Sequence
 
+from . import DEFAULT_TAU, STRATEGIES
 from .core import Mode, Sample, Trajectory, select_most_likely
 from .errors import (
     HorizonMismatch,
@@ -49,10 +50,6 @@ __all__ = [
     "decide",
     "flag_low_confidence",
 ]
-
-STRATEGIES = ("weighted", "simple", "threshold")
-
-DEFAULT_TAU = 0.75
 
 _WEIGHT_SUM_TOL = 1e-9
 _PSD_TOL = 1e-9

@@ -54,10 +54,11 @@ from dataclasses import asdict, dataclass
 from itertools import chain
 from typing import BinaryIO, Callable, Iterable, Iterator, Mapping, Sequence, TextIO, TypeVar
 
+from . import DEFAULT_K_LIST, STRATEGIES
 from .core import Mode, ModelOutput, Sample, Trajectory
 from .errors import HorizonMismatch, InvalidInput, NumericalError, ParseError, TrajfuseError
-from .fusion import STRATEGIES, CovarianceSummary, FusedPrediction, Weights
-from .metrics import DEFAULT_K_LIST, OverlapReport, _k_label
+from .fusion import CovarianceSummary, FusedPrediction, Weights
+from .metrics import OverlapReport, _k_label
 
 __all__ = [
     "FORMAT_VERSION",

@@ -18,9 +18,10 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
+from . import DEFAULT_K_LIST, DEFAULT_OVERLAP_K, DEFAULT_TAU
 from .core import Sample, Trajectory, ade, fde
 from .errors import InvalidInput, NumericalError
-from .fusion import DEFAULT_TAU, FusedPrediction, decide
+from .fusion import FusedPrediction, decide
 
 __all__ = [
     "METRICS",
@@ -38,10 +39,6 @@ __all__ = [
 ]
 
 METRICS = ("ade", "fde")
-
-DEFAULT_K_LIST = (1, 2, 3, 4, 5, 10)
-
-DEFAULT_OVERLAP_K = 10.0
 
 
 def ensemble_method_id(strategy: str) -> str:

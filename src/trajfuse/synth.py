@@ -22,11 +22,12 @@ import math
 from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Sequence
 
+from . import DEFAULT_K_LIST, DEFAULT_TAU, PINNED_PRIMARY, STRATEGIES
 from .core import Mode, ModelOutput, Sample, Trajectory, ade
 from .errors import InvalidInput
-from .fusion import DEFAULT_TAU, STRATEGIES, FusedPrediction
+from .fusion import FusedPrediction
 from .io import fork_map, worker_count
-from .metrics import DEFAULT_K_LIST, ErrorLedger, _merged, fuse_and_score, summary_table
+from .metrics import ErrorLedger, _merged, fuse_and_score, summary_table
 
 if TYPE_CHECKING:
     import numpy as np
@@ -430,8 +431,6 @@ def synth_experiment(
 
 
 PINNED_SEED = 271828
-
-PINNED_PRIMARY = "const_turn_rate"
 
 
 def pinned_config(sample_count: int = 10_000) -> ScenarioConfig:

@@ -26,6 +26,7 @@ from trajfuse.cli import OUT_DIR_ENV, main
 from trajfuse.errors import NumericalError
 from trajfuse.io import load_fused, load_manifest
 from trajfuse.io import usable_cpus
+from trajfuse.synth import pinned_config
 
 
 SYNTH_ARGV = ["synth", "--samples", "30", "--horizon", "6", "--seed", "123",
@@ -103,7 +104,7 @@ class TestSynth:
     def test_killed_worker_fails_cleanly(self, tmp_path, capsys, monkeypatch, three_workers):
         """A worker that dies is an error naming its samples and signal; nothing is written."""
         parent = os.getpid()
-        encode = cli.prediction_line
+        encode = io.prediction_line
         death = {}
 
         def dying(out):
@@ -111,7 +112,7 @@ class TestSynth:
                 os.kill(os.getpid(), death["signal"])
             return encode(out)
 
-        monkeypatch.setattr(cli, "prediction_line", dying)
+        monkeypatch.setattr(io, "prediction_line", dying)
         out = tmp_path / "o"
         for runs, (sig, name) in enumerate(DEATHS, start=1):
             death["signal"] = sig
@@ -150,9 +151,17 @@ class TestSynth:
         assert {path.name for path in out.iterdir()} == {*before, block.name}
         assert all((out / name).read_bytes() == data for name, data in before.items())
 
-    def test_threads_default_to_usable_cpus(self):
+    def test_threads_default_to_usable_cpus(self, monkeypatch):
         parser, _ = cli.build_parser()
-        assert parser.parse_args(["synth"]).threads == usable_cpus()
+        args = parser.parse_args(["synth"])
+        cli._resolve(args)
+        assert args.threads == usable_cpus()
+        assert args.scenario == pinned_config()
+        # The count is read when the command runs, not when the parser is built.
+        monkeypatch.setattr(io, "usable_cpus", lambda: 5)
+        args = parser.parse_args(["synth"])
+        cli._resolve(args)
+        assert args.threads == 5
 
     def test_bad_samples_rejected(self, tmp_path, capsys):
         assert main(["synth", "--samples", "0", "--out", str(tmp_path / "o")]) == 1
@@ -196,19 +205,6 @@ class TestFuse:
                      "--predictions", str(dataset / "predictions.ndjson"),
                      "--out", str(out)]) == 0
         assert out.read_bytes() == (dataset / "fused_weighted.ndjson").read_bytes()
-
-    def test_does_not_import_numpy(self, dataset, tmp_path):
-        # Only synth draws random numbers; a dump command pays no numpy import.
-        argv = ["fuse", "--manifest", str(dataset / "manifest.json"),
-                "--predictions", str(dataset / "predictions.ndjson"),
-                "--out", str(tmp_path / "fused.ndjson")]
-        code = ("import sys\nfrom trajfuse.cli import main\n"
-                f"assert main({argv!r}) == 0\nprint('numpy' in sys.modules)")
-        env = {**os.environ, "PYTHONPATH": str(Path(trajfuse.__file__).parents[1])}
-        done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                              text=True, timeout=120)
-        assert done.returncode == 0, done.stderr
-        assert done.stdout.splitlines()[-1] == "False"
 
     def test_threshold_strategy(self, dataset, tmp_path):
         out = str(tmp_path / "fused.ndjson")
@@ -268,6 +264,75 @@ class TestFuse:
                      "--predictions", str(broken),
                      "--out", str(tmp_path / "f")]) == 1
         assert stderr_payload(capsys)["error"] == "ParseError"
+
+
+# The package modules each command loads: start-up is a large share of a
+# short command's time, so each loads only what it runs.
+_DUMP_MODULES = {"trajfuse", "trajfuse.cli", "trajfuse.errors", "trajfuse.core",
+                 "trajfuse.fusion", "trajfuse.io", "trajfuse.metrics"}
+_PARSER_MODULES = {"trajfuse", "trajfuse.cli", "trajfuse.errors"}
+
+# Runs the CLI on sys.argv[1:] and prints last on stdout its exit code and
+# the trajfuse, numpy and dataclasses modules it loaded.
+_IMPORT_MAP = """\
+import json, sys
+from trajfuse.cli import main
+try:
+    code = main(sys.argv[1:])
+except SystemExit as e:
+    code = e.code
+print(json.dumps([code, sorted(m for m in sys.modules if m.split(".")[0] == "trajfuse"
+                               or m in ("numpy", "dataclasses"))]))
+"""
+
+
+_IMPORT_CASES = [
+    ("--help", 0, _PARSER_MODULES),
+    ("eval --help", 0, _PARSER_MODULES),
+    ("usage_error", 1, _PARSER_MODULES),
+    ("fuse", 0, _DUMP_MODULES),
+    ("eval --strategy all", 0, _DUMP_MODULES),
+    ("overlap", 0, _DUMP_MODULES),
+    ("flags", 0, _DUMP_MODULES),
+    ("synth", 0, _DUMP_MODULES | {"trajfuse.synth"}),
+]
+
+
+@pytest.mark.parametrize("case, code, modules", _IMPORT_CASES,
+                         ids=[case for case, _, _ in _IMPORT_CASES])
+def test_imports_only_what_it_runs(dataset, tmp_path, case, code, modules):
+    """In a fresh interpreter, each command loads only the package modules it runs.
+
+    ``--help`` and a usage error load no module but the parser's (and not
+    ``dataclasses``); only ``synth`` loads ``synth`` or numpy.
+    """
+    out = str(tmp_path / "out")
+    inputs = ["--manifest", str(dataset / "manifest.json"),
+              "--predictions", str(dataset / "predictions.ndjson")]
+    truth = ["--ground-truth", str(dataset / "ground_truth.ndjson")]
+    argv = {
+        "usage_error": ["eval", *inputs[2:], *truth, "--out", out],
+        "fuse": ["fuse", *inputs, "--out", out],
+        "eval --strategy all": ["eval", *inputs, *truth, "--strategy", "all",
+                                "--primary-model", "const_turn_rate", "--out", out],
+        "overlap": ["overlap", *inputs, *truth, "--out", out],
+        "flags": ["flags", "--fused", str(dataset / "fused_weighted.ndjson"), "--out", out],
+        "synth": [*SYNTH_ARGV, "--out", out],
+    }.get(case, case.split())
+    env = {**os.environ, "PYTHONPATH": str(Path(trajfuse.__file__).parents[1])}
+    done = subprocess.run([sys.executable, "-c", _IMPORT_MAP, *argv], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    got_code, loaded = json.loads(done.stdout.splitlines()[-1])
+    assert got_code == code, done.stderr
+    if case == "usage_error":
+        assert json.loads(done.stderr) == {
+            "error": "UsageError", "message": "the following arguments are required: --manifest"}
+    assert {m for m in loaded if m.startswith("trajfuse")} == modules
+    if modules == _PARSER_MODULES:
+        assert "dataclasses" not in loaded
+    if case != "synth":
+        assert "numpy" not in loaded
 
 
 class TestEval:

@@ -4,7 +4,11 @@ from __future__ import annotations
 
 import importlib
 import math
+import os
+import subprocess
+import sys
 from dataclasses import FrozenInstanceError, fields
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -247,6 +251,34 @@ REMOVED_NAMES = ("MostLikely", "aggregate_covariance_over_horizon", "output_for"
                  "generate_scenarios", "bias")
 
 
+# Checks the package's lazy surface in a fresh interpreter; prints "ok".
+_LAZY_SURFACE = """\
+import importlib, sys
+import trajfuse
+assert not [m for m in sys.modules if m.startswith("trajfuse.")], sorted(sys.modules)
+eager = set(vars(trajfuse))
+assert set(trajfuse.__all__) <= set(dir(trajfuse))
+for name in trajfuse.__all__:
+    value = getattr(trajfuse, name)
+    if name in eager:  # a constant whose home is the package itself
+        continue
+    home = importlib.import_module(value.__module__)
+    assert home.__name__.startswith("trajfuse.") and getattr(home, name) is value, name
+for module, name in (("fusion", "STRATEGIES"), ("fusion", "DEFAULT_TAU"),
+                     ("metrics", "DEFAULT_K_LIST"), ("metrics", "DEFAULT_OVERLAP_K")):
+    assert getattr(importlib.import_module(f"trajfuse.{module}"), name) is getattr(trajfuse, name)
+try:
+    trajfuse.no_such_name
+except AttributeError:
+    pass
+else:
+    raise AssertionError("trajfuse.no_such_name resolved")
+from trajfuse import io, synth
+assert (io, synth) == (sys.modules["trajfuse.io"], sys.modules["trajfuse.synth"])
+print("ok")
+"""
+
+
 def test_public_names():
     modules = [trajfuse] + [importlib.import_module(f"trajfuse.{name}")
                             for name in ("core", "fusion", "io", "metrics", "synth", "cli")]
@@ -260,3 +292,9 @@ def test_public_names():
     assert set(namespace) - {"__builtins__"} == set(trajfuse.__all__)
     assert not hasattr(Sample, "output_for")
     assert "bias" not in {f.name for f in fields(trajfuse.PredictorSpec)}
+    # Importing the package imports none of its modules; each public name is
+    # its home module's own object, resolved on first access.
+    env = {**os.environ, "PYTHONPATH": str(Path(trajfuse.__file__).parents[1])}
+    done = subprocess.run([sys.executable, "-c", _LAZY_SURFACE], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert (done.returncode, done.stdout) == (0, "ok\n"), done.stderr

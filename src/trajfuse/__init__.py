@@ -32,11 +32,9 @@ PINNED_PRIMARY = "const_turn_rate"
 _HOMES = {
     **dict.fromkeys(("Trajectory", "Mode", "ModelOutput", "Sample",
                      "select_most_likely", "ade", "fde"), "core"),
-    **dict.fromkeys(("TrajfuseError", "InvalidInput", "HorizonMismatch", "ZeroConfidence",
-                     "NumericalError", "ParseError", "ZeroConfidenceWarning"), "errors"),
+    **dict.fromkeys(("TrajfuseError", "InvalidInput", "HorizonMismatch", "NumericalError",
+                     "ParseError", "ZeroConfidenceWarning"), "errors"),
     **dict.fromkeys(("Weights", "CovarianceSummary", "FusedPrediction",
-                     "normalize_confidences", "uniform_weights", "weighted_average",
-                     "ensemble_covariance", "ensemble_confidence",
                      "fuse_weighted", "fuse_simple", "fuse_threshold", "flag_low_confidence"),
                     "fusion"),
     **dict.fromkeys(("ErrorLedger", "TopKResult", "OverlapReport", "ensemble_method_id",

@@ -1,26 +1,27 @@
 """Command-line surface: fuse, eval, overlap, synth, flags.
 
 Exit codes: 0 success, 1 for validation/parse errors (including bad
-flags), 2 for I/O errors.  Errors are emitted as one JSON object on
-stderr so wrappers can consume them.  Each flag is checked where it is
-declared (its argparse type or choices), numeric bounds and cross-flag
-rules once in ``_resolve``, all before any input is read or output
-written; the commands then take the parsed namespace as it is.  Outputs
-replace their destinations atomically, and ``synth``'s replace theirs as
-one set.  Every command is deterministic: rerunning with identical
-inputs, seeds, and flags writes byte-identical files.  ``--threads``
-caps the worker processes of ``synth``, ``fuse``, ``eval`` and
-``overlap`` (default: the usable CPU count when the command runs); each
-cuts its samples into parts, and ``io.fork_map`` runs them under its worker
-contract (see there).  ``synth`` runs ``synth.synth_experiment``, which
-cuts the sample indices evenly and scores the generated samples the
-same way ``eval`` and ``overlap`` score a loaded one; its sample hook
-encodes each sample's dump and fused lines in the worker that made the
-sample, and the parent writes them.  ``fuse``, ``eval`` and ``overlap``
-run through ``io.map_sample_ranges``, which cuts the dump into
-sample-id ranges; each worker sends back only its ledger rows or
-encoded fused lines, which the parent merges (``metrics._merged``) and
-writes.  ``flags`` takes no ``--threads``: it streams its one file.
+flags), 2 for I/O errors or out of memory.  Errors are emitted as one
+JSON object on stderr so wrappers can consume them.  Each flag is
+checked where it is declared (its argparse type or choices), numeric
+bounds and cross-flag rules once in ``_resolve``, all before any input
+is read or output written; the commands then take the parsed namespace
+as it is.  Outputs replace their destinations atomically, and
+``synth``'s replace theirs as one set.  Every command is deterministic:
+rerunning with identical inputs, seeds, and flags writes byte-identical
+files.  ``--threads`` caps the worker processes of ``synth``, ``fuse``,
+``eval`` and ``overlap`` (default: the usable CPU count when the command
+runs); each cuts its samples into parts, and ``io.fork_map`` runs them
+under its worker contract (see there).  ``synth`` runs
+``synth.synth_experiment``, which cuts the sample indices evenly and
+scores the generated samples the same way ``eval`` and ``overlap`` score
+a loaded one; its sample hook encodes each sample's dump and fused lines
+in the worker that made the sample, and the parent writes them.
+``fuse``, ``eval`` and ``overlap`` run through ``io.map_sample_ranges``,
+which cuts the dump into sample-id ranges; each worker sends back only
+its ledger rows or encoded fused lines, which the parent merges
+(``metrics._merged``) and writes.  ``flags`` takes no ``--threads``: it
+streams its one file.
 
 Configuration precedence is flags > --config JSON file > built-in
 defaults; config values are checked like flags.  The TRAJFUSE_OUT_DIR
@@ -503,6 +504,9 @@ def _run(argv: Sequence[str] | None) -> int:
         return 1
     except OSError as e:
         _emit_error("IOError", str(e))
+        return 2
+    except MemoryError:
+        _emit_error("MemoryError", "out of memory")
         return 2
 
 

@@ -123,7 +123,11 @@ class Sample:
     """A sample's ground truth (when known) plus the outputs of all present members.
 
     ``ground_truth`` may be ``None`` for fusion-only pipelines that run
-    without labels; evaluation requires it.
+    without labels; evaluation requires it.  A sample's trajectories
+    align: every member's horizon and ``dt`` equal the first member's
+    (a differing horizon is a HorizonMismatch, a differing ``dt`` an
+    InvalidInput), and the ground truth's horizon equals theirs.  This
+    is the one place that is checked; fusion relies on it.
     """
 
     sample_id: str
@@ -144,12 +148,21 @@ class Sample:
                 raise InvalidInput(
                     f"output sample_id '{out.sample_id}' does not match sample '{self.sample_id}'"
                 )
-            if self.ground_truth is not None:
-                if out.horizon != self.ground_truth.horizon:
-                    raise HorizonMismatch(
-                        f"sample '{self.sample_id}': model '{out.model_id}' horizon "
-                        f"{out.horizon} != ground-truth horizon {self.ground_truth.horizon}"
-                    )
+        if self.outputs:
+            lead = self.outputs[0].modes[0].trajectory
+            for out in self.outputs[1:]:
+                own = out.modes[0].trajectory
+                if own.horizon != lead.horizon:
+                    raise HorizonMismatch(f"sample '{self.sample_id}': member horizons differ "
+                                          f"({own.horizon} vs {lead.horizon})")
+                if own.dt != lead.dt:
+                    raise InvalidInput(f"sample '{self.sample_id}': member dt values differ "
+                                       f"({own.dt} vs {lead.dt})")
+            if self.ground_truth is not None and lead.horizon != self.ground_truth.horizon:
+                raise HorizonMismatch(
+                    f"sample '{self.sample_id}': model '{self.outputs[0].model_id}' horizon "
+                    f"{lead.horizon} != ground-truth horizon {self.ground_truth.horizon}"
+                )
 
 
 def select_most_likely(output: ModelOutput) -> Mode:

@@ -15,10 +15,6 @@ class HorizonMismatch(TrajfuseError):
     """Two trajectories (or a record and its manifest) disagree on horizon length."""
 
 
-class ZeroConfidence(TrajfuseError):
-    """All member confidences are zero, so weights cannot be normalized."""
-
-
 class NumericalError(TrajfuseError):
     """A numerical invariant was violated beyond tolerance."""
 

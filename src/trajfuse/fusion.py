@@ -8,11 +8,12 @@ strategy is the same pipeline with uniform weights; the threshold
 strategy passes a trusted primary model through verbatim when its own
 confidence clears a bar and defers to the weighted strategy otherwise.
 
-Everything here is pure and stateless.  ``decide`` is the one strategy
-dispatch; it stops short of the covariance, which ``Decision.records``
-measures.  ``decide(...).records()`` is the only way a fused record is
-built: ``fuse_weighted``, ``fuse_simple`` and ``fuse_threshold`` are
-that call for one strategy.
+Everything here is pure and stateless.  ``decide`` is the kernel and
+the one strategy dispatch, and trusts a ``Sample``'s alignment; it stops
+short of the covariance, which ``Decision.records`` measures.
+``decide(...).records()`` is the only way a fused record is built:
+``fuse_weighted``, ``fuse_simple`` and ``fuse_threshold`` are that call
+for one strategy.
 """
 
 from __future__ import annotations
@@ -24,13 +25,7 @@ from typing import Sequence
 
 from . import DEFAULT_TAU, STRATEGIES
 from .core import Mode, Sample, Trajectory, select_most_likely
-from .errors import (
-    HorizonMismatch,
-    InvalidInput,
-    NumericalError,
-    ZeroConfidence,
-    ZeroConfidenceWarning,
-)
+from .errors import InvalidInput, NumericalError, ZeroConfidenceWarning
 
 __all__ = [
     "STRATEGIES",
@@ -38,11 +33,6 @@ __all__ = [
     "Weights",
     "CovarianceSummary",
     "FusedPrediction",
-    "normalize_confidences",
-    "uniform_weights",
-    "weighted_average",
-    "ensemble_covariance",
-    "ensemble_confidence",
     "fuse_weighted",
     "fuse_simple",
     "fuse_threshold",
@@ -159,81 +149,21 @@ class FusedPrediction:
             )
 
 
-def normalize_confidences(confidences: Sequence[float], model_ids: Sequence[str]) -> Weights:
-    """Scale nonnegative confidences so they sum to one, keyed by the matching ``model_ids``.
-
-    Raises ZeroConfidence when every entry is zero (callers decide the
-    fallback) and InvalidInput for negative or non-finite entries.
-    """
-    if len(confidences) < 1:
-        raise InvalidInput("confidences must have at least one entry")
-    for c in confidences:
-        if not math.isfinite(c):
-            raise InvalidInput(f"confidence must be finite, got {c}")
-        if c < 0:
-            raise InvalidInput(f"confidence must be >= 0, got {c}")
-    if len(model_ids) != len(confidences):
-        raise InvalidInput(
-            f"{len(model_ids)} model_ids for {len(confidences)} confidences"
-        )
-    try:
-        total = math.fsum(confidences)
-    except OverflowError:
-        raise NumericalError("the sum of member confidences overflows the float range") from None
-    if total == 0.0:
-        raise ZeroConfidence("all member confidences are zero")
-    return Weights(tuple((mid, c / total) for mid, c in zip(model_ids, confidences)))
-
-
-def uniform_weights(model_ids: Sequence[str]) -> Weights:
-    if len(model_ids) < 1:
-        raise InvalidInput("model_ids must be nonempty")
-    w = 1.0 / len(model_ids)
-    return Weights(tuple((mid, w) for mid in model_ids))
-
-
-def _check_aligned(trajectories: Sequence[Trajectory], weights: Weights) -> None:
-    if len(trajectories) != len(weights):
-        raise InvalidInput(
-            f"{len(weights)} weights for {len(trajectories)} trajectories"
-        )
-    horizon = trajectories[0].horizon
-    dt = trajectories[0].dt
-    for traj in trajectories[1:]:
-        if traj.horizon != horizon:
-            raise HorizonMismatch(
-                f"member horizons differ ({traj.horizon} vs {horizon})"
-            )
-        if traj.dt != dt:
-            raise InvalidInput(f"member dt values differ ({traj.dt} vs {dt})")
-
-
-def weighted_average(trajectories: Sequence[Trajectory], weights: Weights) -> Trajectory:
-    """Per-timestep, per-coordinate convex combination of the trajectories.
-
-    The i-th weight applies to the i-th trajectory; its model_id key is
-    carried along for reporting but not consulted here.
-    """
-    if len(trajectories) < 1:
-        raise InvalidInput("need at least one trajectory")
-    _check_aligned(trajectories, weights)
-    values = weights.values
+def _average(trajectories: Sequence[Trajectory], weights: Sequence[float]) -> Trajectory:
+    """Per-timestep, per-coordinate sum of the trajectories, the i-th times the i-th weight."""
     coords = []
     for step in zip(*(traj.coords for traj in trajectories)):
         x = 0.0
         y = 0.0
-        for (px, py), w in zip(step, values):
+        for (px, py), w in zip(step, weights):
             x += w * px
             y += w * py
         coords.append((x, y))
     return Trajectory._of(tuple(coords), trajectories[0].dt)
 
 
-def ensemble_covariance(
-    trajectories: Sequence[Trajectory],
-    weights: Weights,
-    fused: Trajectory,
-) -> CovarianceSummary:
+def _spread(trajectories: Sequence[Trajectory], weights: Sequence[float],
+            fused: Trajectory) -> CovarianceSummary:
     """Weighted scatter of member positions around the fused trajectory.
 
     Per timestep, sums w_i * (p_i - fused)(p_i - fused)^T over members,
@@ -241,20 +171,12 @@ def ensemble_covariance(
     weighted equally (``math.fsum`` per entry).  A spread past the float
     range is a NumericalError.
     """
-    if len(trajectories) < 1:
-        raise InvalidInput("need at least one trajectory")
-    _check_aligned(trajectories, weights)
-    if fused.horizon != trajectories[0].horizon:
-        raise HorizonMismatch(
-            f"fused horizon {fused.horizon} != member horizon {trajectories[0].horizon}"
-        )
-    values = weights.values
     per_step = []
     for (fx, fy), *step in zip(fused.coords, *(traj.coords for traj in trajectories)):
         xx = 0.0
         xy = 0.0
         yy = 0.0
-        for (px, py), w in zip(step, values):
+        for (px, py), w in zip(step, weights):
             dx = px - fx
             dy = py - fy
             xx += w * dx * dx
@@ -271,17 +193,12 @@ def ensemble_covariance(
     return CovarianceSummary(xx=xx, xy=xy, yy=yy)
 
 
-def ensemble_confidence(cov: CovarianceSummary) -> float:
-    """Map disagreement to (0, 1]: full agreement gives 1, growing scatter decays toward 0."""
-    return 1.0 / (1.0 + cov.det)
-
-
 @dataclass(frozen=True, slots=True)
 class _Blend:
     """One weighted average of the members, before its spread is measured."""
 
     weights: Weights  # in sample order, as reported
-    canonical: Weights  # in model_id order, as summed
+    canonical: list[float]  # the same weights in model_id order, as summed
     trajectory: Trajectory
     notes: tuple[str, ...] = ()
 
@@ -308,13 +225,13 @@ class Decision:
     def records(self) -> dict[str, FusedPrediction]:
         built = {}
         for strategy, blend in self._blends.items():
-            cov = ensemble_covariance(self._ordered, blend.canonical, blend.trajectory)
+            cov = _spread(self._ordered, blend.canonical, blend.trajectory)
             built[strategy] = FusedPrediction(
                 sample_id=self.sample_id,
                 trajectory=blend.trajectory,
                 weights=blend.weights,
                 covariance=cov,
-                confidence=ensemble_confidence(cov),
+                confidence=1.0 / (1.0 + cov.det),
                 strategy=strategy,
                 notes=blend.notes,
             )
@@ -333,13 +250,15 @@ def decide(
     primary_model_id: str | None = None,
     tau: float = DEFAULT_TAU,
 ) -> Decision:
-    """Apply the strategy rules to one sample, short of measuring the spread.
+    """Apply the strategy rules to one sample, short of measuring the spread: the fusion kernel.
 
     Each member's most-likely mode is selected once and the weighted
     average runs at most once; "threshold" starts from that result, and
     finds the primary's mode through ``model_ids``.  Members are summed in
     model_id order, so the result cannot depend on the order they arrive
-    in; the reported weights keep sample order.
+    in; the reported weights keep sample order.  ``Sample`` has aligned
+    the members and ``Mode`` checked each confidence, so neither is
+    checked here.
     """
     for strategy in strategies:
         if strategy not in STRATEGIES:
@@ -352,28 +271,33 @@ def decide(
     model_ids = tuple(out.model_id for out in sample.outputs)
     order = sorted(range(len(members)), key=lambda i: model_ids[i])
     ordered = [members[i].trajectory for i in order]
+    uniform = [1.0 / len(members)] * len(members)
 
-    def blend(weights: Weights, notes: tuple[str, ...] = ()) -> _Blend:
-        canonical = Weights(tuple(weights.entries[i] for i in order))
-        return _Blend(weights, canonical, weighted_average(ordered, canonical), notes)
+    def blend(shares: Sequence[float], notes: tuple[str, ...] = ()) -> _Blend:
+        canonical = [shares[i] for i in order]
+        return _Blend(Weights(tuple(zip(model_ids, shares))), canonical,
+                      _average(ordered, canonical), notes)
 
     blends: dict[str, _Blend] = {}
     if "weighted" in strategies or "threshold" in strategies:
-        notes: tuple[str, ...] = ()
+        confidences = [m.confidence for m in members]
         try:
-            weights = normalize_confidences([m.confidence for m in members], model_ids)
-        except ZeroConfidence:
+            total = math.fsum(confidences)
+        except OverflowError:
+            raise NumericalError("the sum of member confidences overflows the float range") from None
+        if total == 0.0:
             warnings.warn(
                 f"sample '{sample.sample_id}': all member confidences are zero; "
                 "using uniform weights",
                 ZeroConfidenceWarning,
                 stacklevel=3,
             )
-            weights = uniform_weights(model_ids)
-            notes = ("all member confidences were zero; fell back to uniform weights",)
-        blends["weighted"] = blend(weights, notes)
+            blends["weighted"] = blend(uniform, ("all member confidences were zero; "
+                                                 "fell back to uniform weights",))
+        else:
+            blends["weighted"] = blend([c / total for c in confidences])
     if "simple" in strategies:
-        blends["simple"] = blend(uniform_weights(model_ids))
+        blends["simple"] = blend(uniform)
     trajectories = {name: b.trajectory for name, b in blends.items()}
     passed_through = False
     if "threshold" in strategies:

@@ -21,7 +21,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import trajfuse
-from trajfuse import cli, fusion, io
+from trajfuse import cli, fusion, io, synth
 from trajfuse.cli import OUT_DIR_ENV, main
 from trajfuse.errors import NumericalError
 from trajfuse.io import load_fused, load_manifest
@@ -1398,7 +1398,7 @@ class TestSpreadOnlyWhereRecorded:
         expected = tmp_path / "expected.csv"
         got = tmp_path / "got.csv"
         assert main(eval_argv(dataset, str(expected), *flags)) == 0
-        monkeypatch.setattr(fusion, "ensemble_covariance", _refuse_spread)
+        monkeypatch.setattr(fusion, "_spread", _refuse_spread)
         assert main(eval_argv(dataset, str(got), *flags)) == 0
         assert got.read_bytes() == expected.read_bytes()
 
@@ -1410,10 +1410,59 @@ class TestSpreadOnlyWhereRecorded:
                      "--predictions", str(dataset / "predictions.ndjson")],
             "synth": ["synth", "--samples", "3"],
         }[command]
-        monkeypatch.setattr(fusion, "ensemble_covariance", _refuse_spread)
+        monkeypatch.setattr(fusion, "_spread", _refuse_spread)
         assert main([*argv, "--out", str(out)]) == 1
         assert stderr_payload(capsys) == {"error": "NumericalError",
                                           "message": "spread measured"}
+
+
+class TestOutOfMemory:
+    """Running out of memory is one JSON error and exit 2, at one worker or three.
+
+    At three workers only the workers run out, so a serial rerun of the
+    dataset would succeed: the command must not make one.
+    """
+
+    def assert_refused(self, argv: list[str], out: Path, capsys, forks: list[int],
+                       threads: str) -> None:
+        assert main([*argv, "--threads", threads]) == 2
+        assert capsys.readouterr().err == (
+            '{"error": "MemoryError", "message": "out of memory"}\n')
+        assert not out.exists()
+        assert len(forks) == (3 if threads == "3" else 0)
+        assert all(reaped(pid) for pid in forks)
+
+    @pytest.mark.parametrize("threads", ["1", "3"])
+    @pytest.mark.parametrize("command", TestDumpWorkers.DUMP_COMMANDS)
+    def test_dump_commands(self, dataset, tmp_path, capsys, monkeypatch, three_workers,
+                           command, threads):
+        load = io._load
+
+        def exhausted(manifest, prediction_paths, ground_truth_path, ids):
+            if threads == "1" or ids is not io._WHOLE:
+                raise MemoryError
+            return load(manifest, prediction_paths, ground_truth_path, ids)
+
+        monkeypatch.setattr(io, "_load", exhausted)
+        out = tmp_path / "out"
+        argv = _dump_argv(command, dataset / "manifest.json", [dataset / "predictions.ndjson"],
+                          dataset / "ground_truth.ndjson", out)
+        self.assert_refused(argv, out, capsys, three_workers, threads)
+
+    @pytest.mark.parametrize("threads", ["1", "3"])
+    def test_synth(self, tmp_path, capsys, monkeypatch, three_workers, threads):
+        parent = os.getpid()
+        predict = synth.run_predictor
+
+        def exhausted(spec, scenario, seed):
+            if threads == "1" or os.getpid() != parent:
+                raise MemoryError
+            return predict(spec, scenario, seed)
+
+        monkeypatch.setattr(synth, "run_predictor", exhausted)
+        out = tmp_path / "out"
+        argv = ["synth", "--samples", "30", "--horizon", "6", "--out", str(out)]
+        self.assert_refused(argv, out, capsys, three_workers, threads)
 
 
 class TestCyclicGcOff:

@@ -102,8 +102,9 @@ class TestModelOutput:
             ModelOutput("m", "s", modes)
 
     def test_negative_confidence_rejected(self):
-        with pytest.raises(InvalidInput):
-            Mode(traj((0, 0)), -0.1)
+        for bad in (-0.1, math.nan, math.inf):
+            with pytest.raises(InvalidInput, match="finite and >= 0"):
+                Mode(traj((0, 0)), bad)
 
     def test_empty_ids_rejected(self):
         with pytest.raises(InvalidInput):
@@ -113,9 +114,10 @@ class TestModelOutput:
 
 
 class TestSample:
-    def out(self, model_id: str, sample_id: str = "s", horizon: int = 2) -> ModelOutput:
+    def out(self, model_id: str, sample_id: str = "s", horizon: int = 2,
+            dt: float = 1.0) -> ModelOutput:
         pts = tuple((float(i), 0.0) for i in range(horizon))
-        return ModelOutput(model_id, sample_id, (Mode(traj(*pts), 1.0),))
+        return ModelOutput(model_id, sample_id, (Mode(traj(*pts, dt=dt), 1.0),))
 
     def test_duplicate_model_ids_rejected(self):
         with pytest.raises(InvalidInput):
@@ -133,6 +135,14 @@ class TestSample:
         gt = traj((0, 0), (1, 1), (2, 2))
         with pytest.raises(HorizonMismatch):
             Sample("s", gt, (self.out("a", horizon=2),))
+
+    def test_member_horizons_must_agree_without_ground_truth(self):
+        with pytest.raises(HorizonMismatch, match=r"sample 's': member horizons differ \(3 vs 2\)"):
+            Sample("s", None, (self.out("a"), self.out("b", horizon=3)))
+
+    def test_member_dt_must_agree(self):
+        with pytest.raises(InvalidInput, match=r"sample 's': member dt values differ \(0.5 vs 1.0\)"):
+            Sample("s", traj((0, 0), (1, 1)), (self.out("a"), self.out("b", dt=0.5)))
 
 
 class TestSelectMostLikely:
@@ -248,7 +258,9 @@ class TestDisplacementErrorsMatchLoops:
 
 # Names the package used to export, or carry as a field or method, and no longer does.
 REMOVED_NAMES = ("MostLikely", "aggregate_covariance_over_horizon", "output_for",
-                 "generate_scenarios", "bias")
+                 "generate_scenarios", "bias", "normalize_confidences", "uniform_weights",
+                 "weighted_average", "ensemble_covariance", "ensemble_confidence",
+                 "ZeroConfidence")
 
 
 # Checks the package's lazy surface in a fresh interpreter; prints "ok".

@@ -12,13 +12,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from trajfuse.core import Mode, ModelOutput, Sample, Trajectory, ade, select_most_likely
-from trajfuse.errors import (
-    HorizonMismatch,
-    InvalidInput,
-    NumericalError,
-    ZeroConfidence,
-    ZeroConfidenceWarning,
-)
+from trajfuse.errors import HorizonMismatch, InvalidInput, NumericalError, ZeroConfidenceWarning
 from trajfuse import fusion
 from trajfuse.fusion import (
     DEFAULT_TAU,
@@ -27,15 +21,10 @@ from trajfuse.fusion import (
     FusedPrediction,
     Weights,
     decide,
-    ensemble_confidence,
-    ensemble_covariance,
     flag_low_confidence,
     fuse_simple,
     fuse_threshold,
     fuse_weighted,
-    normalize_confidences,
-    uniform_weights,
-    weighted_average,
 )
 
 from trajfuse.metrics import fuse_and_score
@@ -96,42 +85,39 @@ class TestWeights:
 
 
 class TestNormalizeConfidences:
+    """The weighted strategy's weights: each confidence over their sum, in sample order."""
+
+    @staticmethod
+    def shares(*confidences: float) -> tuple[tuple[str, float], ...]:
+        members = [(f"m{i}", traj((0, 0)), c) for i, c in enumerate(confidences)]
+        return fuse_weighted(one_mode_sample(*members)).weights.entries
+
     def test_proportional_shares(self):
-        assert normalize_confidences([1.0, 1.0, 2.0], "abc").values == (0.25, 0.25, 0.5)
-        assert normalize_confidences([2.0, 2.0, 4.0], "abc").values == (0.25, 0.25, 0.5)
+        assert [w for _, w in self.shares(1.0, 1.0, 2.0)] == [0.25, 0.25, 0.5]
+        assert [w for _, w in self.shares(2.0, 2.0, 4.0)] == [0.25, 0.25, 0.5]
 
     def test_sum_past_the_float_range_is_a_numerical_error(self):
         with pytest.raises(NumericalError, match="confidences"):
-            normalize_confidences([1e308, 1e308], "ab")
+            self.shares(1e308, 1e308)
 
     def test_explicit_ids(self):
-        w = normalize_confidences([1.0, 3.0], ["cv", "ctr"])
-        assert w.entries == (("cv", 0.25), ("ctr", 0.75))
+        # Reported in sample order, not the model_id order members are summed in.
+        sample = one_mode_sample(("cv", traj((0, 0)), 1.0), ("ctr", traj((4, 0)), 3.0))
+        assert fuse_weighted(sample).weights.entries == (("cv", 0.25), ("ctr", 0.75))
 
     def test_singleton(self):
-        assert normalize_confidences([5.0], "a").values == (1.0,)
+        assert self.shares(5.0) == (("m0", 1.0),)
 
-    def test_all_zero_raises(self):
-        with pytest.raises(ZeroConfidence):
-            normalize_confidences([0.0, 0.0, 0.0], "abc")
-
+    # A confidence no weight could come from never reaches fusion: Mode refuses it.
     def test_negative_raises(self):
         with pytest.raises(InvalidInput):
-            normalize_confidences([0.5, -0.1], "ab")
+            self.shares(0.5, -0.1)
 
     def test_non_finite_raises(self):
         with pytest.raises(InvalidInput):
-            normalize_confidences([0.5, float("nan")], "ab")
+            self.shares(0.5, float("nan"))
         with pytest.raises(InvalidInput):
-            normalize_confidences([0.5, float("inf")], "ab")
-
-    def test_empty_raises(self):
-        with pytest.raises(InvalidInput):
-            normalize_confidences([], [])
-
-    def test_id_count_mismatch_raises(self):
-        with pytest.raises(InvalidInput):
-            normalize_confidences([1.0, 2.0], ["only_one"])
+            self.shares(0.5, float("inf"))
 
     @given(
         confs=st.lists(st.floats(min_value=1e-6, max_value=1e6,
@@ -142,61 +128,55 @@ class TestNormalizeConfidences:
     @settings(max_examples=200)
     def test_scale_invariance(self, confs, k):
         """Multiplying every confidence by the same factor changes nothing."""
-        ids = [f"m{i}" for i in range(len(confs))]
-        base = normalize_confidences(confs, ids).values
-        scaled = normalize_confidences([k * c for c in confs], ids).values
-        for a, b in zip(base, scaled):
+        base = self.shares(*confs)
+        scaled = self.shares(*(k * c for c in confs))
+        for (a_id, a), (b_id, b) in zip(base, scaled):
+            assert a_id == b_id
             assert abs(a - b) <= 1e-9
 
 
 class TestUniformWeights:
+    """The simple strategy's weights: an even split."""
+
     def test_even_split(self):
-        assert uniform_weights(["a", "b", "c", "d"]).values == (0.25,) * 4
+        sample = one_mode_sample(*((mid, traj((0, 0)), 1.0) for mid in "abcd"))
+        assert fuse_simple(sample).weights.values == (0.25,) * 4
 
     def test_empty_rejected(self):
         with pytest.raises(InvalidInput):
-            uniform_weights([])
+            fuse_simple(Sample("s0", None, ()))
 
 
 class TestWeightedAverage:
+    """The fused trajectory: each step the weighted sum of the members' positions."""
+
     def test_single_member_is_identity(self):
         t = traj((1, 2), (3, 4), dt=0.5)
-        assert weighted_average([t], Weights((("m", 1.0),))) == t
+        assert fuse_weighted(one_mode_sample(("m", t, 1.0))).trajectory == t
 
     def test_full_weight_selects_that_member(self):
         a = traj((1, 1))
-        b = traj((9, 9))
-        w = Weights((("a", 1.0), ("b", 0.0)))
-        assert weighted_average([a, b], w) == a
+        sample = one_mode_sample(("a", a, 1.0), ("b", traj((9, 9)), 0.0))
+        assert fuse_weighted(sample).trajectory == a
 
     def test_midpoint(self):
-        a = traj((0, 0), (2, 0))
-        b = traj((0, 4), (0, 2))
-        w = uniform_weights(["a", "b"])
-        assert weighted_average([a, b], w).coords == ((0.0, 2.0), (1.0, 1.0))
+        sample = one_mode_sample(("a", traj((0, 0), (2, 0)), 1.0),
+                                 ("b", traj((0, 4), (0, 2)), 1.0))
+        assert fuse_simple(sample).trajectory.coords == ((0.0, 2.0), (1.0, 1.0))
 
     def test_preserves_dt(self):
-        a = traj((0, 0), dt=0.2)
-        assert weighted_average([a], Weights((("m", 1.0),))).dt == 0.2
+        assert fuse_weighted(one_mode_sample(("m", traj((0, 0), dt=0.2), 1.0))).trajectory.dt == 0.2
 
-    def test_count_mismatch(self):
-        w = uniform_weights(["a", "b"])
-        with pytest.raises(InvalidInput):
-            weighted_average([traj((0, 0))], w)
-
+    # Members that do not align never reach fusion: the Sample refuses them.
     def test_horizon_mismatch(self):
-        w = uniform_weights(["a", "b"])
         with pytest.raises(HorizonMismatch):
-            weighted_average([traj((0, 0)), traj((0, 0), (1, 1))], w)
+            fuse_simple(one_mode_sample(("a", traj((0, 0)), 1.0),
+                                        ("b", traj((0, 0), (1, 1)), 1.0)))
 
     def test_dt_mismatch(self):
-        w = uniform_weights(["a", "b"])
         with pytest.raises(InvalidInput):
-            weighted_average([traj((0, 0)), traj((0, 0), dt=0.5)], w)
-
-    def test_empty(self):
-        with pytest.raises(InvalidInput):
-            weighted_average([], Weights((("m", 1.0),)))
+            fuse_simple(one_mode_sample(("a", traj((0, 0)), 1.0),
+                                        ("b", traj((0, 0), dt=0.5), 1.0)))
 
 
 class TestCovarianceSummary:
@@ -241,27 +221,30 @@ class TestCovarianceSummary:
         assert cov.xy == pytest.approx(0.5 + 1e-10, abs=1e-12)
 
 
+def spread(fused: FusedPrediction) -> tuple[float, float, float]:
+    return (fused.covariance.xx, fused.covariance.xy, fused.covariance.yy)
+
+
 class TestAggregateOverHorizon:
-    """ensemble_covariance reports the equal-weight mean of its per-step scatters."""
+    """The covariance is the equal-weight mean of the per-step scatters."""
 
     def test_mean_of_steps(self):
         # Step 1 scatters along the diagonal, (1, 1, 1); step 2 along x, (4, 0, 0).
-        a = traj((1, 1), (2, 0))
-        b = traj((-1, -1), (-2, 0))
-        w = uniform_weights(["a", "b"])
-        cov = ensemble_covariance([a, b], w, weighted_average([a, b], w))
-        assert (cov.xx, cov.xy, cov.yy) == (2.5, 0.5, 0.5)
-        assert cov.det == 1.0
+        fused = fuse_simple(one_mode_sample(("a", traj((1, 1), (2, 0)), 1.0),
+                                            ("b", traj((-1, -1), (-2, 0)), 1.0)))
+        assert spread(fused) == (2.5, 0.5, 0.5)
+        assert fused.covariance.det == 1.0
 
     def test_single_step_identity(self):
-        # Fused at (0, 1); deviations (0, -1), (2, 1), (-2, 1) at weights 1/2, 1/4, 1/4.
-        members = [traj((0, 0)), traj((2, 2)), traj((-2, 2))]
-        w = Weights((("a", 0.5), ("b", 0.25), ("c", 0.25)))
-        fused = weighted_average(members, w)
-        assert fused.coords == ((0.0, 1.0),)
-        cov = ensemble_covariance(members, w, fused)
-        assert (cov.xx, cov.xy, cov.yy) == (2.0, 0.0, 1.0)
-        assert ensemble_confidence(cov) == 1.0 / 3.0
+        # Confidences 2:1:1 give weights 1/2, 1/4, 1/4.  Fused at (0, 1), the
+        # deviations are (0, -1), (2, 1) and (-2, 1).
+        fused = fuse_weighted(one_mode_sample(("a", traj((0, 0)), 2.0),
+                                              ("b", traj((2, 2)), 1.0),
+                                              ("c", traj((-2, 2)), 1.0)))
+        assert fused.weights.values == (0.5, 0.25, 0.25)
+        assert fused.trajectory.coords == ((0.0, 1.0),)
+        assert spread(fused) == (2.0, 0.0, 1.0)
+        assert fused.confidence == 1.0 / 3.0
 
     @pytest.mark.parametrize("a, b", [
         # xy is +inf on step 1 and -inf on step 2.
@@ -272,50 +255,43 @@ class TestAggregateOverHorizon:
         (traj((1e200, 0)), traj((-1e200, 0))),
     ], ids=["inf_minus_inf", "finite_sum_overflows", "step_moment_overflows"])
     def test_unsummable_spread_is_a_numerical_error(self, a, b):
-        w = uniform_weights(["a", "b"])
-        fused = weighted_average([a, b], w)
         with pytest.raises(NumericalError, match="spread"):
-            ensemble_covariance([a, b], w, fused)
+            fuse_simple(one_mode_sample(("a", a, 1.0), ("b", b, 1.0)))
 
 
 class TestEnsembleCovariance:
     def test_two_step_hand_example(self):
         # Step 1 scatters along x, step 2 along y; the horizon mean is isotropic.
-        a = traj((1, 0), (0, 1))
-        b = traj((-1, 0), (0, -1))
-        w = uniform_weights(["a", "b"])
-        fused = weighted_average([a, b], w)
-        assert fused.coords == ((0.0, 0.0), (0.0, 0.0))
-        cov = ensemble_covariance([a, b], w, fused)
-        assert (cov.xx, cov.xy, cov.yy) == (0.5, 0.0, 0.5)
-        assert cov.det == 0.25
-        assert ensemble_confidence(cov) == 0.8
+        fused = fuse_simple(one_mode_sample(("a", traj((1, 0), (0, 1)), 1.0),
+                                            ("b", traj((-1, 0), (0, -1)), 1.0)))
+        assert fused.trajectory.coords == ((0.0, 0.0), (0.0, 0.0))
+        assert spread(fused) == (0.5, 0.0, 0.5)
+        assert fused.covariance.det == 0.25
+        assert fused.confidence == 0.8
 
     def test_collinear_members_have_zero_determinant(self):
-        a = traj((1, 0))
-        b = traj((-1, 0))
-        w = uniform_weights(["a", "b"])
-        cov = ensemble_covariance([a, b, ], w, weighted_average([a, b], w))
-        assert (cov.xx, cov.xy, cov.yy) == (1.0, 0.0, 0.0)
-        assert cov.det == 0.0
-        assert ensemble_confidence(cov) == 1.0
-
-    def test_fused_horizon_checked(self):
-        a = traj((0, 0), (1, 1))
-        w = Weights((("a", 1.0),))
-        with pytest.raises(HorizonMismatch):
-            ensemble_covariance([a], w, traj((0, 0)))
-
-    def test_no_members_rejected(self):
-        with pytest.raises(InvalidInput, match="at least one trajectory"):
-            ensemble_covariance([], Weights((("a", 1.0),)), traj((0, 0)))
+        fused = fuse_simple(one_mode_sample(("a", traj((1, 0)), 1.0), ("b", traj((-1, 0)), 1.0)))
+        assert spread(fused) == (1.0, 0.0, 0.0)
+        assert fused.covariance.det == 0.0
+        assert fused.confidence == 1.0
 
 
 class TestEnsembleConfidence:
+    """A record's confidence is 1 / (1 + det)."""
+
     def test_arithmetic(self):
-        assert ensemble_confidence(CovarianceSummary(0.0, 0.0, 0.0)) == 1.0
-        assert ensemble_confidence(CovarianceSummary(1.0, 0.0, 1.0)) == 0.5
-        assert ensemble_confidence(CovarianceSummary(3.0, 0.0, 1.0)) == 0.25
+        def mirrored(*pts: tuple[float, float]) -> FusedPrediction:
+            """Equally weighted members at ``pts`` and at their reflection through the origin."""
+            return fuse_simple(one_mode_sample(("a", traj(*pts), 1.0),
+                                               ("b", traj(*((-x, -y) for x, y in pts)), 1.0)))
+
+        assert mirrored((0, 0)).confidence == 1.0
+        # The mean of (4, 0, 0) and (0, 0, 1).
+        fused = mirrored((2, 0), (0, 1))
+        assert (fused.covariance.det, fused.confidence) == (1.0, 0.5)
+        # The mean of three steps of (4, 0, 0) and one of (0, 0, 4).
+        fused = mirrored((2, 0), (2, 0), (2, 0), (0, 2))
+        assert (fused.covariance.det, fused.confidence) == (3.0, 0.25)
 
 
 class TestFusedPrediction:
@@ -555,7 +531,7 @@ class TestDecide:
             raise NumericalError("spread measured")
 
         sample = one_mode_sample(("p", traj((10, 0)), 0.9), ("q", traj((0, 0)), 0.1))
-        monkeypatch.setattr(fusion, "ensemble_covariance", refuse)
+        monkeypatch.setattr(fusion, "_spread", refuse)
         decision = decide(sample, STRATEGIES, "p")
         assert decision.trajectories["threshold"].coords == ((10.0, 0.0),)
         assert decision.trajectories["weighted"].coords == ((9.0, 0.0),)

@@ -502,7 +502,7 @@ class TestFuseAndScoreRecords:
 
         samples = synth_samples(20)
         expected = fuse_and_score(samples, STRATEGIES, PINNED_PRIMARY)
-        monkeypatch.setattr(fusion, "ensemble_covariance", refuse)
+        monkeypatch.setattr(fusion, "_spread", refuse)
         ledger = fuse_and_score(samples, STRATEGIES, PINNED_PRIMARY)
         assert list(ledger) == list(expected)
         with pytest.raises(NumericalError, match="spread measured"):

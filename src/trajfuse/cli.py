@@ -11,8 +11,8 @@ as it is.  Outputs replace their destinations atomically, and
 rerunning with identical inputs, seeds, and flags writes byte-identical
 files.  ``--threads`` caps the worker processes of ``synth``, ``fuse``,
 ``eval`` and ``overlap`` (default: the usable CPU count when the command
-runs); each cuts its samples into parts, and ``io.fork_map`` runs them
-under its worker contract (see there).  ``synth`` runs
+runs); each cuts its samples into parts, and ``workers.fork_map`` runs
+them under its worker contract (see there).  ``synth`` runs
 ``synth.synth_experiment``, which cuts the sample indices evenly and
 scores the generated samples the same way ``eval`` and ``overlap`` score
 a loaded one; its sample hook encodes each sample's dump and fused lines
@@ -33,10 +33,11 @@ only the standard library, ``errors`` and the package's constants, and
 each ``cmd_*`` imports the modules it runs.  ``--help``, a command's
 ``--help`` and a usage error load no other package module; ``fuse``,
 ``eval``, ``overlap`` and ``flags`` load ``core``, ``fusion``,
-``metrics`` and ``io``, never ``synth`` or numpy; ``synth`` loads
-``synth`` too, and numpy when it first draws a number.  The defaults
-that need package code, ``--threads``'s CPU count and ``synth``'s
-pinned config, are filled in by ``_resolve``.
+``metrics`` and ``io``, never ``synth`` or numpy, and all but ``flags``,
+which never forks, load ``workers``; ``synth`` loads ``synth`` too, and
+numpy when it first draws a number.  The defaults that need package
+code, ``--threads``'s CPU count and ``synth``'s pinned config, are
+filled in by ``_resolve``.
 """
 
 from __future__ import annotations
@@ -139,7 +140,7 @@ def _resolve(args: argparse.Namespace) -> None:
         if value is not None and not ok(value):
             raise InvalidInput(f"--{dest.replace('_', '-')} must be {rule}, got {value}")
     if hasattr(args, "threads") and args.threads is None:
-        from .io import usable_cpus
+        from .workers import usable_cpus
 
         args.threads = usable_cpus()
     if args.command == "synth":

@@ -17,10 +17,10 @@ another exception; so is a JSON object that repeats a member name.
 
 A dataset is read in parts, its files in any line order:
 ``map_sample_ranges`` cuts it into contiguous sample-id ranges
-(``SampleRange``), and ``fork_map``, the package's one fork helper, runs
-one range here or each range in its own process.  That process reads
-every line of each file but decodes only those whose sample_id, found
-by a byte search for the encoders' spelling of it, falls in its range.
+(``SampleRange``), and ``workers.fork_map`` runs one range here or each
+range in its own process.  That process reads every line of each file
+but decodes only those whose sample_id, found by a byte search that
+admits any JSON whitespace around the colon, falls in its range.
 A dataset that is not whole is refused: the whole-dataset rules are
 checked once, on the parts' summed counts.
 
@@ -46,13 +46,13 @@ import errno
 import json
 import math
 import os
+import re
 import reprlib
 import stat
-import warnings
 from contextlib import contextmanager, suppress
 from dataclasses import asdict, dataclass
 from itertools import chain
-from typing import BinaryIO, Callable, Iterable, Iterator, Mapping, Sequence, TextIO, TypeVar
+from typing import Callable, Iterable, Iterator, Mapping, Sequence, TextIO, TypeVar
 
 from . import DEFAULT_K_LIST, STRATEGIES
 from .core import Mode, ModelOutput, Sample, Trajectory
@@ -74,9 +74,6 @@ __all__ = [
     "write_ground_truth",
     "SampleRange",
     "map_sample_ranges",
-    "fork_map",
-    "worker_count",
-    "usable_cpus",
     "load_fused",
     "fused_line",
     "write_fused",
@@ -271,26 +268,23 @@ class _Misread(TrajfuseError):
 # encoders' payloads are fresh trees, so the cycle check has nothing to find.
 _encode = json.JSONEncoder(sort_keys=True, check_circular=False).encode
 
-# The encoders' spelling of a sample_id's start, b'"sample_id": "'; they escape
-# every quote inside a string, so it occurs in their lines only as a member name.
-_ID_PREFIX = _encode({"sample_id": ""})[1:-2].encode()
+# A sample_id member whose string value holds no escape, in any JSON
+# whitespace.  A quote inside a JSON string is escaped, so in a valid line
+# this matches only at a member name.
+_ID = re.compile(rb'"sample_id"[ \t\r\n]*:[ \t\r\n]*"([^"\\]*)"')
 
 
 def _scanned_id(raw: bytes) -> str | None:
-    """The id between a line's first ``_ID_PREFIX`` and the next quote, found without decoding.
+    """The sample_id of a line, found by one ``_ID`` search without decoding.
 
-    None where that finds no id it can read as text: another JSON
-    spelling, an escape in the id, bytes that are not UTF-8, a truncated line.
+    None where that finds no id it can read as text: an escape in the id,
+    bytes that are not UTF-8, a truncated line.
     """
-    start = raw.find(_ID_PREFIX)
-    if start < 0:
-        return None
-    start += len(_ID_PREFIX)
-    end = raw.find(b'"', start)
-    if end < 0 or b"\\" in raw[start:end]:
+    found = _ID.search(raw)
+    if found is None:
         return None
     try:
-        return raw[start:end].decode("utf-8")
+        return found[1].decode("utf-8")
     except UnicodeDecodeError:
         return None
 
@@ -588,147 +582,7 @@ def _check_whole(manifest: DatasetManifest, labeled_too: bool, predicted: int, l
         raise InvalidInput(message)
 
 
-def usable_cpus() -> int:
-    """The CPUs this process may run on: its affinity mask where the platform has one."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # no affinity masks on this platform
-        return os.cpu_count() or 1
-
-
-def worker_count(threads: int, items: int) -> int:
-    """``threads`` capped by the usable CPUs and by ``items``, and at least 1; 1 without ``os.fork``.
-
-    The cap is what keeps a huge ``threads`` from starting as many processes.
-    """
-    if not hasattr(os, "fork"):
-        return 1
-    return max(1, min(threads, usable_cpus(), items))
-
-
-_Part = TypeVar("_Part")
 _Result = TypeVar("_Result")
-
-
-def fork_map(run: Callable[[_Part], _Result], parts: Sequence[_Part],
-             label: Callable[[_Part], str]) -> list[_Result]:
-    """``[run(part) for part in parts]``: one part here, or every part in a forked child.
-
-    This is the worker contract of every command that takes ``--threads``.
-    One part runs in this process, its warnings shown as they arise.  Of
-    two or more, part i runs in a child on the i-th usable CPU (modulo
-    their count): left to itself, the scheduler can keep a just-forked
-    child on its parent's CPU for the whole of a short part.  This
-    process only collects.  The results come back pickled, in part
-    order, so ``run``'s results must pickle.  The lowest part's error is
-    re-raised, as a serial run would raise it; a child that ends without
-    a result (a signal, out of memory) is a TrajfuseError that names it
-    by ``label(part)``.  Once an error cuts the run short, every child
-    left is killed and reaped.  A child keeps its side effects, but the
-    warnings it would show come back with its result, and only once
-    every part has succeeded are they shown here, in part order, as a
-    serial run shows them; a run that fails shows none of them.  A lock
-    another thread holds at the fork stays held in the child, so fork
-    from a process that runs one thread.
-    """
-    if len(parts) == 1:
-        return [run(parts[0])]
-    cpus = sorted(os.sched_getaffinity(0)) if hasattr(os, "sched_setaffinity") else []
-    pending = []  # (part, pid, pipe) of each child not yet reaped, in part order
-    try:
-        for i, part in enumerate(parts):
-            pending.append((part, *_fork(run, part, cpus[i % len(cpus)] if cpus else None)))
-        done = [_collect(pending, label) for _ in parts]
-    finally:
-        if pending:  # an error cut the run short: these results are no longer wanted
-            import signal
-
-            for _, pid, pipe in pending:
-                pipe.close()
-                with suppress(ProcessLookupError):
-                    os.kill(pid, signal.SIGKILL)
-                os.waitpid(pid, 0)
-    for _, shown in done:
-        for message, category, filename, lineno in shown:
-            warnings.warn_explicit(message, category, filename, lineno)
-    return [value for value, _ in done]
-
-
-def _fork(run: Callable[[_Part], object], part: _Part, cpu: int | None) -> tuple[int, BinaryIO]:
-    """Run ``run(part)`` on ``cpu`` in a forked child; return its pid and the read end of its pipe.
-
-    The child pipes back ``(None, result, warnings)``, the warnings it
-    would have shown as (message, category, filename, lineno), or
-    ``(error, None, [])`` if ``run`` raised, pickled, and exits 0 only
-    once all of it is written.  Without a ``cpu``, or refused it, the
-    child runs where the scheduler puts it.
-    It leaves through ``os._exit``, so it never returns into the caller
-    or runs its atexit handlers or flushes its inherited buffers.
-    """
-    import pickle
-
-    read_fd, write_fd = os.pipe()
-    try:
-        pid = os.fork()
-    except OSError:
-        os.close(read_fd)
-        os.close(write_fd)
-        raise
-    if pid:
-        os.close(write_fd)
-        return pid, open(read_fd, "rb")
-    status = 1
-    try:
-        os.close(read_fd)
-        if cpu is not None:
-            with suppress(OSError):
-                os.sched_setaffinity(0, {cpu})
-        try:
-            with warnings.catch_warnings(record=True) as caught:
-                result = run(part)
-            shown = [(str(w.message), w.category, w.filename, w.lineno) for w in caught]
-            payload = pickle.dumps((None, result, shown), pickle.HIGHEST_PROTOCOL)
-        except BaseException as e:
-            payload = pickle.dumps((e, None, []), pickle.HIGHEST_PROTOCOL)
-        with open(write_fd, "wb") as pipe:
-            pipe.write(payload)
-        status = 0
-    finally:
-        os._exit(status)
-
-
-def _collect(pending: list, label: Callable[[_Part], str]) -> tuple[object, list]:
-    """The result of the first pending child and the warnings it recorded, or its error re-raised.
-
-    Reads the child's pipe as it streams in, reaps the child, and only
-    then drops it from ``pending`` and re-raises; a child that ends
-    without a result is a TrajfuseError naming ``label(part)``.  Should
-    the reading fail, the child stays in ``pending`` for the caller to
-    kill and reap.
-    """
-    import pickle
-    import signal
-
-    part, pid, pipe = pending[0]
-    with pipe:
-        try:
-            sent = pickle.load(pipe)
-        except (EOFError, pickle.UnpicklingError):  # the child's exit status says why
-            sent = None
-    code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
-    del pending[0]
-    if code != 0 or sent is None:
-        how = f"exited with status {code}"
-        if code < 0:
-            try:
-                how = f"was killed by {signal.Signals(-code).name}"
-            except ValueError:  # a real-time signal, which the enum does not name
-                how = f"was killed by signal {-code}"
-        raise TrajfuseError(f"{label(part)} {how} without a result")
-    error, value, shown = sent
-    if error is not None:
-        raise error
-    return value, shown
 
 
 class _Rerun(Exception):
@@ -798,6 +652,8 @@ def map_sample_ranges(
     Then, however many ranges ran, the whole-dataset rules are checked
     once, on the summed counts (``_check_whole``).
     """
+    from .workers import fork_map, worker_count
+
     def run(ids: SampleRange) -> tuple[tuple[int, int, int], _Result]:
         samples, counts = _load(manifest, prediction_paths, ground_truth_path, ids)
         return counts, work(samples)

@@ -26,8 +26,8 @@ from . import DEFAULT_K_LIST, DEFAULT_TAU, PINNED_PRIMARY, STRATEGIES
 from .core import Mode, ModelOutput, Sample, Trajectory, ade
 from .errors import InvalidInput
 from .fusion import FusedPrediction
-from .io import fork_map, worker_count
 from .metrics import ErrorLedger, _merged, fuse_and_score, summary_table
+from .workers import fork_map, worker_count
 
 if TYPE_CHECKING:
     import numpy as np
@@ -371,8 +371,9 @@ def synth_experiment(
     synth`` encodes its dump and fused lines in that hook.
 
     ``threads`` caps the worker processes: the samples split into
-    ``io.worker_count(threads, sample_count)`` contiguous index ranges,
-    and ``io.fork_map`` runs them under its worker contract (see there).
+    ``workers.worker_count(threads, sample_count)`` contiguous index
+    ranges, and ``workers.fork_map`` runs them under its worker contract
+    (see there).
     The ranges' ledger rows (added through ``ErrorLedger.add``) and hook
     results are merged in range order, so the result is the same for
     every ``threads``.  ``trajfuse synth`` forks before it imports

@@ -9,7 +9,7 @@ from dataclasses import dataclass
 import pytest
 from hypothesis import strategies as st
 
-from trajfuse import io
+from trajfuse import workers
 from trajfuse.core import Mode, ModelOutput, Sample, Trajectory
 from trajfuse.metrics import ErrorLedger
 from trajfuse.synth import (
@@ -117,7 +117,7 @@ def pinned_run() -> PinnedRun:
 @pytest.fixture
 def three_workers(monkeypatch) -> list[int]:
     """Three usable CPUs for the worker count on any host, and the list of pids forked."""
-    monkeypatch.setattr(io, "usable_cpus", lambda: 3)
+    monkeypatch.setattr(workers, "usable_cpus", lambda: 3)
     pids: list[int] = []
     fork = os.fork
 

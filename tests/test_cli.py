@@ -21,11 +21,10 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import trajfuse
-from trajfuse import cli, fusion, io, synth
+from trajfuse import cli, fusion, io, synth, workers
 from trajfuse.cli import OUT_DIR_ENV, main
 from trajfuse.errors import NumericalError
 from trajfuse.io import load_fused, load_manifest
-from trajfuse.io import usable_cpus
 from trajfuse.synth import pinned_config
 
 
@@ -155,10 +154,10 @@ class TestSynth:
         parser, _ = cli.build_parser()
         args = parser.parse_args(["synth"])
         cli._resolve(args)
-        assert args.threads == usable_cpus()
+        assert args.threads == workers.usable_cpus()
         assert args.scenario == pinned_config()
         # The count is read when the command runs, not when the parser is built.
-        monkeypatch.setattr(io, "usable_cpus", lambda: 5)
+        monkeypatch.setattr(workers, "usable_cpus", lambda: 5)
         args = parser.parse_args(["synth"])
         cli._resolve(args)
         assert args.threads == 5
@@ -271,6 +270,7 @@ class TestFuse:
 _DUMP_MODULES = {"trajfuse", "trajfuse.cli", "trajfuse.errors", "trajfuse.core",
                  "trajfuse.fusion", "trajfuse.io", "trajfuse.metrics"}
 _PARSER_MODULES = {"trajfuse", "trajfuse.cli", "trajfuse.errors"}
+_FORKING_MODULES = _DUMP_MODULES | {"trajfuse.workers"}
 
 # Runs the CLI on sys.argv[1:] and prints last on stdout its exit code and
 # the trajfuse, numpy and dataclasses modules it loaded.
@@ -290,11 +290,11 @@ _IMPORT_CASES = [
     ("--help", 0, _PARSER_MODULES),
     ("eval --help", 0, _PARSER_MODULES),
     ("usage_error", 1, _PARSER_MODULES),
-    ("fuse", 0, _DUMP_MODULES),
-    ("eval --strategy all", 0, _DUMP_MODULES),
-    ("overlap", 0, _DUMP_MODULES),
+    ("fuse", 0, _FORKING_MODULES),
+    ("eval --strategy all", 0, _FORKING_MODULES),
+    ("overlap", 0, _FORKING_MODULES),
     ("flags", 0, _DUMP_MODULES),
-    ("synth", 0, _DUMP_MODULES | {"trajfuse.synth"}),
+    ("synth", 0, _FORKING_MODULES | {"trajfuse.synth"}),
 ]
 
 
@@ -304,7 +304,8 @@ def test_imports_only_what_it_runs(dataset, tmp_path, case, code, modules):
     """In a fresh interpreter, each command loads only the package modules it runs.
 
     ``--help`` and a usage error load no module but the parser's (and not
-    ``dataclasses``); only ``synth`` loads ``synth`` or numpy.
+    ``dataclasses``); only ``synth`` loads ``synth`` or numpy, and ``flags``,
+    which never forks, loads no ``workers``.
     """
     out = str(tmp_path / "out")
     inputs = ["--manifest", str(dataset / "manifest.json"),
@@ -333,6 +334,18 @@ def test_imports_only_what_it_runs(dataset, tmp_path, case, code, modules):
         assert "dataclasses" not in loaded
     if case != "synth":
         assert "numpy" not in loaded
+
+
+def test_synth_module_loads_no_io():
+    """``trajfuse.synth`` takes its process pool from ``workers``, not from the file formats."""
+    env = {**os.environ, "PYTHONPATH": str(Path(trajfuse.__file__).parents[1])}
+    done = subprocess.run(
+        [sys.executable, "-c", "import json, sys, trajfuse.synth; print(json.dumps(sorted("
+                               "m for m in sys.modules if m.startswith('trajfuse'))))"],
+        env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    loaded = set(json.loads(done.stdout))
+    assert "trajfuse.workers" in loaded and "trajfuse.io" not in loaded
 
 
 class TestEval:
@@ -576,12 +589,15 @@ class TestDumpWorkers:
 
     @pytest.mark.parametrize("layout", [
         "sorted", "shuffled_predictions", "shuffled_ground_truth", "reversed", "per_model_sorted",
-        "per_model_in_different_orders",
+        "per_model_in_different_orders", "compact",
     ])
     def test_same_bytes_at_one_two_and_three_workers(self, dataset, tmp_path, three_workers,
                                                      layout):
         predictions = (dataset / "predictions.ndjson").read_text().splitlines(keepends=True)
         truth = (dataset / "ground_truth.ndjson").read_text().splitlines(keepends=True)
+        if layout == "compact":  # as JSON.stringify spells it
+            predictions, truth = ([json.dumps(json.loads(line), separators=(",", ":")) + "\n"
+                                   for line in lines] for lines in (predictions, truth))
         pred_paths = [tmp_path / "predictions.ndjson"]
         if layout.startswith("per_model"):
             # One file per model; the later ones reversed and interleaved.

@@ -293,12 +293,16 @@ print("ok")
 
 def test_public_names():
     modules = [trajfuse] + [importlib.import_module(f"trajfuse.{name}")
-                            for name in ("core", "fusion", "io", "metrics", "synth", "cli")]
+                            for name in ("core", "fusion", "io", "metrics", "synth", "cli",
+                                         "workers")]
     for module in modules:
         for name in module.__all__:
             assert hasattr(module, name), f"{module.__name__}.{name}"
         for name in REMOVED_NAMES:
             assert name not in module.__all__ and not hasattr(module, name)
+    # The process pool has one home, and io keeps no alias of it.
+    io_names = set(vars(importlib.import_module("trajfuse.io")))
+    assert not {"usable_cpus", "worker_count", "fork_map", "_fork", "_collect"} & io_names
     namespace: dict[str, object] = {}
     exec("from trajfuse import *", namespace)
     assert set(namespace) - {"__builtins__"} == set(trajfuse.__all__)

@@ -23,7 +23,7 @@ from typing import Iterator
 
 import pytest
 
-from trajfuse.io import usable_cpus
+from trajfuse.workers import usable_cpus
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")
 

@@ -61,6 +61,15 @@ MANIFEST = DatasetManifest(
 )
 
 
+# JSON's whitespace, as bytes.
+JSON_SPACE = st.text(" \t\r\n").map(str.encode)
+
+
+def respelled(line: str, separators: tuple[str, str] = (",", ":")) -> str:
+    """An NDJSON line re-spelled with ``separators``; the default is JSON.stringify's compact one."""
+    return json.dumps(json.loads(line), separators=separators) + "\n"
+
+
 def output(model_id: str, sample_id: str, *xy_lists, confs=None) -> ModelOutput:
     confs = confs or [1.0] * len(xy_lists)
     modes = tuple(
@@ -371,6 +380,28 @@ class TestSampleRanges:
                 for ids in ranges for out in load_predictions(path, MANIFEST, ids)]
         assert sorted(read) == sorted((out.sample_id, out.model_id) for out in outputs)
 
+    @pytest.mark.parametrize("separators", [(",", ":"), (" ,\t", "\r: ")])
+    def test_any_json_spelling_decodes_each_line_in_one_part(self, tmp_path, monkeypatch,
+                                                              separators):
+        """The scan finds ids in any JSON whitespace, so the parts split the decoding."""
+        path, _ = self.dump(tmp_path, [1] * 6)
+        with open(path, encoding="utf-8") as f:
+            spaced = f.readlines()
+        with open(path, "w", encoding="utf-8") as f:
+            f.writelines(respelled(line, separators) for line in spaced)
+        whole = list(load_predictions(path, MANIFEST))
+        decode, decoded = io._decode, []
+
+        def counting(raw: bytes, path: str, line: int | None) -> dict:
+            decoded.append(line)
+            return decode(raw, path, line)
+
+        monkeypatch.setattr(io, "_decode", counting)
+        ranges = [SampleRange(None, "s003"), SampleRange("s003", None)]
+        assert [out for ids in ranges for out in load_predictions(path, MANIFEST, ids)] == whole
+        assert sorted(decoded) == list(range(1, len(spaced) + 1))
+        assert len(io._sample_ranges(path, 2)) == 2
+
     def test_misread_line_is_refused(self, tmp_path):
         """A line the scan places in a range but that decodes outside it is not dropped."""
         path, _ = self.dump(tmp_path, [1] * 4)
@@ -394,7 +425,8 @@ class TestSampleRanges:
         for _, line in (
                 io.prediction_line(ModelOutput(model_id, sample_id, (Mode(trajectory, 1.0),))),
                 io.ground_truth_line(GroundTruthRecord(sample_id, trajectory))):
-            assert io._scanned_id(line.encode()) in (None, json.loads(line)["sample_id"])
+            for spelled in (line, respelled(line)):
+                assert io._scanned_id(spelled.encode()) in (None, json.loads(line)["sample_id"])
 
     @given(sample_id=st.text(st.characters(min_codepoint=0x20, max_codepoint=0x7e,
                                            blacklist_characters='"\\'), min_size=1))
@@ -402,9 +434,11 @@ class TestSampleRanges:
         _, line = io.ground_truth_line(GroundTruthRecord(
             sample_id, Trajectory(((0.0, 0.0), (1.0, 0.0)), dt=MANIFEST.dt)))
         assert io._scanned_id(line.encode()) == sample_id
+        assert io._scanned_id(respelled(line).encode()) == sample_id
 
-    @given(raw=st.binary() | st.builds(lambda a, b: a + io._ID_PREFIX + b, st.binary(),
-                                       st.binary()))
+    @given(raw=st.binary() | st.builds(
+        lambda a, before, after, b: a + b'"sample_id"' + before + b":" + after + b'"' + b,
+        st.binary(), JSON_SPACE, JSON_SPACE, st.binary()))
     def test_scan_never_raises(self, raw):
         found = io._scanned_id(raw)
         assert found is None or isinstance(found, str)

@@ -69,7 +69,7 @@ PUBLIC = [(module, name) for module in MODULES
 def test_every_public_module_is_checked():
     assert {module for module, _ in PUBLIC} == {
         "trajfuse", "trajfuse.cli", "trajfuse.core", "trajfuse.fusion", "trajfuse.io",
-        "trajfuse.metrics", "trajfuse.synth"}
+        "trajfuse.metrics", "trajfuse.synth", "trajfuse.workers"}
 
 
 @pytest.mark.parametrize("module, name", PUBLIC, ids=[f"{m}.{n}" for m, n in PUBLIC])

@@ -10,7 +10,7 @@ import pytest
 from conftest import reaped
 from scipy import stats
 
-from trajfuse import io
+from trajfuse import workers
 from trajfuse.core import ade, fde, select_most_likely
 from trajfuse.errors import InvalidInput, TrajfuseError
 from trajfuse.metrics import ensemble_method_id
@@ -459,27 +459,27 @@ class TestWorkerCount:
         monkeypatch.setattr(os, "fork", refuse)
 
     def test_capped_by_usable_cpus_and_samples(self, monkeypatch):
-        monkeypatch.setattr(io, "usable_cpus", lambda: 2)
-        assert io.worker_count(100_000, 10_000) == 2
-        assert io.worker_count(1, 10_000) == 1
-        assert io.worker_count(100_000, 1) == 1
-        assert io.worker_count(100_000, 0) == 1
+        monkeypatch.setattr(workers, "usable_cpus", lambda: 2)
+        assert workers.worker_count(100_000, 10_000) == 2
+        assert workers.worker_count(1, 10_000) == 1
+        assert workers.worker_count(100_000, 1) == 1
+        assert workers.worker_count(100_000, 0) == 1
         config = small_config(sample_count=1)
         result = synth_experiment(config, TestSynthExperiment().bank(), threads=100_000)
         assert len(result.ledger) == 4
 
     def test_one_worker_without_fork(self, monkeypatch):
         monkeypatch.delattr(os, "fork")
-        assert io.worker_count(8, 100) == 1
+        assert workers.worker_count(8, 100) == 1
 
     def test_usable_cpus(self, monkeypatch):
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 3, 5}, raising=False)
-        assert io.usable_cpus() == 3
+        assert workers.usable_cpus() == 3
         monkeypatch.delattr(os, "sched_getaffinity")
         monkeypatch.setattr(os, "cpu_count", lambda: 5)
-        assert io.usable_cpus() == 5
+        assert workers.usable_cpus() == 5
         monkeypatch.setattr(os, "cpu_count", lambda: None)
-        assert io.usable_cpus() == 1
+        assert workers.usable_cpus() == 1
 
 
 class TestPinnedSetup:

@@ -41,7 +41,7 @@ _HOMES = {
                      "build_ledger", "top_k_error", "overlap_report", "summary_table"),
                     "metrics"),
     **dict.fromkeys(("ScenarioConfig", "PredictorSpec", "Scenario", "ExperimentResult",
-                     "maneuver_trajectory", "run_predictor",
+                     "run_predictor",
                      "synth_experiment", "pinned_config", "pinned_predictors"), "synth"),
 }
 

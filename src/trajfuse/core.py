@@ -113,10 +113,6 @@ class ModelOutput:
                     f"model '{self.model_id}' sample '{self.sample_id}': mode dt values differ"
                 )
 
-    @property
-    def horizon(self) -> int:
-        return self.modes[0].trajectory.horizon
-
 
 @dataclass(frozen=True, slots=True)
 class Sample:

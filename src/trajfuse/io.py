@@ -268,24 +268,27 @@ class _Misread(TrajfuseError):
 # encoders' payloads are fresh trees, so the cycle check has nothing to find.
 _encode = json.JSONEncoder(sort_keys=True, check_circular=False).encode
 
-# A sample_id member whose string value holds no escape, in any JSON
+# A sample_id member and its string value, escapes included, in any JSON
 # whitespace.  A quote inside a JSON string is escaped, so in a valid line
 # this matches only at a member name.
-_ID = re.compile(rb'"sample_id"[ \t\r\n]*:[ \t\r\n]*"([^"\\]*)"')
+_ID = re.compile(rb'"sample_id"[ \t\r\n]*:[ \t\r\n]*"([^"\\]*(?:\\.[^"\\]*)*)"')
 
 
 def _scanned_id(raw: bytes) -> str | None:
-    """The sample_id of a line, found by one ``_ID`` search without decoding.
+    """The sample_id of a line, found by one ``_ID`` search without decoding the line.
 
-    None where that finds no id it can read as text: an escape in the id,
-    bytes that are not UTF-8, a truncated line.
+    An id that holds an escape, as ``json.dumps`` writes every non-ASCII
+    character, is decoded as a JSON string.  None where the search finds
+    no id it can read as text: an invalid escape, bytes that are not
+    UTF-8, a truncated line, a member name spelled with an escape.
     """
     found = _ID.search(raw)
     if found is None:
         return None
     try:
-        return found[1].decode("utf-8")
-    except UnicodeDecodeError:
+        text = found[1].decode("utf-8")
+        return json.loads(f'"{text}"') if "\\" in text else text
+    except ValueError:  # UnicodeDecodeError is a ValueError, and so is a bad escape
         return None
 
 

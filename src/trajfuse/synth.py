@@ -19,7 +19,7 @@ independently and runs are reproducible across platforms.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Sequence
 
 from . import DEFAULT_K_LIST, DEFAULT_TAU, PINNED_PRIMARY, STRATEGIES
@@ -45,7 +45,6 @@ __all__ = [
     "ScenarioConfig",
     "PredictorSpec",
     "ExperimentResult",
-    "maneuver_trajectory",
     "scenario_at",
     "run_predictor",
     "generate_samples",
@@ -162,24 +161,22 @@ class PredictorSpec:
             raise InvalidInput(f"temperature must be > 0, got {self.temperature!r}")
 
 
-def maneuver_trajectory(maneuver: str, state: InitialState, horizon: int, dt: float) -> Trajectory:
-    """Noiseless closed-form future for a maneuver from an initial state.
+def _path(maneuver: str, state: InitialState, speed: float, turn_rate: float,
+          horizon: int, dt: float) -> list[tuple[float, float]]:
+    """The one kinematic formula: a maneuver's unchecked noiseless waypoints from ``state``.
 
-    straight: constant velocity along the heading.  constant_turn: a
-    circular arc at the state's speed and turn rate.  lane_change: the
+    straight: constant ``speed`` along the heading.  constant_turn: a
+    circular arc at ``speed`` and ``turn_rate``.  lane_change: the
     straight path plus a cubic-smoothstep lateral shift that reaches a
     full lane offset exactly at the horizon.
     """
-    if maneuver not in MANEUVERS:
-        raise InvalidInput(f"unknown maneuver '{maneuver}'")
     cos_h = math.cos(state.heading)
     sin_h = math.sin(state.heading)
-    v = state.speed
     coords = []
-    if maneuver == "constant_turn" and state.turn_rate != 0.0:
-        radius = v / state.turn_rate
+    if maneuver == "constant_turn" and turn_rate != 0.0:
+        radius = speed / turn_rate
         for k in range(1, horizon + 1):
-            swept = state.heading + state.turn_rate * k * dt
+            swept = state.heading + turn_rate * k * dt
             coords.append((
                 state.x + radius * (math.sin(swept) - sin_h),
                 state.y - radius * (math.cos(swept) - cos_h),
@@ -187,7 +184,7 @@ def maneuver_trajectory(maneuver: str, state: InitialState, horizon: int, dt: fl
     else:
         for k in range(1, horizon + 1):
             t = k * dt
-            coords.append((state.x + v * t * cos_h, state.y + v * t * sin_h))
+            coords.append((state.x + speed * t * cos_h, state.y + speed * t * sin_h))
         if maneuver == "lane_change":
             shifted = []
             for k, (x, y) in enumerate(coords, start=1):
@@ -195,7 +192,7 @@ def maneuver_trajectory(maneuver: str, state: InitialState, horizon: int, dt: fl
                 lateral = state.lane_dir * LANE_CHANGE_OFFSET_M * (3 * u * u - 2 * u * u * u)
                 shifted.append((x - lateral * sin_h, y + lateral * cos_h))
             coords = shifted
-    return Trajectory._of(tuple(coords), dt)
+    return coords
 
 
 def _rng(entropy: int | tuple[int, ...]) -> np.random.Generator:
@@ -237,13 +234,11 @@ def scenario_at(config: ScenarioConfig, index: int) -> Scenario:
     # Stream 0 is scenario generation; streams 1+ belong to predictors.
     rng = _rng((config.seed, index, 0))
     state = _draw_state(config, rng)
-    clean = maneuver_trajectory(state.maneuver, state, config.horizon, config.dt)
+    coords = _path(state.maneuver, state, state.speed, state.turn_rate, config.horizon, config.dt)
     if config.noise_sigma > 0:
         noise = rng.normal(0.0, config.noise_sigma, size=(config.horizon, 2)).tolist()
-        coords = tuple((x + nx, y + ny) for (x, y), (nx, ny) in zip(clean.coords, noise))
-        gt = Trajectory._of(coords, config.dt)
-    else:
-        gt = clean
+        coords = [(x + nx, y + ny) for (x, y), (nx, ny) in zip(coords, noise)]
+    gt = Trajectory._of(tuple(coords), config.dt)
     return Scenario(sample_id=f"s{index:06d}", state=state, ground_truth=gt)
 
 
@@ -260,20 +255,18 @@ def _ladder(count: int) -> list[int]:
 
 
 def _hypothesis(spec: PredictorSpec, state: InitialState, gt: Trajectory,
-                step: int, horizon: int, dt: float) -> Trajectory:
+                step: int, horizon: int, dt: float) -> list[tuple[float, float]]:
     if spec.kind == "const_velocity":
-        scaled = replace(state, speed=state.speed * max(0.0, 1.0 + step * _SPEED_LADDER_STEP),
-                         turn_rate=0.0, maneuver="straight")
-        return maneuver_trajectory("straight", scaled, horizon, dt)
+        speed = state.speed * max(0.0, 1.0 + step * _SPEED_LADDER_STEP)
+        return _path("straight", state, speed, 0.0, horizon, dt)
     if spec.kind == "const_turn_rate":
-        turned = replace(state, turn_rate=state.turn_rate + step * _TURN_LADDER_STEP,
-                         maneuver="constant_turn")
-        return maneuver_trajectory("constant_turn", turned, horizon, dt)
+        turn_rate = state.turn_rate + step * _TURN_LADDER_STEP
+        return _path("constant_turn", state, state.speed, turn_rate, horizon, dt)
     # noisy_oracle: the true future shifted laterally per hypothesis.
     lateral = step * _LATERAL_LADDER_STEP
     dx = -lateral * math.sin(state.heading)
     dy = lateral * math.cos(state.heading)
-    return gt.translated(dx, dy)
+    return [(x + dx, y + dy) for x, y in gt.coords]
 
 
 def run_predictor(spec: PredictorSpec, scenario: Scenario,
@@ -304,7 +297,7 @@ def run_predictor(spec: PredictorSpec, scenario: Scenario,
     for step, mode_noise in zip(steps, noise):
         hyp = _hypothesis(spec, scenario.state, scenario.ground_truth, step, horizon, dt)
         coords = tuple((x + nx, y + ny)
-                       for (x, y), (nx, ny) in zip(hyp.coords, mode_noise))
+                       for (x, y), (nx, ny) in zip(hyp, mode_noise))
         trajectories.append(Trajectory._of(coords, dt))
     errors = [ade(traj, scenario.ground_truth) for traj in trajectories]
     modes = tuple(

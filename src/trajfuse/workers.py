@@ -50,8 +50,8 @@ def fork_map(run: Callable[[_Part], _Result], parts: Sequence[_Part],
     child on its parent's CPU for the whole of a short part.  This
     process only collects.  The results come back pickled, in part
     order, so ``run``'s results must pickle.  The lowest part's error is
-    re-raised, as a serial run would raise it; a child that ends without
-    a result (a signal, out of memory) is a TrajfuseError that names it
+    re-raised, as a serial run would raise it, a MemoryError too; a child
+    that ends without a result (a signal) is a TrajfuseError that names it
     by ``label(part)``.  Once an error cuts the run short, every child
     left is killed and reaped.  A child keeps its side effects, but the
     warnings it would show come back with its result, and only once
@@ -89,13 +89,17 @@ def _fork(run: Callable[[_Part], object], part: _Part, cpu: int | None) -> tuple
     The child pipes back ``(None, result, warnings)``, the warnings it
     would have shown as (message, category, filename, lineno), or
     ``(error, None, [])`` if ``run`` raised, pickled, and exits 0 only
-    once all of it is written.  Without a ``cpu``, or refused it, the
+    once all of it is written.  A child that runs out of memory while it
+    pickles or sends that writes ``(MemoryError(), None, [])``, pickled
+    here before the fork, with ``os.write``, which needs no buffer, so it
+    fails as a serial run would.  Without a ``cpu``, or refused it, the
     child runs where the scheduler puts it.
     It leaves through ``os._exit``, so it never returns into the caller
     or runs its atexit handlers or flushes its inherited buffers.
     """
     import pickle
 
+    out_of_memory = pickle.dumps((MemoryError(), None, []), pickle.HIGHEST_PROTOCOL)
     read_fd, write_fd = os.pipe()
     try:
         pid = os.fork()
@@ -113,14 +117,17 @@ def _fork(run: Callable[[_Part], object], part: _Part, cpu: int | None) -> tuple
             with suppress(OSError):
                 os.sched_setaffinity(0, {cpu})
         try:
-            with warnings.catch_warnings(record=True) as caught:
-                result = run(part)
-            shown = [(str(w.message), w.category, w.filename, w.lineno) for w in caught]
-            payload = pickle.dumps((None, result, shown), pickle.HIGHEST_PROTOCOL)
-        except BaseException as e:
-            payload = pickle.dumps((e, None, []), pickle.HIGHEST_PROTOCOL)
-        with open(write_fd, "wb") as pipe:
-            pipe.write(payload)
+            try:
+                with warnings.catch_warnings(record=True) as caught:
+                    result = run(part)
+                shown = [(str(w.message), w.category, w.filename, w.lineno) for w in caught]
+                payload = pickle.dumps((None, result, shown), pickle.HIGHEST_PROTOCOL)
+            except BaseException as e:
+                payload = pickle.dumps((e, None, []), pickle.HIGHEST_PROTOCOL)
+            with open(write_fd, "wb", closefd=False) as pipe:  # still open for os.write below
+                pipe.write(payload)
+        except MemoryError:
+            os.write(write_fd, out_of_memory)
         status = 0
     finally:
         os._exit(status)

@@ -17,7 +17,7 @@ from trajfuse.cli import main
 from trajfuse.core import Mode, ModelOutput, Sample, Trajectory, ade, fde
 from trajfuse.fusion import fuse_threshold, fuse_weighted
 from trajfuse.metrics import ErrorLedger, overlap_report, top_k_error
-from trajfuse.synth import InitialState, maneuver_trajectory
+from trajfuse.synth import InitialState, _path
 
 
 @contextmanager
@@ -294,8 +294,8 @@ def test_criterion_4_hand_verified_numerics():
         # A quarter circle at unit speed ends at (2/pi, 2/pi).
         state = InitialState(x=0.0, y=0.0, heading=0.0, speed=1.0,
                              turn_rate=math.pi / 2, maneuver="constant_turn")
-        arc = maneuver_trajectory("constant_turn", state, horizon=4, dt=0.25)
-        end_x, end_y = arc.coords[-1]
+        arc = _path("constant_turn", state, state.speed, state.turn_rate, horizon=4, dt=0.25)
+        end_x, end_y = arc[-1]
         assert abs(end_x - 2 / math.pi) <= 1e-9
         assert abs(end_y - 2 / math.pi) <= 1e-9
 

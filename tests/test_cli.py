@@ -8,6 +8,7 @@ import gc
 import json
 import math
 import os
+import pickle
 import re
 import signal
 import subprocess
@@ -589,15 +590,25 @@ class TestDumpWorkers:
 
     @pytest.mark.parametrize("layout", [
         "sorted", "shuffled_predictions", "shuffled_ground_truth", "reversed", "per_model_sorted",
-        "per_model_in_different_orders", "compact",
+        "per_model_in_different_orders", "compact", "escaped",
     ])
     def test_same_bytes_at_one_two_and_three_workers(self, dataset, tmp_path, three_workers,
                                                      layout):
         predictions = (dataset / "predictions.ndjson").read_text().splitlines(keepends=True)
         truth = (dataset / "ground_truth.ndjson").read_text().splitlines(keepends=True)
+        fused = (dataset / "fused_weighted.ndjson").read_bytes()
         if layout == "compact":  # as JSON.stringify spells it
             predictions, truth = ([json.dumps(json.loads(line), separators=(",", ":")) + "\n"
                                    for line in lines] for lines in (predictions, truth))
+        if layout == "escaped":
+            # Each id starts with an é, which json.dumps writes as an escape;
+            # each ground-truth line spells its member name sample_id with an
+            # escape too, so no scan reads its id and every part decodes it.
+            predictions = [line.replace('"sample_id": "s', '"sample_id": "\\u00e9s')
+                           for line in predictions]
+            truth = [line.replace('"sample_id": "s', '"sample\\u005fid": "\\u00e9s')
+                     for line in truth]
+            fused = fused.replace(b'"sample_id": "s', b'"sample_id": "\\u00e9s')
         pred_paths = [tmp_path / "predictions.ndjson"]
         if layout.startswith("per_model"):
             # One file per model; the later ones reversed and interleaved.
@@ -617,7 +628,7 @@ class TestDumpWorkers:
             "shuffled_ground_truth": "shuffled", "reversed": "reversed"}.get(layout, "sorted"))))
         runs = [self.outputs(tmp_path, pred_paths, tmp_path / "ground_truth.ndjson",
                              dataset / "manifest.json", threads) for threads in (1, 2, 3)]
-        assert runs[0]["fuse"] == (dataset / "fused_weighted.ndjson").read_bytes()
+        assert runs[0]["fuse"] == fused
         assert runs[0]["eval"] == (dataset / "summary.csv").read_bytes()
         assert runs[0]["overlap"] == (dataset / "overlap.csv").read_bytes()
         assert runs[1] == runs[0] and runs[2] == runs[0]
@@ -1464,6 +1475,24 @@ class TestOutOfMemory:
         argv = _dump_argv(command, dataset / "manifest.json", [dataset / "predictions.ndjson"],
                           dataset / "ground_truth.ndjson", out)
         self.assert_refused(argv, out, capsys, three_workers, threads)
+
+    @pytest.mark.parametrize("command", TestDumpWorkers.DUMP_COMMANDS)
+    def test_worker_that_cannot_send_its_error(self, dataset, tmp_path, capsys, monkeypatch,
+                                               three_workers, command):
+        """Workers out of memory to pickle their result, and then the MemoryError, end as one."""
+        parent = os.getpid()
+        dumps = pickle.dumps
+
+        def exhausted(*args, **kwargs):
+            if os.getpid() != parent:
+                raise MemoryError
+            return dumps(*args, **kwargs)
+
+        monkeypatch.setattr(pickle, "dumps", exhausted)
+        out = tmp_path / "out"
+        argv = _dump_argv(command, dataset / "manifest.json", [dataset / "predictions.ndjson"],
+                          dataset / "ground_truth.ndjson", out)
+        self.assert_refused(argv, out, capsys, three_workers, "3")
 
     @pytest.mark.parametrize("threads", ["1", "3"])
     def test_synth(self, tmp_path, capsys, monkeypatch, three_workers, threads):

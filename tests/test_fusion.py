@@ -206,6 +206,13 @@ class TestCovarianceSummary:
         with pytest.raises(InvalidInput):
             CovarianceSummary(xx=float("nan"), xy=0.0, yy=1.0)
 
+    def test_determinant_below_tolerance_rejected(self):
+        # The smallest eigenvalue, about -8e-10, passes its check; the
+        # determinant, about -1.6e-9, is below its -1e-9 tolerance.
+        with pytest.raises(NumericalError) as caught:
+            CovarianceSummary(1.0, 1.0 + 8e-10, 1.0)
+        assert str(caught.value) == "covariance determinant -1.6000001323845936e-09 below tolerance"
+
     def test_from_matrix_shape_checked(self):
         with pytest.raises(InvalidInput):
             CovarianceSummary.from_matrix([[1.0, 0.0]])

@@ -402,6 +402,28 @@ class TestSampleRanges:
         assert sorted(decoded) == list(range(1, len(spaced) + 1))
         assert len(io._sample_ranges(path, 2)) == 2
 
+    def test_escaped_ids_split_and_decode_each_line_in_one_part(self, tmp_path, monkeypatch):
+        """``json.dumps`` writes é as ``\\u00e9``; the scan reads such ids, so the dump splits."""
+        outputs = [output(mid, f"é{i:03d}", [(i, 0), (0, i)])
+                   for i in range(200) for mid in MANIFEST.model_ids]
+        path = str(tmp_path / "pred.ndjson")
+        write_predictions(path, outputs)
+        with open(path, encoding="utf-8") as f:
+            assert '"sample_id": "\\u00e9000"' in f.readline()
+        ranges = io._sample_ranges(path, 2)
+        assert len(ranges) == 2
+        decode, decoded = io._decode, []
+
+        def counting(raw: bytes, path: str, line: int | None) -> dict:
+            decoded.append(line)
+            return decode(raw, path, line)
+
+        monkeypatch.setattr(io, "_decode", counting)
+        read = [out for ids in ranges for out in load_predictions(path, MANIFEST, ids)]
+        key = attrgetter("sample_id", "model_id")
+        assert sorted(read, key=key) == sorted(outputs, key=key)
+        assert sorted(decoded) == list(range(1, len(outputs) + 1))
+
     def test_misread_line_is_refused(self, tmp_path):
         """A line the scan places in a range but that decodes outside it is not dropped."""
         path, _ = self.dump(tmp_path, [1] * 4)
@@ -435,6 +457,19 @@ class TestSampleRanges:
             sample_id, Trajectory(((0.0, 0.0), (1.0, 0.0)), dt=MANIFEST.dt)))
         assert io._scanned_id(line.encode()) == sample_id
         assert io._scanned_id(respelled(line).encode()) == sample_id
+
+    @given(sample_id=st.text(min_size=1))
+    def test_scan_finds_every_id_json_dumps_escapes(self, sample_id):
+        _, line = io.ground_truth_line(GroundTruthRecord(
+            sample_id, Trajectory(((0.0, 0.0), (1.0, 0.0)), dt=MANIFEST.dt)))
+        assert io._scanned_id(line.encode()) == sample_id
+        assert io._scanned_id(respelled(line).encode()) == sample_id
+
+    @pytest.mark.parametrize("raw", [rb'{"sample_id": "s\x00"}', rb'{"sample_id": "s\u00"}',
+                                     rb'{"sample\u005fid": "s0"}'],
+                             ids=["bad_escape", "short_unicode_escape", "escaped_member_name"])
+    def test_scan_finds_no_id(self, raw):
+        assert io._scanned_id(raw) is None
 
     @given(raw=st.binary() | st.builds(
         lambda a, before, after, b: a + b'"sample_id"' + before + b":" + after + b'"' + b,
@@ -580,6 +615,15 @@ class TestFused:
         path = self.corrupt(tmp_path, mutate)
         with pytest.raises(ParseError, match="asymmetric"):
             list(load_fused(path))
+
+    def test_covariance_determinant_below_tolerance_rejected(self, tmp_path):
+        def mutate(o):
+            o["covariance"] = [[1.0, 1.0 + 8e-10], [1.0 + 8e-10, 1.0]]
+        path = self.corrupt(tmp_path, mutate)
+        with pytest.raises(ParseError) as caught:
+            list(load_fused(path))
+        assert str(caught.value) == (f"{path}: line 1: covariance determinant "
+                                     "-1.6000001323845936e-09 below tolerance")
 
     def test_bad_weights_rejected(self, tmp_path):
         path = self.corrupt(tmp_path, lambda o: o.update(weights=[["cv", 0.4], ["ctr", 0.4]]))

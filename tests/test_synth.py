@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 import os
+import pickle
 import signal
 
 import pytest
@@ -11,7 +12,7 @@ from conftest import reaped
 from scipy import stats
 
 from trajfuse import workers
-from trajfuse.core import ade, fde, select_most_likely
+from trajfuse.core import Trajectory, ade, fde, select_most_likely
 from trajfuse.errors import InvalidInput, TrajfuseError
 from trajfuse.metrics import ensemble_method_id
 from trajfuse.synth import (
@@ -24,8 +25,8 @@ from trajfuse.synth import (
     PredictorSpec,
     Scenario,
     ScenarioConfig,
+    _path,
     generate_samples,
-    maneuver_trajectory,
     pinned_config,
     pinned_predictors,
     run_predictor,
@@ -40,8 +41,13 @@ def state(maneuver: str = "straight", heading: float = 0.0, speed: float = 1.0,
                         turn_rate=turn_rate, maneuver=maneuver, lane_dir=lane_dir)
 
 
+def kinematic(maneuver: str, st: InitialState, horizon: int, dt: float) -> Trajectory:
+    """``_path``'s waypoints at ``st``'s own speed and turn rate, as a trajectory."""
+    return Trajectory._of(tuple(_path(maneuver, st, st.speed, st.turn_rate, horizon, dt)), dt)
+
+
 def scenario_from(st: InitialState, horizon: int, dt: float) -> Scenario:
-    return Scenario("x", st, maneuver_trajectory(st.maneuver, st, horizon, dt))
+    return Scenario("x", st, kinematic(st.maneuver, st, horizon, dt))
 
 
 def small_config(**overrides) -> ScenarioConfig:
@@ -87,12 +93,11 @@ class TestValidation:
 
 class TestManeuverTrajectory:
     def test_straight(self):
-        t = maneuver_trajectory("straight", state(speed=1.0), horizon=3, dt=0.5)
+        t = kinematic("straight", state(speed=1.0), horizon=3, dt=0.5)
         assert t.coords == ((0.5, 0.0), (1.0, 0.0), (1.5, 0.0))
 
     def test_straight_follows_heading(self):
-        t = maneuver_trajectory("straight", state(heading=math.pi / 2, speed=2.0),
-                                horizon=2, dt=1.0)
+        t = kinematic("straight", state(heading=math.pi / 2, speed=2.0), horizon=2, dt=1.0)
         assert t.coords[0][0] == pytest.approx(0.0, abs=1e-12)
         assert t.coords[0][1] == pytest.approx(2.0, abs=1e-12)
 
@@ -100,25 +105,25 @@ class TestManeuverTrajectory:
         # One second at turn rate pi/2 sweeps a quarter of a circle with
         # radius 2/pi, landing at (2/pi, 2/pi).
         s = state(maneuver="constant_turn", speed=1.0, turn_rate=math.pi / 2)
-        t = maneuver_trajectory("constant_turn", s, horizon=1, dt=1.0)
+        t = kinematic("constant_turn", s, horizon=1, dt=1.0)
         assert t.coords[0][0] == pytest.approx(2 / math.pi, abs=1e-9)
         assert t.coords[0][1] == pytest.approx(2 / math.pi, abs=1e-9)
 
     def test_full_circle_returns_home(self):
         s = state(maneuver="constant_turn", speed=1.0, turn_rate=math.pi / 2)
-        t = maneuver_trajectory("constant_turn", s, horizon=4, dt=1.0)
+        t = kinematic("constant_turn", s, horizon=4, dt=1.0)
         assert t.coords[-1][0] == pytest.approx(0.0, abs=1e-9)
         assert t.coords[-1][1] == pytest.approx(0.0, abs=1e-9)
 
     def test_zero_turn_rate_degrades_to_straight(self):
         s = state(maneuver="constant_turn", speed=3.0, turn_rate=0.0)
-        arc = maneuver_trajectory("constant_turn", s, horizon=4, dt=0.5)
-        line = maneuver_trajectory("straight", s, horizon=4, dt=0.5)
+        arc = kinematic("constant_turn", s, horizon=4, dt=0.5)
+        line = kinematic("straight", s, horizon=4, dt=0.5)
         assert arc == line
 
     def test_lane_change_reaches_full_offset(self):
         s = state(maneuver="lane_change", speed=5.0)
-        t = maneuver_trajectory("lane_change", s, horizon=10, dt=0.4)
+        t = kinematic("lane_change", s, horizon=10, dt=0.4)
         assert t.coords[-1][1] == pytest.approx(LANE_CHANGE_OFFSET_M, abs=1e-12)
         assert t.coords[-1][0] == pytest.approx(5.0 * 10 * 0.4, abs=1e-12)
         # Smoothstep is at half the offset exactly halfway through.
@@ -126,20 +131,14 @@ class TestManeuverTrajectory:
 
     def test_lane_change_direction(self):
         s = state(maneuver="lane_change", speed=5.0, lane_dir=-1)
-        t = maneuver_trajectory("lane_change", s, horizon=4, dt=0.5)
+        t = kinematic("lane_change", s, horizon=4, dt=0.5)
         assert t.coords[-1][1] == pytest.approx(-LANE_CHANGE_OFFSET_M, abs=1e-12)
 
     def test_origin_offset_carries_through(self):
         s = InitialState(x=5.0, y=7.0, heading=0.0, speed=1.0, turn_rate=0.0,
                          maneuver="straight")
-        t = maneuver_trajectory("straight", s, horizon=1, dt=1.0)
+        t = kinematic("straight", s, horizon=1, dt=1.0)
         assert t.coords == ((6.0, 7.0),)
-
-    def test_rejects_bad_args(self):
-        with pytest.raises(InvalidInput):
-            maneuver_trajectory("drift", state(), horizon=1, dt=1.0)
-        with pytest.raises(InvalidInput):
-            maneuver_trajectory("straight", state(), horizon=0, dt=1.0)
 
 
 class TestScenarioGeneration:
@@ -172,8 +171,7 @@ class TestScenarioGeneration:
     def test_zero_noise_matches_closed_form(self):
         config = small_config(noise_sigma=0.0)
         for s in scenarios(config):
-            clean = maneuver_trajectory(s.state.maneuver, s.state,
-                                        config.horizon, config.dt)
+            clean = kinematic(s.state.maneuver, s.state, config.horizon, config.dt)
             assert s.ground_truth == clean
 
     def test_mix_extremes(self):
@@ -260,7 +258,7 @@ class TestRunPredictor:
         s = state(maneuver="lane_change", speed=6.0)
         scenario = scenario_from(s, 6, 0.5)
         out = run_predictor(spec, scenario, seed=0)
-        straight = maneuver_trajectory("straight", s, 6, 0.5)
+        straight = kinematic("straight", s, 6, 0.5)
         assert out.modes[0].trajectory == straight
 
     def test_confidence_is_error_boltzmann_factor(self):
@@ -402,6 +400,26 @@ class TestSynthExperiment:
         assert str(caught.value) == ("synth worker for samples [13, 26) was killed by SIGKILL "
                                      "without a result")
         assert len(three_workers) == 3
+        assert all(reaped(pid) for pid in three_workers)
+
+    def test_worker_that_cannot_send_its_memory_error(self, monkeypatch, three_workers):
+        """A worker out of memory even to pickle its error raises MemoryError, as one part does."""
+        parent = os.getpid()
+        dumps = pickle.dumps
+
+        def exhausted(*args, **kwargs):
+            if os.getpid() != parent:
+                raise MemoryError
+            return dumps(*args, **kwargs)
+
+        def run(part):
+            raise MemoryError
+
+        monkeypatch.setattr(pickle, "dumps", exhausted)
+        for parts in ([1], [0, 1]):
+            with pytest.raises(MemoryError):
+                workers.fork_map(run, parts, str)
+        assert len(three_workers) == 2
         assert all(reaped(pid) for pid in three_workers)
 
     @pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="no CPU affinity")

@@ -35,9 +35,9 @@ class Trajectory:
     between consecutive waypoints); the displacement metrics below do
     not depend on it.
 
-    Every constructor (``Trajectory(pairs, dt)``, ``translated`` and the
-    private ``_of`` for float pairs) checks that there is a waypoint,
-    that each is finite and that ``dt`` is positive.
+    Both constructors (``Trajectory(pairs, dt)`` and the private ``_of``
+    for float pairs) check that there is a waypoint, that each is finite
+    and that ``dt`` is positive.
     """
 
     coords: tuple[tuple[float, float], ...]
@@ -68,9 +68,6 @@ class Trajectory:
     @property
     def horizon(self) -> int:
         return len(self.coords)
-
-    def translated(self, dx: float, dy: float) -> "Trajectory":
-        return Trajectory._of(tuple((x + dx, y + dy) for x, y in self.coords), self.dt)
 
 
 @dataclass(frozen=True, slots=True)

@@ -69,13 +69,6 @@ class Weights:
         if abs(total - 1.0) > _WEIGHT_SUM_TOL:
             raise InvalidInput(f"weights must sum to 1 within {_WEIGHT_SUM_TOL}, got {total!r}")
 
-    @property
-    def values(self) -> tuple[float, ...]:
-        return tuple(w for _, w in self.entries)
-
-    def __len__(self) -> int:
-        return len(self.entries)
-
 
 @dataclass(frozen=True, slots=True)
 class CovarianceSummary:
@@ -129,24 +122,22 @@ class CovarianceSummary:
 
 @dataclass(frozen=True, slots=True)
 class FusedPrediction:
-    """The ensemble's trajectory for one sample plus its agreement summary."""
+    """One sample's fused trajectory and agreement summary; its confidence is 1/(1+det)."""
 
     sample_id: str
     trajectory: Trajectory
     weights: Weights
     covariance: CovarianceSummary
-    confidence: float
     strategy: str
     notes: tuple[str, ...] = ()
 
     def __post_init__(self):
         if self.strategy not in STRATEGIES:
             raise InvalidInput(f"unknown strategy '{self.strategy}'")
-        expected = 1.0 / (1.0 + self.covariance.det)
-        if abs(self.confidence - expected) > 1e-12:
-            raise InvalidInput(
-                f"confidence {self.confidence!r} does not match determinant {self.covariance.det!r}"
-            )
+
+    @property
+    def confidence(self) -> float:
+        return 1.0 / (1.0 + self.covariance.det)
 
 
 def _average(trajectories: Sequence[Trajectory], weights: Sequence[float]) -> Trajectory:
@@ -231,7 +222,6 @@ class Decision:
                 trajectory=blend.trajectory,
                 weights=blend.weights,
                 covariance=cov,
-                confidence=1.0 / (1.0 + cov.det),
                 strategy=strategy,
                 notes=blend.notes,
             )

@@ -730,10 +730,13 @@ def load_fused(path: str) -> Iterator[FusedPrediction]:
                 trajectory=Trajectory._of(points, dt),
                 weights=Weights(tuple(entries)),
                 covariance=cov,
-                confidence=confidence,
                 strategy=strategy,
                 notes=tuple(raw_notes),
             )
+            if abs(fused.confidence - confidence) > 1e-12:
+                raise InvalidInput(
+                    f"confidence {confidence!r} does not match determinant {cov.det!r}"
+                )
         except (InvalidInput, NumericalError) as e:
             raise ParseError(str(e), path=path, line=line) from None
         yield fused

@@ -113,22 +113,10 @@ def _merged(ledgers: Sequence[ErrorLedger]) -> ErrorLedger:
 
 @dataclass(frozen=True, slots=True)
 class TopKResult:
-    """The hardest K% of one method's samples under one metric."""
+    """The ids of one method's hardest K% of samples under one metric, and their mean error."""
 
-    method_id: str
-    metric: str
-    k_percent: float
-    member_count: int
     mean_error: float
     sample_ids: frozenset[str]
-
-    def __post_init__(self):
-        if self.member_count < 1:
-            raise InvalidInput("member_count must be >= 1")
-        if len(self.sample_ids) != self.member_count:
-            raise InvalidInput(
-                f"{len(self.sample_ids)} sample_ids for member_count {self.member_count}"
-            )
 
 
 @dataclass(frozen=True, slots=True)
@@ -300,10 +288,6 @@ def top_k_error(ledger: ErrorLedger, method_id: str, metric: str, k_percent: flo
     _check_k(k_percent)
     members = _top_k(_ranked(ledger, method_id, metric), k_percent)
     return TopKResult(
-        method_id=method_id,
-        metric=metric,
-        k_percent=float(k_percent),
-        member_count=len(members),
         mean_error=_mean([e for _, e in members]),
         sample_ids=frozenset(sid for sid, _ in members),
     )

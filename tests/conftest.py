@@ -131,6 +131,11 @@ def three_workers(monkeypatch) -> list[int]:
     return pids
 
 
+def weight_values(fused) -> tuple[float, ...]:
+    """A fused record's weights in reported order, without their model ids."""
+    return tuple(w for _, w in fused.weights.entries)
+
+
 def reaped(pid: int) -> bool:
     """Whether ``pid`` is no longer a child of this process, running or waiting to be reaped."""
     try:

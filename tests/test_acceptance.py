@@ -19,6 +19,8 @@ from trajfuse.fusion import fuse_threshold, fuse_weighted
 from trajfuse.metrics import ErrorLedger, overlap_report, top_k_error
 from trajfuse.synth import InitialState, _path
 
+from conftest import weight_values
+
 
 @contextmanager
 def criterion(number: int, guard: str):
@@ -93,7 +95,7 @@ def test_criterion_1_fusion_matches_naive_oracle():
             sample = random_sample(rng, index, max_confidence=10.0)
             fused = fuse_weighted(sample)
             weights, coords, (xx, yy, xy), det, confidence = naive_fuse(sample)
-            for got, want in zip(fused.weights.values, weights):
+            for got, want in zip(weight_values(fused), weights):
                 assert abs(got - want) <= 1e-9
             for (gx, gy), (wx, wy) in zip(fused.trajectory.coords, coords):
                 assert abs(gx - wx) <= 1e-9
@@ -145,11 +147,11 @@ def test_criterion_2_fusion_invariants():
             fused = fuse_weighted(sample)
 
             # Weight conservation.
-            assert abs(math.fsum(fused.weights.values) - 1.0) <= 1e-9
+            assert abs(math.fsum(weight_values(fused)) - 1.0) <= 1e-9
 
             # Scaling every confidence leaves weights and trajectory alone.
             rescaled = fuse_weighted(scale_confidences(sample, rng.uniform(0.5, 2000.0)))
-            for got, want in zip(rescaled.weights.values, fused.weights.values):
+            for got, want in zip(weight_values(rescaled), weight_values(fused)):
                 assert abs(got - want) <= 1e-9
             for (gx, gy), (wx, wy) in zip(rescaled.trajectory.coords, fused.trajectory.coords):
                 assert abs(gx - wx) <= 1e-9
@@ -221,14 +223,14 @@ def test_criterion_3_top_k_matches_sort_and_slice_oracle():
             for k in rng.sample(k_pool, 4):
                 got = top_k_error(ledger, "m", "ade", k)
                 count, ids, mean = oracle_top_k(pairs, k)
-                assert got.member_count == count
+                assert len(got.sample_ids) == count
                 assert got.sample_ids == ids
                 assert abs(got.mean_error - mean) <= 1e-9
 
             fde_pairs = [(sid, e * 2.0) for sid, e in pairs]
             got = top_k_error(ledger, "m", "fde", 10)
             count, ids, mean = oracle_top_k(fde_pairs, 10)
-            assert (got.member_count, got.sample_ids) == (count, ids)
+            assert (len(got.sample_ids), got.sample_ids) == (count, ids)
             assert abs(got.mean_error - mean) <= 1e-9
 
             means = [top_k_error(ledger, "m", "ade", k).mean_error
@@ -254,8 +256,8 @@ def test_criterion_4_hand_verified_numerics():
                       "values reproduce within 1e-9"):
         # 1:3 confidences put the fused point three quarters of the way over.
         fused = fuse_weighted(one_point_sample((0.0, 0.0, 1.0), (4.0, 0.0, 3.0)))
-        assert abs(fused.weights.values[0] - 0.25) <= 1e-9
-        assert abs(fused.weights.values[1] - 0.75) <= 1e-9
+        assert abs(weight_values(fused)[0] - 0.25) <= 1e-9
+        assert abs(weight_values(fused)[1] - 0.75) <= 1e-9
         assert abs(fused.trajectory.coords[0][0] - 3.0) <= 1e-9
         assert abs(fused.trajectory.coords[0][1] - 0.0) <= 1e-9
         assert abs(fused.covariance.xx - 3.0) <= 1e-9
@@ -287,7 +289,7 @@ def test_criterion_4_hand_verified_numerics():
         for i in range(1, 101):
             ledger.add("m", f"e{i:03d}", float(i), float(i))
         tail = top_k_error(ledger, "m", "ade", 10)
-        assert tail.member_count == 10
+        assert len(tail.sample_ids) == 10
         assert tail.sample_ids == {f"e{i:03d}" for i in range(91, 101)}
         assert abs(tail.mean_error - 95.5) <= 1e-9
 

@@ -1510,6 +1510,44 @@ class TestOutOfMemory:
         self.assert_refused(argv, out, capsys, three_workers, threads)
 
 
+class TestForkRefused:
+    """A fork the system refuses ends the run, and the child already forked is reaped."""
+
+    @pytest.fixture
+    def forked(self, monkeypatch, three_workers) -> list[int]:
+        """``os.fork`` refuses its 2nd call with EAGAIN; the pids of the children it forked."""
+        fork, calls = os.fork, []
+
+        def refusing_second():
+            calls.append(None)
+            if len(calls) == 2:
+                raise OSError(errno.EAGAIN, os.strerror(errno.EAGAIN))
+            return fork()
+
+        monkeypatch.setattr(os, "fork", refusing_second)
+        return three_workers
+
+    @pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="no /proc/self/fd to count")
+    def test_fork_map_reaps_its_child_and_closes_its_pipes(self, forked):
+        open_fds = len(os.listdir("/proc/self/fd"))
+        with pytest.raises(OSError) as caught:
+            workers.fork_map(lambda part: part, [0, 1], str)
+        assert caught.value.errno == errno.EAGAIN
+        assert len(forked) == 1 and reaped(forked[0])
+        assert len(os.listdir("/proc/self/fd")) == open_fds
+
+    def test_dump_command_is_one_io_error(self, dataset, tmp_path, capsys, forked):
+        out = tmp_path / "fused.ndjson"
+        argv = _dump_argv("fuse", dataset / "manifest.json", [dataset / "predictions.ndjson"],
+                          dataset / "ground_truth.ndjson", out, "--threads", "2")
+        assert main(argv) == 2
+        assert capsys.readouterr().err == json.dumps(
+            {"error": "IOError", "message": str(OSError(errno.EAGAIN, os.strerror(errno.EAGAIN)))}
+        ) + "\n"
+        assert list(tmp_path.iterdir()) == []
+        assert len(forked) == 1 and reaped(forked[0])
+
+
 class TestCyclicGcOff:
     """main turns cyclic GC off for the command and restores the caller's setting."""
 

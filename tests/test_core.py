@@ -52,18 +52,11 @@ class TestTrajectory:
         assert t.coords == ((0.0, 0.0), (1.0, 2.0), (3.0, 4.0))
         assert Trajectory(t.coords, dt=0.5) == t
 
-    def test_translated(self):
-        t = traj((1, 1), (2, 2)).translated(-1, 2)
-        assert t.coords == ((0.0, 3.0), (1.0, 4.0))
-        with pytest.raises(InvalidInput, match="finite"):
-            traj((1e308, 0)).translated(1e308, 0)
-
     # Every constructor refuses a coordinate that is not finite, with one message.
     @pytest.mark.parametrize("build", [
         lambda x: Trajectory([(x, 0.0)]),
         lambda x: Trajectory._of(((x, 0.0),), 1.0),
-        lambda x: traj((0.0, 0.0)).translated(x, 0.0),
-    ], ids=["pairs", "_of", "translated"])
+    ], ids=["pairs", "_of"])
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_non_finite_refused_alike(self, build, bad):
         with pytest.raises(InvalidInput) as caught:
@@ -74,7 +67,7 @@ class TestTrajectory:
         t = Trajectory([(0, 1), (2, 3)], dt=0.5)
         same = (traj((0.0, 1.0), (2.0, 3.0), dt=0.5),
                 Trajectory._of(((0.0, 1.0), (2.0, 3.0)), 0.5),
-                traj((-1, 0), (1, 2), dt=0.5).translated(1, 1))
+                Trajectory([(x + 1, y + 1) for x, y in ((-1, 0), (1, 2))], dt=0.5))
         for u in same:
             assert t == u
             assert hash(t) == hash(u)
@@ -208,9 +201,11 @@ class TestDisplacementErrors:
     @settings(max_examples=200)
     def test_translation_invariance(self, pred, gt, dx, dy):
         """Shifting both trajectories by the same offset leaves errors unchanged."""
-        moved = abs(ade(pred.translated(dx, dy), gt.translated(dx, dy)) - ade(pred, gt))
+        pred_moved, gt_moved = (Trajectory([(x + dx, y + dy) for x, y in t.coords], t.dt)
+                                for t in (pred, gt))
+        moved = abs(ade(pred_moved, gt_moved) - ade(pred, gt))
         assert moved <= 1e-9
-        moved_f = abs(fde(pred.translated(dx, dy), gt.translated(dx, dy)) - fde(pred, gt))
+        moved_f = abs(fde(pred_moved, gt_moved) - fde(pred, gt))
         assert moved_f <= 1e-9
 
     @given(pred=trajectories(), gt=trajectories())
@@ -307,6 +302,11 @@ def test_public_names():
     exec("from trajfuse import *", namespace)
     assert set(namespace) - {"__builtins__"} == set(trajfuse.__all__)
     assert not hasattr(Sample, "output_for")
+    # Members that repeated a stored fact, or that nothing outside the tests read.
+    assert not hasattr(Trajectory, "translated")
+    assert not {"values", "__len__"} & set(dir(trajfuse.Weights))
+    assert "confidence" not in {f.name for f in fields(trajfuse.FusedPrediction)}
+    assert [f.name for f in fields(trajfuse.TopKResult)] == ["mean_error", "sample_ids"]
     assert "bias" not in {f.name for f in fields(trajfuse.PredictorSpec)}
     # Importing the package imports none of its modules; each public name is
     # its home module's own object, resolved on first access.

@@ -44,6 +44,14 @@ print(json.dumps(threads))
 sys.exit(code)
 """
 
+# Caps this process's address space at sys.argv[1] bytes and drops that
+# argument, before anything else runs; forked workers inherit the cap.
+_CAPPED = """\
+import resource, sys
+cap = int(sys.argv.pop(1))
+resource.setrlimit(resource.RLIMIT_AS, (cap, resource.getrlimit(resource.RLIMIT_AS)[1]))
+"""
+
 # Errors for every DeprecationWarning, but prints the fork warning: os.fork
 # cannot raise it, so under the error filter alone it would be dropped.
 _WARNINGS = ["-W", "error::DeprecationWarning", "-W", "always:This process:DeprecationWarning"]
@@ -59,12 +67,17 @@ pytestmark = [
 ]
 
 
-def run(*argv: str, pass_fds: tuple[int, ...] = ()) -> tuple[int, str, list[int]]:
+def run(*argv: str, pass_fds: tuple[int, ...] = (),
+        address_space: int | None = None) -> tuple[int, str, list[int]]:
     """Run the CLI on ``argv`` in a fresh interpreter: its exit code, stderr and forks.
 
-    The forks are the process's thread count at each ``os.fork``.
+    The forks are the process's thread count at each ``os.fork``.  With
+    ``address_space``, the interpreter caps its own ``RLIMIT_AS`` at that
+    many bytes before it imports trajfuse.
     """
-    with subprocess.Popen([sys.executable, *_WARNINGS, "-c", _MAIN, *argv],
+    program = _MAIN if address_space is None else _CAPPED + _MAIN
+    capped = () if address_space is None else (str(address_space),)
+    with subprocess.Popen([sys.executable, *_WARNINGS, "-c", program, *capped, *argv],
                           env={**os.environ, "PYTHONPATH": SRC}, stdout=subprocess.PIPE,
                           stderr=subprocess.PIPE, text=True, pass_fds=pass_fds,
                           start_new_session=True) as proc:
@@ -190,3 +203,53 @@ def test_input_that_is_not_a_regular_file_runs_as_one_part(dump, tmp_path, kind,
     expected = {"fuse": "fused_weighted.ndjson", "eval": "summary.csv",
                 "overlap": "overlap.csv"}[command]
     assert out.read_bytes() == (dump / expected).read_bytes()
+
+
+# Prints the peak address space, in bytes, of an interpreter that has
+# imported every module a dump command runs.
+_IMPORTED_PEAK = """\
+import trajfuse.cli, trajfuse.core, trajfuse.fusion, trajfuse.io, trajfuse.metrics
+import trajfuse.workers
+with open("/proc/self/status") as status:
+    print(next(int(line.split()[1]) * 1024 for line in status if line.startswith("VmPeak:")))
+"""
+
+# Past the imports' peak: room to start a command, and too little to load a
+# 4,000-sample dump at one worker or two.  Each command at 2 workers loads a
+# 2,000-sample dump within 30 MB past the imports, so the dump stays large.
+_HEADROOM = 16 << 20
+
+
+@pytest.fixture(scope="module")
+def large_dump(tmp_path_factory) -> Path:
+    """A 4,000-sample synth dump, written without a cap."""
+    out = tmp_path_factory.mktemp("large") / "dump"
+    code, err, _ = run("synth", "--samples", "4000", "--seed", "1", "--out", str(out))
+    assert (code, err) == (0, "")
+    return out
+
+
+@pytest.fixture(scope="module")
+def address_space_cap() -> int:
+    """``_HEADROOM`` past the measured peak of an interpreter that imported the dump modules."""
+    peak = subprocess.run([sys.executable, "-c", _IMPORTED_PEAK],
+                          env={**os.environ, "PYTHONPATH": SRC}, capture_output=True, text=True,
+                          check=True, timeout=_TIMEOUT_S)
+    return int(peak.stdout) + _HEADROOM
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="RLIMIT_AS and VmPeak as Linux has them")
+@pytest.mark.parametrize("threads", ["1", "2"])
+@pytest.mark.parametrize("command", ["fuse", "eval", "overlap"])
+def test_out_of_memory_is_one_json_error(large_dump, address_space_cap, tmp_path, command,
+                                         threads):
+    """A command that runs out of address space ends as one JSON error and exit 2.
+
+    It writes no output and leaves no temporary file, at one worker or two.
+    """
+    code, err, _ = run(*dump_argv(command, large_dump, str(large_dump / "predictions.ndjson"),
+                                  str(large_dump / "ground_truth.ndjson")),
+                       "--threads", threads, "--out", str(tmp_path / "out"),
+                       address_space=address_space_cap)
+    assert (code, err) == (2, '{"error": "MemoryError", "message": "out of memory"}\n')
+    assert list(tmp_path.iterdir()) == []

@@ -29,7 +29,7 @@ from trajfuse.fusion import (
 
 from trajfuse.metrics import fuse_and_score
 
-from conftest import confidences, fusion_samples, trajectories
+from conftest import confidences, fusion_samples, trajectories, weight_values
 
 
 def traj(*pts: tuple[float, float], dt: float = 1.0) -> Trajectory:
@@ -58,11 +58,6 @@ def agreement_samples(draw) -> Sample:
 
 
 class TestWeights:
-    def test_basic_accessors(self):
-        w = Weights((("a", 0.25), ("b", 0.75)))
-        assert w.values == (0.25, 0.75)
-        assert len(w) == 2
-
     def test_must_sum_to_one(self):
         with pytest.raises(InvalidInput):
             Weights((("a", 0.5), ("b", 0.4)))
@@ -140,7 +135,7 @@ class TestUniformWeights:
 
     def test_even_split(self):
         sample = one_mode_sample(*((mid, traj((0, 0)), 1.0) for mid in "abcd"))
-        assert fuse_simple(sample).weights.values == (0.25,) * 4
+        assert weight_values(fuse_simple(sample)) == (0.25,) * 4
 
     def test_empty_rejected(self):
         with pytest.raises(InvalidInput):
@@ -248,7 +243,7 @@ class TestAggregateOverHorizon:
         fused = fuse_weighted(one_mode_sample(("a", traj((0, 0)), 2.0),
                                               ("b", traj((2, 2)), 1.0),
                                               ("c", traj((-2, 2)), 1.0)))
-        assert fused.weights.values == (0.5, 0.25, 0.25)
+        assert weight_values(fused) == (0.5, 0.25, 0.25)
         assert fused.trajectory.coords == ((0.0, 1.0),)
         assert spread(fused) == (2.0, 0.0, 1.0)
         assert fused.confidence == 1.0 / 3.0
@@ -302,13 +297,13 @@ class TestEnsembleConfidence:
 
 
 class TestFusedPrediction:
-    def base(self, confidence: float = 1.0, strategy: str = "weighted") -> FusedPrediction:
+    def base(self, strategy: str = "weighted",
+             covariance: CovarianceSummary = CovarianceSummary(0.0, 0.0, 0.0)) -> FusedPrediction:
         return FusedPrediction(
             sample_id="s0",
             trajectory=traj((0, 0)),
             weights=Weights((("m", 1.0),)),
-            covariance=CovarianceSummary(0.0, 0.0, 0.0),
-            confidence=confidence,
+            covariance=covariance,
             strategy=strategy,
         )
 
@@ -316,9 +311,9 @@ class TestFusedPrediction:
         with pytest.raises(InvalidInput):
             self.base(strategy="median")
 
-    def test_confidence_must_match_determinant(self):
-        with pytest.raises(InvalidInput):
-            self.base(confidence=0.9)
+    def test_confidence_is_derived_from_the_determinant(self):
+        fused = self.base(covariance=CovarianceSummary(2.0, 0.0, 1.5))
+        assert (fused.covariance.det, fused.confidence) == (3.0, 0.25)
 
     def test_known_strategies(self):
         for s in STRATEGIES:
@@ -354,8 +349,9 @@ class TestFuseWeighted:
     def test_symmetric_biases_cancel(self):
         # Two equally confident members offset 2 m either side of one path.
         base = traj((0, 0.5), (1, 1.5), (2, -1.25))
-        sample = one_mode_sample(("left", base.translated(0, 2), 0.7),
-                                 ("right", base.translated(0, -2), 0.7))
+        left = Trajectory([(x, y + 2) for x, y in base.coords])
+        right = Trajectory([(x, y - 2) for x, y in base.coords])
+        sample = one_mode_sample(("left", left, 0.7), ("right", right, 0.7))
         fused = fuse_weighted(sample)
         assert fused.trajectory == base
         assert (fused.covariance.xx, fused.covariance.xy, fused.covariance.yy) == (0.0, 0.0, 4.0)
@@ -364,7 +360,7 @@ class TestFuseWeighted:
         sample = one_mode_sample(("a", traj((0, 0)), 0.0), ("b", traj((2, 0)), 0.0))
         with pytest.warns(ZeroConfidenceWarning):
             fused = fuse_weighted(sample)
-        assert fused.weights.values == (0.5, 0.5)
+        assert weight_values(fused) == (0.5, 0.5)
         assert fused.trajectory.coords == ((1.0, 0.0),)
         assert len(fused.notes) == 1
         assert "uniform" in fused.notes[0]
@@ -373,7 +369,7 @@ class TestFuseWeighted:
         t = traj((1, 2), (3, 4))
         fused = fuse_weighted(one_mode_sample(("only", t, 0.4)))
         assert fused.trajectory == t
-        assert fused.weights.values == (1.0,)
+        assert weight_values(fused) == (1.0,)
         assert fused.confidence == 1.0
 
     def test_empty_sample_rejected(self):
@@ -419,7 +415,7 @@ class TestFuseWeighted:
         fused = fuse_weighted(sample)
         assert fused.covariance.det >= 0.0
         assert 0.0 < fused.confidence <= 1.0
-        total = sum(fused.weights.values)
+        total = sum(weight_values(fused))
         assert abs(total - 1.0) <= 1e-9
 
     @given(sample=agreement_samples())
@@ -436,7 +432,7 @@ class TestFuseSimple:
     def test_ignores_confidences(self):
         sample = one_mode_sample(("a", traj((0, 0)), 1000.0), ("b", traj((2, 0)), 0.001))
         fused = fuse_simple(sample)
-        assert fused.weights.values == (0.5, 0.5)
+        assert weight_values(fused) == (0.5, 0.5)
         assert fused.trajectory.coords == ((1.0, 0.0),)
         assert fused.strategy == "simple"
 

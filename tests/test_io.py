@@ -3,9 +3,11 @@
 from __future__ import annotations
 
 import copy
+import errno
 import json
 import os
 import stat
+from dataclasses import replace
 from operator import attrgetter
 from pathlib import Path
 
@@ -490,6 +492,22 @@ class TestSampleRanges:
         assert str(SampleRange("s1", "s2")) == "['s1', 's2')"
         assert "s1" in SampleRange("s1", "s2") and "s2" not in SampleRange("s1", "s2")
 
+    @pytest.mark.parametrize("threads", [1, 3])
+    def test_unlabeled_samples_are_counted_over_every_part(self, tmp_path, three_workers,
+                                                           threads):
+        """Ground truth that swaps a predicted sample for another: the message counts it."""
+        predictions, _ = self.dump(tmp_path, [1] * 30)
+        truth = str(tmp_path / "gt.ndjson")
+        labeled = [f"s{i:03d}" for i in range(1, 30)] + ["s999"]  # s000 swapped for s999
+        write_ground_truth(truth, [GroundTruthRecord(sample_id, traj((0, 0), (1, 0), dt=0.5))
+                                   for sample_id in labeled])
+        manifest = replace(MANIFEST, sample_count=30)
+        with pytest.raises(InvalidInput) as caught:
+            io.map_sample_ranges(manifest, [predictions], truth, len, threads, "t")
+        assert str(caught.value) == ("ground truth has 30 samples for 30 predicted; "
+                                     "1 predicted samples have no ground truth")
+        assert len(three_workers) == (3 if threads == 3 else 0)
+
 
 class TestGroundTruth:
     def records(self) -> list[GroundTruthRecord]:
@@ -753,6 +771,28 @@ class TestAtomicWrites:
         monkeypatch.setattr(os, "fsync", recording_fsync)
         write_manifest(str(path), MANIFEST)
         assert synced == [(False, False), (True, True)]
+
+    def test_failed_rename_of_a_set_names_its_destination(self, tmp_path, monkeypatch):
+        """The 2nd of three held renames fails: the 1st stays replaced, no temporary file stays."""
+        paths = [str(tmp_path / f"manifest{i}.json") for i in range(3)]
+        rename = os.replace
+        renamed = []
+
+        def refusing_second(src, dst):
+            renamed.append(dst)
+            if len(renamed) == 2:
+                raise PermissionError(errno.EACCES, os.strerror(errno.EACCES), src, None, dst)
+            rename(src, dst)
+
+        monkeypatch.setattr(os, "replace", refusing_second)
+        with pytest.raises(OSError) as caught:
+            with io.replacing_together() as held:
+                for path in paths:
+                    write_manifest(path, MANIFEST, held=held)
+        assert (caught.value.errno, caught.value.filename) == (errno.EACCES, paths[1])
+        assert renamed == paths[:2]
+        assert sorted(tmp_path.iterdir()) == [Path(paths[0])]
+        assert load_manifest(paths[0]) == MANIFEST
 
 
 # Any JSON value: nulls, booleans, integers (some far beyond float range),
